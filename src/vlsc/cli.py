@@ -19,6 +19,7 @@ from . import evalviz as ev
 from . import objectives as obj
 from . import synthdata as sd
 from . import trainer as tr
+from .encoders import VARIANTS
 from .errors import NumericError, VlscError
 from .gradcheck import grad_check
 from .model import PretrainModel
@@ -28,7 +29,6 @@ GRAD_TOL = 1e-4
 # the ratio grid of the masking sweep: (image, text) pairs
 MASK_RATIO_GRID = ((0.7, 0.4), (0.8, 0.3), (0.8, 0.4), (0.8, 0.5),
                    (0.9, 0.4))
-VARIANTS = ("FrameCLS", "MeanPooling", "GlobalCLS")
 OBJECTIVE_ROWS = (
     ("cl+vtm+mlm+scl", dict()),
     ("cl+vtm+mlm", dict(scl=False)),
@@ -217,14 +217,18 @@ def gradient_suite(seed: int, eps: float, max_elements: int):
         return tr.step_rngs(seed, 1)
 
     full = obj.ObjectiveConfig()
-    _, pair = obj.scl_loss(model, frames, caps, full.image_mask_ratio,
-                           full.text_mask_ratio, rngs()["scl"])
+
+    def scl(frozen_targets=None):
+        return obj.scl_loss(model, frames, caps, model.vision(frames),
+                            model.text(caps), full.image_mask_ratio,
+                            full.text_mask_ratio, rngs()["scl"],
+                            frozen_targets=frozen_targets)
+
+    _, pair = scl()
     frozen = (pair.i_co.data.copy(), pair.t_co.data.copy())
 
     def scl_term():
-        return obj.scl_loss(model, frames, caps, full.image_mask_ratio,
-                            full.text_mask_ratio, rngs()["scl"],
-                            frozen_targets=frozen)[0]
+        return scl(frozen)[0]
 
     singles = {
         "cl": obj.ObjectiveConfig(vtm=False, mlm=False, scl=False),
@@ -351,7 +355,7 @@ def main(argv=None) -> int:
     except VlscError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

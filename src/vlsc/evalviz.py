@@ -66,13 +66,14 @@ def encode_corpus(model: PretrainModel, corpus,
         chunk = corpus[lo:lo + batch_size]
         frames = np.stack([s.frames for s in chunk])
         caps = np.stack([s.caption for s in chunk])
-        fwd = model.forward(frames, caps, train=False)
-        pv, pt = model.project_globals(fwd.v_enc_global, fwd.t_enc_global)
+        vis = model.vision(frames)
+        txt = model.text(caps)
+        pv, pt = model.project_globals(vis.enc_global, txt.enc_global)
         vp.append(pv.data)
         tp.append(pt.data)
-        vf.append(fwd.v_flat.data)
-        tt.append(fwd.t_tokens.data)
-        tm.append(fwd.text_mask)
+        vf.append(vis.flat.data)
+        tt.append(txt.tokens.data)
+        tm.append(txt.additive_mask)
     return EncodedCorpus(v_proj=np.concatenate(vp),
                          t_proj=np.concatenate(tp),
                          v_flat=np.concatenate(vf),
@@ -111,6 +112,24 @@ def _recalls(ranks: np.ndarray) -> tuple:
     return tuple(float(np.mean(ranks < kk)) for kk in (1, 5, 10))
 
 
+def _query_ranks(model: PretrainModel, enc: EncodedCorpus,
+                 sims: np.ndarray, k: int, text_queries: bool) -> np.ndarray:
+    """Rank of each query's own pair in its candidate ordering; row q
+    of sims scores query q against every candidate."""
+    n = sims.shape[0]
+    ranks = np.empty(n, dtype=np.int64)
+    for q in range(n):
+        order = np.argsort(-sims[q], kind="stable")
+        if k > 0:
+            query = np.full(k, q, dtype=np.int64)
+            text_idx, vis_idx = ((query, order[:k]) if text_queries
+                                 else (order[:k], query))
+            order = rerank(order, k,
+                           match_scores(model, enc, text_idx, vis_idx))
+        ranks[q] = int(np.nonzero(order == q)[0][0])
+    return ranks
+
+
 def retrieve(model: PretrainModel, corpus, k: int = 0,
              batch_size: int = 16) -> RetrievalResult:
     n = len(corpus)
@@ -120,28 +139,8 @@ def retrieve(model: PretrainModel, corpus, k: int = 0,
         raise InputError(f"re-rank depth {k} outside [0, {n}]")
     enc = encode_corpus(model, corpus, batch_size=batch_size)
     sims = cosine_matrix(enc.t_proj, enc.v_proj)  # rows: text queries
-
-    ir_ranks = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        order = np.argsort(-sims[i], kind="stable")
-        if k > 0:
-            scores = match_scores(model, enc,
-                                  np.full(k, i, dtype=np.int64),
-                                  order[:k])
-            order = rerank(order, k, scores)
-        ir_ranks[i] = int(np.nonzero(order == i)[0][0])
-
-    tr_ranks = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        order = np.argsort(-sims[:, j], kind="stable")
-        if k > 0:
-            scores = match_scores(model, enc, order[:k],
-                                  np.full(k, j, dtype=np.int64))
-            order = rerank(order, k, scores)
-        tr_ranks[j] = int(np.nonzero(order == j)[0][0])
-
-    ir = _recalls(ir_ranks)
-    tr = _recalls(tr_ranks)
+    ir = _recalls(_query_ranks(model, enc, sims, k, text_queries=True))
+    tr = _recalls(_query_ranks(model, enc, sims.T, k, text_queries=False))
     return RetrievalResult(n=n, k=k, ir_r1=ir[0], ir_r5=ir[1],
                            ir_r10=ir[2], tr_r1=tr[0], tr_r5=tr[1],
                            tr_r10=tr[2])

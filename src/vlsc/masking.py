@@ -1,7 +1,8 @@
 """Mask planning for the token-prediction and completion objectives.
 
 A MaskPlan is built once per sample per step from an explicit seeded
-generator, applied to a copy of the inputs, and is fully revertible.
+generator and applied to a copy of the inputs; it records the original
+id at every planned text position.
 Visual masking never drops tokens: the model substitutes a learned mask
 embedding at the planned (frame, patch) slots so sequence geometry and
 positional sums are unchanged.
@@ -60,13 +61,6 @@ def plan_image_mask(m: int, n: int, ratio: float, rng) -> frozenset:
     return frozenset((int(f) // n, int(f) % n) for f in flat)
 
 
-def visual_mask_array(visual_masked, m: int, n: int) -> np.ndarray:
-    out = np.zeros((m, n), dtype=bool)
-    for f, p in visual_masked:
-        out[f, p] = True
-    return out
-
-
 def _content_positions(ids) -> np.ndarray:
     ids = np.asarray(ids)
     pos = np.flatnonzero(ids >= _FIRST_CONTENT_ID)
@@ -117,9 +111,3 @@ def apply_text_plan(ids, plan: MaskPlan) -> np.ndarray:
         # KEEP leaves the token in place; it still gets a prediction label
     return out
 
-
-def revert_text_plan(ids, plan: MaskPlan) -> np.ndarray:
-    out = np.asarray(ids).copy()
-    for pos, orig in plan.original_ids.items():
-        out[pos] = orig
-    return out

@@ -3,14 +3,13 @@ and the objective heads, sharing one parameter registry."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .encoders import (FusionEncoder, FusionOut, ModelConfig, TextEncoder,
                        VisionEncoder, linear, linear_params)
-from .errors import ConfigError, ShapeError
 from .tensor import ParamRegistry, Tensor
 
 CL_TAU_INIT = 0.05
@@ -33,9 +32,11 @@ class ForwardOut:
 
 
 class PretrainModel:
-    """forward() is the instrumented full pass (counted); the encode_*/
-    fuse pieces are exposed separately for retrieval and negative
-    scoring, which need them independently."""
+    """forward() encodes vision, then text, then fuses them through
+    fuse_pair(), the one fusion path. Callers that reuse an encoding
+    (the objectives, retrieval) call self.vision and self.text directly
+    and fuse through fuse_pair(). forward_count counts fused passes:
+    every fuse_pair() call, inside forward() or not."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
@@ -62,15 +63,12 @@ class PretrainModel:
 
     def forward(self, frames: np.ndarray, captions: np.ndarray,
                 visual_mask=None, train: bool = False, rng=None) -> ForwardOut:
-        self.forward_count += 1
         vis = self.vision(frames, visual_mask=visual_mask, train=train,
                           rng=rng)
         txt = self.text(captions, train=train, rng=rng)
-        fused = self.fusion(vis.flat, txt.tokens, txt.additive_mask,
-                            train=train, rng=rng)
-        m = frames.shape[1]
-        v_global = self.fused_vision_global(fused.vision_tokens, m)
-        t_global = fused.text_tokens[:, 0, :]
+        fused, v_global, t_global = self.fuse_pair(
+            vis.flat, txt.tokens, txt.additive_mask, frames.shape[1],
+            train=train, rng=rng)
         return ForwardOut(v_enc_global=vis.enc_global,
                           t_enc_global=txt.enc_global,
                           v_flat=vis.flat, t_tokens=txt.tokens,
@@ -82,8 +80,9 @@ class PretrainModel:
     def fuse_pair(self, v_flat: Tensor, t_tokens: Tensor,
                   text_mask: np.ndarray, frames_m: int,
                   train: bool = False, rng=None):
-        """Fusion + globals for already-encoded streams (used for
-        match-score negatives and re-ranking; not counted as a forward)."""
+        """Fusion + both fused globals for already-encoded streams.
+        Returns (FusionOut, v_global, t_global)."""
+        self.forward_count += 1
         fused = self.fusion(v_flat, t_tokens, text_mask, train=train, rng=rng)
         v_global = self.fused_vision_global(fused.vision_tokens, frames_m)
         t_global = fused.text_tokens[:, 0, :]
@@ -115,9 +114,6 @@ class PretrainModel:
         return linear(self.params, "head.mlm", text_rows)
 
     # bookkeeping
-
-    def fusion_param_names(self) -> list:
-        return [n for n in self.params.names() if n.startswith("fusion.")]
 
     def zero_grad(self) -> None:
         self.params.zero_grad()

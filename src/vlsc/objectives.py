@@ -2,22 +2,28 @@
 
 Four losses over one shared model: contrastive alignment of the
 uni-modal encoder globals, binary match classification and masked-token
-prediction on the fused streams, and semantic completion, which runs two
-extra full passes (masked image with complete text, complete image with
-masked text) and pulls each recovered global toward its detached
+prediction on the fused streams, and semantic completion, which fuses
+a masked image with the complete text and the complete image with a
+masked text, and pulls each recovered global toward its detached
 complete counterpart with the other samples in the batch as negatives.
 The total is the plain unweighted sum of whatever is enabled.
+
+total_loss encodes the complete frames and captions once per step and
+hands the encodings to every objective; each objective encodes only
+its own masked inputs. A step with all four losses runs 2 vision and
+3 text encodes and 5 fused passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import masking as mk
 from . import tensor as T
-from .errors import ConfigError, InputError
+from .encoders import TextOut, VisionOut
+from .errors import ConfigError
 from .model import PretrainModel
 from .tensor import Tensor
 
@@ -54,15 +60,13 @@ class GlobalPair:
 
 @dataclass
 class LossReport:
-    # None marks a component that was disabled or skipped, which a log
-    # must not conflate with a loss that happens to be zero
+    # None marks a disabled component, which a log must not conflate
+    # with a loss that happens to be zero
     cl: float | None = None
     vtm: float | None = None
     mlm: float | None = None
     scl: float | None = None
     total: float | None = None
-    enabled: dict = field(default_factory=dict)
-    mlm_skipped: bool = False
 
 
 def info_nce(a: Tensor, b: Tensor, tau) -> Tensor:
@@ -91,31 +95,32 @@ def vtm_negative_indices(n: int, rng) -> np.ndarray:
     return (np.arange(n) + rng.integers(1, n, size=n)) % n
 
 
-def vtm_loss(model: PretrainModel, fwd, frames_m: int, rng,
+def vtm_loss(model: PretrainModel, vis: VisionOut, txt: TextOut, rng,
              train: bool = False) -> Tensor:
     """Binary matched/mismatched classification on fused globals.
 
-    Positives come from the already-computed clean pass; negatives pair
-    each caption with a randomly replaced vision stream and are fused
-    separately (the encoded streams are reused, not recomputed).
+    Positives fuse each caption with its own vision stream; negatives
+    pair each caption with a randomly replaced one. Both reuse the
+    given encodings.
     """
-    n = fwd.v_flat.shape[0]
+    n = vis.flat.shape[0]
     neg = vtm_negative_indices(n, rng)
-    _, v_neg_global, t_neg_global = model.fuse_pair(
-        fwd.v_flat[neg], fwd.t_tokens, fwd.text_mask, frames_m,
-        train=train, rng=rng)
-    pos_logits = model.vtm_logits(fwd.v_global, fwd.t_global)
-    neg_logits = model.vtm_logits(v_neg_global, t_neg_global)
-    logits = T.concat([pos_logits, neg_logits], axis=0)
+    logits = []
+    for v_flat in (vis.flat, vis.flat[neg]):
+        _, v_global, t_global = model.fuse_pair(
+            v_flat, txt.tokens, txt.additive_mask, vis.grid.shape[1],
+            train=train, rng=rng)
+        logits.append(model.vtm_logits(v_global, t_global))
     labels = np.concatenate([np.ones(n, dtype=np.int64),
                              np.zeros(n, dtype=np.int64)])
-    return T.cross_entropy(logits, labels)
+    return T.cross_entropy(T.concat(logits, axis=0), labels)
 
 
-def mlm_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
+def mlm_loss(model: PretrainModel, vis: VisionOut, captions: np.ndarray,
              rng, train: bool = False):
-    """Vocabulary cross-entropy at the planned masked positions of a
-    masked-caption forward pass. Returns (loss, n_predicted)."""
+    """Vocabulary cross-entropy at the planned masked positions of the
+    masked captions fused with the given vision encoding. Returns
+    (loss, n_predicted)."""
     n = captions.shape[0]
     masked = np.empty_like(captions)
     rows, cols, labels = [], [], []
@@ -127,25 +132,26 @@ def mlm_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
             rows.append(i)
             cols.append(pos)
             labels.append(plan.original_ids[pos])
-    if not rows:
-        return None, 0
-    out = model.forward(frames, masked, train=train, rng=rng)
-    picked = out.fusion.text_tokens[np.asarray(rows), np.asarray(cols)]
+    txt = model.text(masked, train=train, rng=rng)
+    fused, _, _ = model.fuse_pair(vis.flat, txt.tokens, txt.additive_mask,
+                                  vis.grid.shape[1], train=train, rng=rng)
+    picked = fused.text_tokens[np.asarray(rows), np.asarray(cols)]
     logits = model.mlm_logits(picked)
     return T.cross_entropy(logits, np.asarray(labels)), len(rows)
 
 
 def scl_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
-             image_ratio: float, text_ratio: float, rng,
-             tau: float = SCL_TAU, mvsc: bool = True, mlsc: bool = True,
-             train: bool = False, strict: bool = False,
+             vis: VisionOut, txt: TextOut, image_ratio: float,
+             text_ratio: float, rng, tau: float = SCL_TAU,
+             mvsc: bool = True, mlsc: bool = True, train: bool = False,
              frozen_targets=None):
-    """Semantic completion: exactly two forward passes.
+    """Semantic completion: exactly two fused passes.
 
-    Pass 1 masks the image and keeps the text complete; pass 2 keeps the
-    image complete and masks the text. Each recovered global is matched
-    against the *detached* complete global from the other pass, with the
-    rest of the batch as negatives. Returns (loss, GlobalPair).
+    vis and txt are the encodings of the complete frames and captions.
+    Pass 1 fuses the masked image with the complete text; pass 2 fuses
+    the complete image with the masked text. Each recovered global is
+    matched against the *detached* complete global from the other pass,
+    with the rest of the batch as negatives. Returns (loss, GlobalPair).
 
     frozen_targets, if given as (i_co_array, t_co_array), replaces the
     detached complete globals with fixed constants. Finite-difference
@@ -155,8 +161,6 @@ def scl_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
     """
     if not (mvsc or mlsc):
         raise ConfigError("semantic completion needs at least one side on")
-    if strict and (image_ratio == 0.0 or text_ratio == 0.0):
-        raise ConfigError("degenerate mask ratio 0 in strict mode")
     n, m = frames.shape[0], frames.shape[1]
     n_patches = model.config.n_patches
 
@@ -169,20 +173,25 @@ def scl_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
         plan = mk.plan_scl_text_mask(captions[i], text_ratio, rng)
         masked_caps[i] = mk.apply_text_plan(captions[i], plan)
 
-    pass1 = model.forward(frames, captions, visual_mask=visual_mask,
-                          train=train, rng=rng)
-    pass2 = model.forward(frames, masked_caps, train=train, rng=rng)
+    vis_masked = model.vision(frames, visual_mask=visual_mask, train=train,
+                              rng=rng)
+    txt_masked = model.text(masked_caps, train=train, rng=rng)
+    _, i_re, t_co_live = model.fuse_pair(vis_masked.flat, txt.tokens,
+                                         txt.additive_mask, m,
+                                         train=train, rng=rng)
+    _, i_co_live, t_re = model.fuse_pair(vis.flat, txt_masked.tokens,
+                                         txt_masked.additive_mask, m,
+                                         train=train, rng=rng)
 
     if frozen_targets is None:
-        i_co = pass2.v_global.detach()
-        t_co = pass1.t_global.detach()
+        i_co = i_co_live.detach()
+        t_co = t_co_live.detach()
     else:
         i_co = Tensor(np.asarray(frozen_targets[0], dtype=np.float64))
         t_co = Tensor(np.asarray(frozen_targets[1], dtype=np.float64))
-    pair = GlobalPair(i_re=pass1.v_global, i_co=i_co,
-                      t_re=pass2.t_global, t_co=t_co,
-                      i_co_pre_detach=pass2.v_global,
-                      t_co_pre_detach=pass1.t_global)
+    pair = GlobalPair(i_re=i_re, i_co=i_co, t_re=t_re, t_co=t_co,
+                      i_co_pre_detach=i_co_live,
+                      t_co_pre_detach=t_co_live)
     loss = None
     if mvsc:
         loss = info_nce(pair.i_re, pair.i_co, tau)
@@ -199,46 +208,33 @@ def total_loss(model: PretrainModel, frames: np.ndarray,
 
     rngs holds one independent generator per component ("clean", "vtm",
     "mlm", "scl") so that toggling any objective never shifts another's
-    draws. Returns (LossReport, total Tensor)."""
+    draws. The complete frames, then the complete captions, are encoded
+    once on "clean"; the captions only when an objective other than MLM
+    needs them. Returns (LossReport, total Tensor)."""
     if not cfg.any_enabled():
         raise ConfigError("no objective enabled")
-    report = LossReport(enabled={"cl": cfg.cl, "vtm": cfg.vtm,
-                                 "mlm": cfg.mlm, "scl": cfg.scl})
-    total = None
+    vis = model.vision(frames, train=train, rng=rngs["clean"])
+    txt = None
+    if cfg.cl or cfg.vtm or cfg.scl:
+        txt = model.text(captions, train=train, rng=rngs["clean"])
 
-    def add(x: Tensor):
-        nonlocal total
-        total = x if total is None else total + x
-
-    if cfg.cl or cfg.vtm:
-        clean = model.forward(frames, captions, train=train,
-                              rng=rngs.get("clean"))
-        if cfg.cl:
-            cl = contrastive_loss(model, clean.v_enc_global,
-                                  clean.t_enc_global)
-            report.cl = cl.item()
-            add(cl)
-        if cfg.vtm:
-            vtm = vtm_loss(model, clean, frames.shape[1], rngs["vtm"],
-                           train=train)
-            report.vtm = vtm.item()
-            add(vtm)
+    losses = {}
+    if cfg.cl:
+        losses["cl"] = contrastive_loss(model, vis.enc_global,
+                                        txt.enc_global)
+    if cfg.vtm:
+        losses["vtm"] = vtm_loss(model, vis, txt, rngs["vtm"], train=train)
     if cfg.mlm:
-        mlm, n_pred = mlm_loss(model, frames, captions, rngs["mlm"],
-                               train=train)
-        if mlm is None:
-            report.mlm_skipped = True
-        else:
-            report.mlm = mlm.item()
-            add(mlm)
+        losses["mlm"], _ = mlm_loss(model, vis, captions, rngs["mlm"],
+                                    train=train)
     if cfg.scl:
-        scl, _ = scl_loss(model, frames, captions, cfg.image_mask_ratio,
-                          cfg.text_mask_ratio, rngs["scl"],
-                          tau=cfg.scl_tau, mvsc=cfg.mvsc, mlsc=cfg.mlsc,
-                          train=train)
-        report.scl = scl.item()
-        add(scl)
-    if total is None:
-        raise ConfigError("every enabled objective was skipped")
-    report.total = total.item()
+        losses["scl"], _ = scl_loss(model, frames, captions, vis, txt,
+                                    cfg.image_mask_ratio,
+                                    cfg.text_mask_ratio, rngs["scl"],
+                                    tau=cfg.scl_tau, mvsc=cfg.mvsc,
+                                    mlsc=cfg.mlsc, train=train)
+    parts = list(losses.values())
+    total = sum(parts[1:], parts[0])
+    report = LossReport(total=total.item(),
+                        **{k: v.item() for k, v in losses.items()})
     return report, total

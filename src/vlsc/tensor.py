@@ -81,9 +81,6 @@ class Tensor:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 \
             else float(self.data)  # raises for size > 1, as it should
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -484,25 +481,6 @@ class ParamRegistry:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def total_size(self) -> int:
-        return sum(t.size for t in self._params.values())
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data for name, t in self._params.items()}
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = set(self._params) - set(arrays)
-        extra = set(arrays) - set(self._params)
-        if missing or extra:
-            raise ShapeError(f"parameter name mismatch: missing={sorted(missing)} "
-                             f"extra={sorted(extra)}")
-        for name, t in self._params.items():
-            a = np.asarray(arrays[name], dtype=np.float64)
-            if a.shape != t.data.shape:
-                raise ShapeError(f"shape mismatch for {name}: "
-                                 f"{a.shape} vs {t.data.shape}")
-            t.data = a.copy()
 
 
 def trunc_normal(shape, rng: np.random.Generator, std: float = 0.02) -> np.ndarray:

@@ -15,8 +15,8 @@ File formats owned by this module:
 
 * Metrics log: append-only text, one line per optimizer step:
   ``step cl vtm mlm scl total lr`` with %.17g floats, ``nan`` for
-  disabled or skipped objectives. A ``#``-prefixed header line is
-  written when the file is created.
+  disabled objectives. A ``#``-prefixed header line is written when
+  the file is created.
 """
 
 from __future__ import annotations
@@ -341,29 +341,32 @@ def load_checkpoint(path) -> Checkpoint:
     off += 8
     if len(data) < off + hlen:
         raise InputError(f"{path}: truncated header")
+    tables: dict = {"param": {}, "m": {}, "v": {}}
     try:
         header = json.loads(data[off:off + hlen].decode())
-    except ValueError as e:
-        raise InputError(f"{path}: bad header json") from e
+        entries = [(e["kind"], e["name"], tuple(int(d) for d in e["shape"]))
+                   for e in header["arrays"]]
+        t, step = int(header["t"]), int(header["step"])
+        config = TrainConfig(**header["config"])
+    except (ValueError, KeyError, TypeError, ConfigError) as e:
+        raise InputError(f"{path}: malformed header: {e!r}") from e
     off += hlen
-    tables: dict = {"param": {}, "m": {}, "v": {}}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+    for kind, name, shape in entries:
+        if kind not in ("param", "m", "v") or not isinstance(name, str) \
+                or any(d < 0 for d in shape):
+            raise InputError(f"{path}: malformed array entry "
+                             f"{(kind, name, shape)!r}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * 8
         if len(data) < off + nbytes:
-            raise InputError(f"{path}: truncated array "
-                             f"{entry['name']!r}")
-        arr = np.frombuffer(data, dtype="<f8", count=count,
-                            offset=off).reshape(shape).copy()
-        tables[entry["kind"]][entry["name"]] = arr
+            raise InputError(f"{path}: truncated array {name!r}")
+        tables[kind][name] = np.frombuffer(
+            data, dtype="<f8", count=count, offset=off).reshape(shape).copy()
         off += nbytes
     if off != len(data):
         raise InputError(f"{path}: {len(data) - off} trailing bytes")
-    config = TrainConfig(**header["config"])
     return Checkpoint(params=tables["param"], m=tables["m"],
-                      v=tables["v"], t=int(header["t"]),
-                      step=int(header["step"]), config=config)
+                      v=tables["v"], t=t, step=step, config=config)
 
 
 # the loop

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,18 @@ class TestEvalRetrieval:
         assert run("eval-retrieval", "--ckpt",
                    str(out / "ckpt_final.vlsc"), "--corpus",
                    str(corpus_file), "--k", "99") == 2
+
+
+    def test_header_without_arrays(self, tmp_path, corpus_file):
+        ckpt = tmp_path / "bad.vlsc"
+        raw = b'{"config":{},"step":0,"t":0}'
+        ckpt.write_bytes(tr.CKPT_MAGIC + struct.pack("<Q", len(raw)) + raw)
+        assert run("eval-retrieval", "--ckpt", str(ckpt), "--corpus",
+                   str(corpus_file)) == 2
+
+    def test_ckpt_is_a_directory(self, tmp_path, corpus_file):
+        assert run("eval-retrieval", "--ckpt", str(tmp_path), "--corpus",
+                   str(corpus_file)) == 2
 
 
 class TestExportAttention:

@@ -264,7 +264,7 @@ class TestGlobals:
                            seed=14)
         fc = PretrainModel(tiny_config(variant="FrameCLS", max_frames=1),
                            seed=15)
-        state = mp.params.state_arrays()
+        state = {name: t.data for name, t in mp.params.items()}
         for name, t in fc.params.items():
             if name in state:
                 t.data[:] = state[name]

@@ -70,6 +70,11 @@ class TestRetrieve:
         b = ev.retrieve(model, c, k=3, batch_size=9)
         assert a == b
 
+    def test_encode_corpus_runs_no_fusion(self):
+        model = small_model(seed=5)
+        ev.encode_corpus(model, corpus(5), batch_size=2)
+        assert model.forward_count == 0
+
     def test_csv_row_shape(self):
         model = small_model()
         r = ev.retrieve(model, corpus(3), k=2)

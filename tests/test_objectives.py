@@ -5,7 +5,7 @@ from vlsc import masking as mk
 from vlsc import objectives as obj
 from vlsc import synthdata as sd
 from vlsc import tensor as T
-from vlsc.encoders import ModelConfig
+from vlsc.encoders import ModelConfig, TextEncoder, VisionEncoder
 from vlsc.errors import ConfigError
 from vlsc.gradcheck import grad_check
 from vlsc.model import PretrainModel
@@ -35,6 +35,12 @@ def make_batch(n, m=1, cfg=None, seed=0):
 def rngs(seed=0, step=0):
     return {name: np.random.default_rng([seed, step, i])
             for i, name in enumerate(["clean", "vtm", "mlm", "scl"])}
+
+
+def scl(model, frames, caps, *args, **kw):
+    """scl_loss on freshly encoded complete frames and captions."""
+    return obj.scl_loss(model, frames, caps, model.vision(frames),
+                        model.text(caps), *args, **kw)
 
 
 class TestInfoNce:
@@ -121,8 +127,8 @@ class TestVtm:
         model.params["head.vtm.w"].data[:] = 0
         model.params["head.vtm.b"].data[:] = 0
         frames, caps = make_batch(4, seed=6)
-        out = model.forward(frames, caps)
-        loss = obj.vtm_loss(model, out, 1, np.random.default_rng(0))
+        loss = obj.vtm_loss(model, model.vision(frames), model.text(caps),
+                            np.random.default_rng(0))
         assert abs(loss.item() - np.log(2.0)) <= 1e-10
 
     def test_negative_never_self(self):
@@ -136,9 +142,9 @@ class TestVtm:
     def test_b1_config_error(self):
         model = PretrainModel(tiny_config(), seed=0)
         frames, caps = make_batch(1)
-        out = model.forward(frames, caps)
         with pytest.raises(ConfigError):
-            obj.vtm_loss(model, out, 1, np.random.default_rng(0))
+            obj.vtm_loss(model, model.vision(frames), model.text(caps),
+                         np.random.default_rng(0))
 
 
 class TestMlm:
@@ -147,7 +153,7 @@ class TestMlm:
         model.params["head.mlm.w"].data[:] = 0
         model.params["head.mlm.b"].data[:] = 0
         frames, caps = make_batch(3, seed=7)
-        loss, n_pred = obj.mlm_loss(model, frames, caps,
+        loss, n_pred = obj.mlm_loss(model, model.vision(frames), caps,
                                     np.random.default_rng(1))
         assert n_pred >= 3
         assert abs(loss.item() - np.log(64.0)) <= 1e-10
@@ -162,7 +168,7 @@ class TestMlm:
         model.params["head.mlm.w"].data[:] = 0
         model.params["head.mlm.b"].data[:] = 0
         model.params["head.mlm.b"].data[label] = 60.0
-        loss, n_pred = obj.mlm_loss(model, frames, caps,
+        loss, n_pred = obj.mlm_loss(model, model.vision(frames), caps,
                                     np.random.default_rng(2))
         assert n_pred == 1
         assert loss.item() <= 1e-12
@@ -199,43 +205,33 @@ class TestScl:
     def test_b1_zero(self):
         model = PretrainModel(tiny_config(), seed=8)
         frames, caps = make_batch(1)
-        loss, _ = obj.scl_loss(model, frames, caps, 0.8, 0.4,
-                               np.random.default_rng(0))
+        loss, _ = scl(model, frames, caps, 0.8, 0.4, np.random.default_rng(0))
         assert loss.item() == 0.0
 
     def test_exactly_two_forwards(self):
         model = PretrainModel(tiny_config(), seed=9)
         frames, caps = make_batch(3, seed=9)
         before = model.forward_count
-        obj.scl_loss(model, frames, caps, 0.8, 0.4,
-                     np.random.default_rng(1))
+        scl(model, frames, caps, 0.8, 0.4, np.random.default_rng(1))
         assert model.forward_count - before == 2
 
     def test_zero_ratios_identical_passes(self):
         model = PretrainModel(tiny_config(), seed=10)
         frames, caps = make_batch(3, seed=10)
-        _, pair = obj.scl_loss(model, frames, caps, 0.0, 0.0,
-                               np.random.default_rng(2))
+        _, pair = scl(model, frames, caps, 0.0, 0.0, np.random.default_rng(2))
         np.testing.assert_array_equal(pair.i_re.data, pair.i_co.data)
         np.testing.assert_array_equal(pair.t_re.data, pair.t_co.data)
         sims = T.cosine_similarity_matrix(pair.i_re, pair.i_co).data
         np.testing.assert_allclose(np.diag(sims), 1.0, atol=1e-6)
-
-    def test_strict_mode_rejects_zero_ratio(self):
-        model = PretrainModel(tiny_config(), seed=0)
-        frames, caps = make_batch(2)
-        with pytest.raises(ConfigError):
-            obj.scl_loss(model, frames, caps, 0.0, 0.4,
-                         np.random.default_rng(0), strict=True)
 
     def test_detach_isolates_complete_image_pass(self):
         # visual-side completion only: the complete-image pass (pass 2)
         # must receive no gradient at all
         model = PretrainModel(tiny_config(), seed=11)
         frames, caps = make_batch(3, seed=11)
-        loss, pair = obj.scl_loss(model, frames, caps, 0.8, 0.4,
-                                  np.random.default_rng(3),
-                                  mvsc=True, mlsc=False)
+        loss, pair = scl(model, frames, caps, 0.8, 0.4,
+                         np.random.default_rng(3),
+                         mvsc=True, mlsc=False)
         model.zero_grad()
         loss.backward()
 
@@ -253,9 +249,9 @@ class TestScl:
     def test_detach_isolates_complete_text_pass(self):
         model = PretrainModel(tiny_config(), seed=12)
         frames, caps = make_batch(3, seed=12)
-        loss, pair = obj.scl_loss(model, frames, caps, 0.8, 0.4,
-                                  np.random.default_rng(4),
-                                  mvsc=False, mlsc=True)
+        loss, pair = scl(model, frames, caps, 0.8, 0.4,
+                         np.random.default_rng(4),
+                         mvsc=False, mlsc=True)
         model.zero_grad()
         loss.backward()
 
@@ -269,20 +265,19 @@ class TestScl:
     def test_toggles_sum_to_full(self):
         model = PretrainModel(tiny_config(), seed=13)
         frames, caps = make_batch(3, seed=13)
-        both, _ = obj.scl_loss(model, frames, caps, 0.8, 0.4,
-                               np.random.default_rng(5))
-        v_only, _ = obj.scl_loss(model, frames, caps, 0.8, 0.4,
-                                 np.random.default_rng(5), mlsc=False)
-        l_only, _ = obj.scl_loss(model, frames, caps, 0.8, 0.4,
-                                 np.random.default_rng(5), mvsc=False)
+        both, _ = scl(model, frames, caps, 0.8, 0.4, np.random.default_rng(5))
+        v_only, _ = scl(model, frames, caps, 0.8, 0.4,
+                        np.random.default_rng(5), mlsc=False)
+        l_only, _ = scl(model, frames, caps, 0.8, 0.4,
+                        np.random.default_rng(5), mvsc=False)
         assert abs(both.item() - (v_only.item() + l_only.item())) <= 1e-12
 
     def test_both_sides_off_rejected(self):
         model = PretrainModel(tiny_config(), seed=0)
         frames, caps = make_batch(2)
         with pytest.raises(ConfigError):
-            obj.scl_loss(model, frames, caps, 0.8, 0.4,
-                         np.random.default_rng(0), mvsc=False, mlsc=False)
+            scl(model, frames, caps, 0.8, 0.4,
+                np.random.default_rng(0), mvsc=False, mlsc=False)
 
 
 class TestTotal:
@@ -315,6 +310,76 @@ class TestTotal:
             values[with_cl] = (report.vtm, report.mlm, report.scl)
         assert values[True] == values[False]
 
+    def test_train_mode_toggles_keep_other_draws(self):
+        # with dropout on, dropping any one objective must not move any
+        # other component's value
+        cfg = tiny_config(dropout=0.1)
+        frames, caps = make_batch(4, seed=19)
+
+        def run(train=True, **off):
+            model = PretrainModel(cfg, seed=19)
+            report, _ = obj.total_loss(model, frames, caps,
+                                       obj.ObjectiveConfig(**off), rngs(8),
+                                       train=train)
+            return report
+
+        full = run()
+        assert run(train=False).cl != full.cl
+        names = ("cl", "vtm", "mlm", "scl")
+        for off in names:
+            part = run(**{off: False})
+            assert getattr(part, off) is None
+            for other in names:
+                if other != off:
+                    assert getattr(part, other) == getattr(full, other), \
+                        (off, other)
+        # the complete inputs are encoded on "clean": vision, then text
+        model = PretrainModel(cfg, seed=19)
+        clean = rngs(8)["clean"]
+        vis = model.vision(frames, train=True, rng=clean)
+        txt = model.text(caps, train=True, rng=clean)
+        cl = obj.contrastive_loss(model, vis.enc_global, txt.enc_global)
+        assert cl.item() == full.cl
+
+    @pytest.mark.parametrize("off, vision, text, fused", [
+        ({}, 2, 3, 5),
+        (dict(cl=False, vtm=False, scl=False), 1, 1, 1),
+        (dict(vtm=False, mlm=False, scl=False), 1, 1, 0),
+    ])
+    def test_encode_and_fuse_counts(self, monkeypatch, off, vision, text,
+                                    fused):
+        calls = {VisionEncoder: 0, TextEncoder: 0}
+        for cls in calls:
+            def counted(self, *args, _cls=cls, _call=cls.__call__, **kw):
+                calls[_cls] += 1
+                return _call(self, *args, **kw)
+            monkeypatch.setattr(cls, "__call__", counted)
+        model = PretrainModel(tiny_config(), seed=18)
+        frames, caps = make_batch(3, seed=18)
+        obj.total_loss(model, frames, caps, obj.ObjectiveConfig(**off),
+                       rngs())
+        assert calls == {VisionEncoder: vision, TextEncoder: text}
+        assert model.forward_count == fused
+
+    # exact (cl, vtm, mlm, scl) of a fixed eval-mode batch: any change to
+    # the arithmetic of the four losses shows here
+    PINNED = {
+        1: (2.789259351477725, 0.6939344177165006, 4.180417806267129,
+            2.755858390505778),
+        2: (2.794171931523625, 0.6941948287271851, 4.180414171466472,
+            2.738337537050106),
+    }
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_eval_values_pinned(self, m):
+        cfg = tiny_config(dropout=0.0)
+        model = PretrainModel(cfg, seed=21)
+        frames, caps = make_batch(4, m=m, cfg=cfg, seed=21)
+        report, _ = obj.total_loss(model, frames, caps,
+                                   obj.ObjectiveConfig(), rngs(5, 2))
+        assert (report.cl, report.vtm, report.mlm,
+                report.scl) == self.PINNED[m]
+
     def test_all_disabled_rejected(self):
         model = PretrainModel(tiny_config(), seed=0)
         frames, caps = make_batch(2)
@@ -331,9 +396,9 @@ def scl_frozen_targets(model, frames, caps, cfg):
     difference probe that lets those targets drift with the parameters
     measures a different function than the one the optimizer descends,
     so the check must pin them."""
-    _, pair = obj.scl_loss(model, frames, caps, cfg.image_mask_ratio,
-                           cfg.text_mask_ratio, rngs(3)["scl"],
-                           tau=cfg.scl_tau)
+    _, pair = scl(model, frames, caps, cfg.image_mask_ratio,
+                  cfg.text_mask_ratio, rngs(3)["scl"],
+                  tau=cfg.scl_tau)
     return pair.i_co.data.copy(), pair.t_co.data.copy()
 
 
@@ -345,9 +410,9 @@ class TestObjectiveGradients:
         frozen = scl_frozen_targets(model, frames, caps, full)
 
         def scl_term():
-            return obj.scl_loss(model, frames, caps, full.image_mask_ratio,
-                                full.text_mask_ratio, rngs(3)["scl"],
-                                tau=full.scl_tau, frozen_targets=frozen)[0]
+            return scl(model, frames, caps, full.image_mask_ratio,
+                       full.text_mask_ratio, rngs(3)["scl"],
+                       tau=full.scl_tau, frozen_targets=frozen)[0]
 
         cases = {
             "cl": obj.ObjectiveConfig(vtm=False, mlm=False, scl=False),
@@ -388,9 +453,9 @@ class TestObjectiveGradients:
         full = obj.ObjectiveConfig()
 
         def live():
-            return obj.scl_loss(model, frames, caps, full.image_mask_ratio,
-                                full.text_mask_ratio, rngs(3)["scl"],
-                                tau=full.scl_tau)[0]
+            return scl(model, frames, caps, full.image_mask_ratio,
+                       full.text_mask_ratio, rngs(3)["scl"],
+                       tau=full.scl_tau)[0]
         err = grad_check(live, model.params, eps=2e-4,
                          max_elements=64, seed=1)
         assert err > 1e-2

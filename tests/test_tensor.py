@@ -279,14 +279,6 @@ class TestParamRegistry:
         with pytest.raises(ValueError):
             reg.register("x", np.zeros(1))
 
-    def test_state_roundtrip(self):
-        reg = T.ParamRegistry()
-        reg.register("w", np.arange(4.0))
-        state = {k: v.copy() for k, v in reg.state_arrays().items()}
-        reg["w"].data[:] = 0
-        reg.load_state_arrays(state)
-        np.testing.assert_array_equal(reg["w"].data, np.arange(4.0))
-
     def test_trunc_normal_within_two_std(self):
         rng = np.random.default_rng(0)
         w = T.trunc_normal((1000,), rng, std=0.02)

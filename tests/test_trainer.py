@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -265,6 +267,32 @@ class TestCheckpointIO:
         p = tmp_path / "x.vlsc"
         tr.save_checkpoint(ckpt, p)
         p.write_bytes(p.read_bytes() + b"\x00" * 8)
+        with pytest.raises(InputError):
+            tr.load_checkpoint(p)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("arrays"),
+        lambda h: h.pop("config"),
+        lambda h: h["config"].update(no_such_key=1),
+        lambda h: h.pop("step"),
+        lambda h: h["arrays"][0].pop("kind"),
+        lambda h: h["arrays"][0].pop("name"),
+        lambda h: h["arrays"][0].pop("shape"),
+        lambda h: h["arrays"][0].update(kind="q"),
+        lambda h: h["arrays"][0].update(shape=[-1, -1]),
+        lambda h: h.update(arrays=None),
+    ])
+    def test_malformed_header(self, tmp_path, edit):
+        p = tmp_path / "x.vlsc"
+        tr.save_checkpoint(tr.init_checkpoint(tiny_train_config()), p)
+        data = p.read_bytes()
+        off = len(tr.CKPT_MAGIC) + 8
+        (hlen,) = struct.unpack_from("<Q", data, off - 8)
+        header = json.loads(data[off:off + hlen])
+        edit(header)
+        raw = json.dumps(header).encode()
+        p.write_bytes(tr.CKPT_MAGIC + struct.pack("<Q", len(raw)) + raw
+                      + data[off + hlen:])
         with pytest.raises(InputError):
             tr.load_checkpoint(p)
 
