@@ -9,6 +9,7 @@ TrainConfig files; explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", help="key = value TrainConfig file")
     t.add_argument("--init-from",
                    help="single-frame checkpoint to transfer from")
-    t.add_argument("--steps", type=int)
+    t.add_argument("--steps", type=int, dest="total_steps")
     t.add_argument("--batch", type=int)
     t.add_argument("--lr", type=float, dest="base_lr")
     t.add_argument("--seed", type=int)
@@ -71,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--text-mask-ratio", type=float)
     t.add_argument("--checkpoint-interval", type=int)
     for name in ("cl", "vtm", "mlm", "scl"):
-        t.add_argument(f"--no-{name}", action="store_true",
-                       help=f"disable the {name} objective")
+        t.add_argument(f"--no-{name}", action="store_false", dest=name,
+                       default=None, help=f"disable the {name} objective")
 
     e = sub.add_parser("eval-retrieval", help="two-stage retrieval")
     e.add_argument("--ckpt", required=True)
@@ -123,25 +124,14 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-# maps TrainConfig field -> argparse attribute
-_PRETRAIN_FLAGS = {
-    "total_steps": "steps", "batch": "batch", "base_lr": "base_lr",
-    "seed": "seed", "variant": "variant", "frames_m": "frames_m",
-    "phase": "phase", "image_mask_ratio": "image_mask_ratio",
-    "text_mask_ratio": "text_mask_ratio",
-    "checkpoint_interval": "checkpoint_interval",
-}
-
-
 def _pretrain_config(args) -> tr.TrainConfig:
+    """The config file's values, overridden by every flag given; each
+    pretrain flag stores under its TrainConfig field name."""
     values = tr.parse_config_file(args.config) if args.config else {}
-    for key, flag in _PRETRAIN_FLAGS.items():
-        val = getattr(args, flag)
+    for fld in dataclasses.fields(tr.TrainConfig):
+        val = getattr(args, fld.name, None)
         if val is not None:
-            values[key] = val
-    for name in ("cl", "vtm", "mlm", "scl"):
-        if getattr(args, f"no_{name}"):
-            values[name] = False
+            values[fld.name] = val
     return tr.TrainConfig(**values)
 
 
@@ -199,12 +189,11 @@ def cmd_export_attention(args) -> int:
 def gradient_suite(seed: int, eps: float, max_elements: int):
     """Relative error of every objective and the frozen-target total
     on a small deterministic batch. Yields (name, err) pairs."""
-    from .encoders import ModelConfig
-
-    cfg = ModelConfig(embed_dim=8, heads=2, layers_v=1, layers_t=1,
-                      layers_f=1, patch_size=4, canvas=8, max_frames=2,
-                      k_max=8, vocab_size=64, dropout=0.0)
-    model = PretrainModel(cfg, seed=seed)
+    full = tr.TrainConfig(embed_dim=8, heads=2, layers_v=1, layers_t=1,
+                          layers_f=1, patch_size=4, canvas=8, frames_m=2,
+                          phase="video", k_max=8, vocab_size=64,
+                          dropout=0.0, seed=seed)
+    model = PretrainModel(full)
     rng = np.random.default_rng(seed)
     frames = rng.uniform(size=(3, 1, 3, 8, 8))
     vocab = sd.default_vocab()
@@ -215,8 +204,6 @@ def gradient_suite(seed: int, eps: float, max_elements: int):
 
     def rngs():
         return tr.step_rngs(seed, 1)
-
-    full = obj.ObjectiveConfig()
 
     def scl(frozen_targets=None):
         return obj.scl_loss(model, frames, caps, model.vision(frames),
@@ -230,19 +217,17 @@ def gradient_suite(seed: int, eps: float, max_elements: int):
     def scl_term():
         return scl(frozen)[0]
 
-    singles = {
-        "cl": obj.ObjectiveConfig(vtm=False, mlm=False, scl=False),
-        "vtm": obj.ObjectiveConfig(cl=False, mlm=False, scl=False),
-        "mlm": obj.ObjectiveConfig(cl=False, vtm=False, scl=False),
-    }
-    for name, oc in singles.items():
-        def loss(oc=oc):
-            return obj.total_loss(model, frames, caps, oc, rngs())[1]
+    for name in ("cl", "vtm", "mlm"):
+        alone = dataclasses.replace(
+            full, **{o: o == name for o in ("cl", "vtm", "mlm", "scl")})
+
+        def loss(alone=alone):
+            return obj.total_loss(model, frames, caps, alone, rngs())[1]
         yield name, grad_check(loss, model.params, eps=eps,
                                max_elements=max_elements, seed=seed + 1)
     yield "scl", grad_check(scl_term, model.params, eps=eps,
                             max_elements=max_elements, seed=seed + 1)
-    no_scl = obj.ObjectiveConfig(scl=False)
+    no_scl = dataclasses.replace(full, scl=False)
 
     def total():
         return obj.total_loss(model, frames, caps, no_scl,

@@ -8,57 +8,30 @@ positional sums so geometry never changes. The fusion encoder runs
 modality self-attention then symmetric cross-attention per layer and
 retains the text-to-vision attention weights of every layer for
 visualization.
+
+The encoders read their shape from trainer.TrainConfig, which is checked
+on construction: frames_m sizes the temporal position table, and every
+frame has synthdata.CHANNELS channels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, InputError, ShapeError
-from .synthdata import PAD_ID
+from .synthdata import CHANNELS, PAD_ID
 from .tensor import ParamRegistry, Tensor, trunc_normal
+
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
 
 VARIANTS = ("FrameCLS", "MeanPooling", "GlobalCLS")
 
 NEG_INF = -1e30  # additive mask value; true -inf breaks finite-difference probes
-
-
-@dataclass
-class ModelConfig:
-    embed_dim: int = 32
-    heads: int = 4
-    layers_v: int = 2
-    layers_t: int = 2
-    layers_f: int = 2
-    patch_size: int = 4
-    canvas: int = 16
-    channels: int = 3
-    max_frames: int = 4
-    k_max: int = 16
-    vocab_size: int = 64
-    variant: str = "FrameCLS"
-    dropout: float = 0.1
-
-    def __post_init__(self):
-        if self.embed_dim % self.heads != 0:
-            raise ConfigError("embed_dim must be divisible by heads")
-        if self.canvas % self.patch_size != 0:
-            raise ConfigError("patch_size must divide the canvas side")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown vision variant: {self.variant!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
-
-    @property
-    def grid_side(self) -> int:
-        return self.canvas // self.patch_size
-
-    @property
-    def n_patches(self) -> int:
-        return self.grid_side ** 2
 
 
 # parameter helpers; every site registers under a unique dotted name
@@ -154,21 +127,21 @@ class VisionOut:
 class VisionEncoder:
     """VisualBlock stack over the per-frame token grid."""
 
-    def __init__(self, reg: ParamRegistry, cfg: ModelConfig):
+    def __init__(self, reg: ParamRegistry, cfg: TrainConfig):
         self.reg = reg
         self.cfg = cfg
 
     def build(self, rng) -> None:
         reg, cfg = self.reg, self.cfg
         d = cfg.embed_dim
-        patch_dim = cfg.channels * cfg.patch_size ** 2
+        patch_dim = CHANNELS * cfg.patch_size ** 2
         linear_params(reg, rng, "vision.patch_proj", patch_dim, d)
         reg.register("vision.cls", trunc_normal((d,), rng))
         reg.register("vision.mask_emb", trunc_normal((d,), rng))
         reg.register("vision.pos_spatial",
                      trunc_normal((cfg.n_patches + 1, d), rng))
         reg.register("vision.pos_temporal",
-                     trunc_normal((cfg.max_frames, d), rng))
+                     trunc_normal((cfg.frames_m, d), rng))
         if cfg.variant == "GlobalCLS":
             reg.register("vision.global_cls", trunc_normal((d,), rng))
         for l in range(cfg.layers_v):
@@ -186,10 +159,10 @@ class VisionEncoder:
     def _patchify(self, frames: np.ndarray) -> np.ndarray:
         cfg = self.cfg
         b, m, c, h, w = frames.shape
-        if c != cfg.channels or h != cfg.canvas or w != cfg.canvas:
+        if c != CHANNELS or h != cfg.canvas or w != cfg.canvas:
             raise ShapeError(
                 f"frames (C,H,W)=({c},{h},{w}) do not match the config "
-                f"({cfg.channels},{cfg.canvas},{cfg.canvas})")
+                f"({CHANNELS},{cfg.canvas},{cfg.canvas})")
         p = cfg.patch_size
         gs = cfg.grid_side
         x = frames.reshape(b, m, c, gs, p, gs, p)
@@ -202,8 +175,8 @@ class VisionEncoder:
         positional sums."""
         reg, cfg = self.reg, self.cfg
         b, m = frames.shape[0], frames.shape[1]
-        if m > cfg.max_frames:
-            raise ShapeError(f"M={m} exceeds max_frames={cfg.max_frames}")
+        if m > cfg.frames_m:
+            raise ShapeError(f"M={m} exceeds frames_m={cfg.frames_m}")
         d = cfg.embed_dim
         n = cfg.n_patches
 
@@ -298,7 +271,7 @@ class TextOut:
 
 
 class TextEncoder:
-    def __init__(self, reg: ParamRegistry, cfg: ModelConfig):
+    def __init__(self, reg: ParamRegistry, cfg: TrainConfig):
         self.reg = reg
         self.cfg = cfg
 
@@ -361,7 +334,7 @@ class FusionEncoder:
     reading the post-self-attention state of the other stream), then FFN.
     """
 
-    def __init__(self, reg: ParamRegistry, cfg: ModelConfig):
+    def __init__(self, reg: ParamRegistry, cfg: TrainConfig):
         self.reg = reg
         self.cfg = cfg
 

@@ -23,8 +23,6 @@ RANDOM_TOKEN = "random_token"
 SCL_MASK = "scl_mask"
 
 MLM_RATIO = 0.15
-IMAGE_MASK_RATIO = 0.8
-TEXT_MASK_RATIO = 0.4
 
 _FIRST_CONTENT_ID = 3  # ids below this are [PAD], [CLS], [MASK]
 
@@ -44,7 +42,6 @@ def mask_count(n: int, ratio: float) -> int:
 
 @dataclass
 class MaskPlan:
-    visual_masked: frozenset = frozenset()      # {(frame, patch)}
     text_actions: dict = field(default_factory=dict)   # pos -> action
     original_ids: dict = field(default_factory=dict)   # pos -> original id
     random_ids: dict = field(default_factory=dict)     # pos -> replacement

@@ -1,16 +1,22 @@
 """The pre-training model: both uni-modal encoders, the fusion encoder,
-and the objective heads, sharing one parameter registry."""
+and the objective heads, sharing one parameter registry. It is built
+from a trainer.TrainConfig, which fixes its shape and seeds its
+initialization."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
-from .encoders import (FusionEncoder, FusionOut, ModelConfig, TextEncoder,
-                       VisionEncoder, linear, linear_params)
+from .encoders import (FusionEncoder, FusionOut, TextEncoder, VisionEncoder,
+                       linear, linear_params)
 from .tensor import ParamRegistry, Tensor
+
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
 
 CL_TAU_INIT = 0.05
 CL_TAU_MIN = 1e-3
@@ -38,13 +44,13 @@ class PretrainModel:
     and fuse through fuse_pair(). forward_count counts fused passes:
     every fuse_pair() call, inside forward() or not."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: TrainConfig):
         self.config = config
         self.params = ParamRegistry()
         self.vision = VisionEncoder(self.params, config)
         self.text = TextEncoder(self.params, config)
         self.fusion = FusionEncoder(self.params, config)
-        rng = np.random.default_rng([int(seed), 0xC0DE])
+        rng = np.random.default_rng([config.seed, 0xC0DE])
         self.vision.build(rng)
         self.text.build(rng)
         self.fusion.build(rng)

@@ -12,11 +12,16 @@ total_loss encodes the complete frames and captions once per step and
 hands the encodings to every objective; each objective encodes only
 its own masked inputs. A step with all four losses runs 2 vision and
 3 text encodes and 5 fused passes.
+
+total_loss reads the objective toggles, the two SCL mask ratios and the
+mvsc/mlsc sides from trainer.TrainConfig, whose construction already
+rejected a config with no objective on or SCL with neither side on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,24 +32,10 @@ from .errors import ConfigError
 from .model import PretrainModel
 from .tensor import Tensor
 
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
+
 SCL_TAU = 0.03
-
-
-@dataclass
-class ObjectiveConfig:
-    cl: bool = True
-    vtm: bool = True
-    mlm: bool = True
-    scl: bool = True
-    image_mask_ratio: float = mk.IMAGE_MASK_RATIO
-    text_mask_ratio: float = mk.TEXT_MASK_RATIO
-    scl_tau: float = SCL_TAU
-    mvsc: bool = True
-    mlsc: bool = True
-
-    def any_enabled(self) -> bool:
-        return self.cl or self.vtm or self.mlm or self.scl
-
 
 @dataclass
 class GlobalPair:
@@ -142,9 +133,8 @@ def mlm_loss(model: PretrainModel, vis: VisionOut, captions: np.ndarray,
 
 def scl_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
              vis: VisionOut, txt: TextOut, image_ratio: float,
-             text_ratio: float, rng, tau: float = SCL_TAU,
-             mvsc: bool = True, mlsc: bool = True, train: bool = False,
-             frozen_targets=None):
+             text_ratio: float, rng, mvsc: bool = True, mlsc: bool = True,
+             train: bool = False, frozen_targets=None):
     """Semantic completion: exactly two fused passes.
 
     vis and txt are the encodings of the complete frames and captions.
@@ -194,15 +184,15 @@ def scl_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
                       t_co_pre_detach=t_co_live)
     loss = None
     if mvsc:
-        loss = info_nce(pair.i_re, pair.i_co, tau)
+        loss = info_nce(pair.i_re, pair.i_co, SCL_TAU)
     if mlsc:
-        nce_l = info_nce(pair.t_re, pair.t_co, tau)
+        nce_l = info_nce(pair.t_re, pair.t_co, SCL_TAU)
         loss = nce_l if loss is None else loss + nce_l
     return loss, pair
 
 
 def total_loss(model: PretrainModel, frames: np.ndarray,
-               captions: np.ndarray, cfg: ObjectiveConfig, rngs: dict,
+               captions: np.ndarray, cfg: TrainConfig, rngs: dict,
                train: bool = False):
     """Unweighted sum of the enabled objectives.
 
@@ -211,8 +201,6 @@ def total_loss(model: PretrainModel, frames: np.ndarray,
     draws. The complete frames, then the complete captions, are encoded
     once on "clean"; the captions only when an objective other than MLM
     needs them. Returns (LossReport, total Tensor)."""
-    if not cfg.any_enabled():
-        raise ConfigError("no objective enabled")
     vis = model.vision(frames, train=train, rng=rngs["clean"])
     txt = None
     if cfg.cl or cfg.vtm or cfg.scl:
@@ -231,8 +219,8 @@ def total_loss(model: PretrainModel, frames: np.ndarray,
         losses["scl"], _ = scl_loss(model, frames, captions, vis, txt,
                                     cfg.image_mask_ratio,
                                     cfg.text_mask_ratio, rngs["scl"],
-                                    tau=cfg.scl_tau, mvsc=cfg.mvsc,
-                                    mlsc=cfg.mlsc, train=train)
+                                    mvsc=cfg.mvsc, mlsc=cfg.mlsc,
+                                    train=train)
     parts = list(losses.values())
     total = sum(parts[1:], parts[0])
     report = LossReport(total=total.item(),

@@ -66,9 +66,6 @@ class Vocab:
     def __len__(self):
         return len(self._i2w)
 
-    def __contains__(self, word):
-        return word in self._w2i
-
     def id(self, word: str) -> int:
         try:
             return self._w2i[word]
@@ -114,11 +111,6 @@ def detokenize(ids, vocab: Vocab) -> str:
     return " ".join(words)
 
 
-def text_attention_mask(ids) -> np.ndarray:
-    """True where the token participates in attention (non-pad)."""
-    return np.asarray(ids) != PAD_ID
-
-
 @dataclass
 class ShapeMeta:
     shape: str
@@ -131,10 +123,6 @@ class PairedSample:
     frames: np.ndarray        # (M, C, CANVAS, CANVAS) float64 in [0, 1]
     caption: np.ndarray       # (k_max,) int64, leading [CLS], pad tail
     scene_id: int
-
-    @property
-    def text_mask(self) -> np.ndarray:
-        return text_attention_mask(self.caption)
 
 
 def scene_meta(scene_id: int, frames_m: int):
@@ -251,29 +239,45 @@ def save_corpus(path, corpus, vocab: Vocab | None = None) -> None:
 
 def load_corpus(path, vocab: Vocab | None = None,
                 k_max: int = K_MAX) -> list[PairedSample]:
+    """Every line is checked, so all samples share one frame count and
+    hold finite pixels in [0, 1]; a bad line raises InputError naming
+    path:line."""
     if vocab is None:
         vocab = default_vocab()
     out = []
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
+    with open(path, "rb") as f:
+        for ln, raw in enumerate(f, start=1):
+            where = f"{path}:{ln}"
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError:
+                raise InputError(f"{where}: not UTF-8 text") from None
             if not line:
                 continue
             fields = line.split("\t")
             if len(fields) != 4:
-                raise InputError(f"{path}:{ln}: expected 4 tab-separated "
+                raise InputError(f"{where}: expected 4 tab-separated "
                                  f"fields, got {len(fields)}")
-            scene_id, m_str, text, pixel_str = fields
-            m = int(m_str)
-            flat = np.array(pixel_str.split(), dtype=np.float64)
+            scene_str, m_str, text, pixel_str = fields
+            try:
+                scene_id, m = int(scene_str), int(m_str)
+                flat = np.array(pixel_str.split(), dtype=np.float64)
+            except ValueError as e:
+                raise InputError(f"{where}: not a number: {e}") from None
+            if m < 1:
+                raise InputError(f"{where}: frame count {m} is below 1")
+            if out and m != out[0].frames.shape[0]:
+                raise InputError(f"{where}: {m} frames, but the first "
+                                 f"sample has {out[0].frames.shape[0]}")
             expect = m * CHANNELS * CANVAS * CANVAS
             if flat.size != expect:
-                raise InputError(f"{path}:{ln}: expected {expect} pixel "
+                raise InputError(f"{where}: expected {expect} pixel "
                                  f"values, got {flat.size}")
-            if flat.min() < 0.0 or flat.max() > 1.0:
-                raise InputError(f"{path}:{ln}: pixel values outside [0, 1]")
+            if not np.all((flat >= 0.0) & (flat <= 1.0)):
+                raise InputError(f"{where}: pixel values not finite or "
+                                 f"outside [0, 1]")
             frames = flat.reshape(m, CHANNELS, CANVAS, CANVAS)
             caption = tokenize(text, vocab, k_max)
             out.append(PairedSample(frames=frames, caption=caption,
-                                    scene_id=int(scene_id)))
+                                    scene_id=scene_id))
     return out

@@ -429,8 +429,8 @@ def cosine_similarity_matrix(a: Tensor, b: Tensor) -> Tensor:
         norms = np.sqrt((t.data ** 2).sum(axis=1))
         if np.any(norms < 1e-12):
             raise NumericError("zero-norm row in cosine similarity")
-    an = a * (((a * a).sum(axis=1, keepdims=True) + 0.0) ** -0.5)
-    bn = b * (((b * b).sum(axis=1, keepdims=True) + 0.0) ** -0.5)
+    an = a * ((a * a).sum(axis=1, keepdims=True) ** -0.5)
+    bn = b * ((b * b).sum(axis=1, keepdims=True) ** -0.5)
     return an @ bn.swap_last()
 
 

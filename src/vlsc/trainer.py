@@ -1,5 +1,10 @@
 """Optimization loop: schedule, AdamW, checkpointing, curriculum transfer.
 
+TrainConfig is the one config of the package: the encoders, the model,
+the objectives and the CLI all read it. Its __post_init__ is the one
+place where it is checked, so a config file, CLI flags or a checkpoint
+header is rejected before any model is built or any file is written.
+
 File formats owned by this module:
 
 * Config file: plain text, one ``key = value`` per line, ``#`` comments
@@ -23,17 +28,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
-import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import ModelConfig
+from .encoders import VARIANTS
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .model import PretrainModel
-from .objectives import ObjectiveConfig, total_loss
+from .objectives import total_loss
+from .synthdata import CHANNELS
 from .tensor import ParamRegistry
 
 CKPT_MAGIC = b"VLSC-CKPT-1\n"
@@ -42,9 +48,21 @@ RNG_BATCH_ID = len(RNG_COMPONENTS)  # 4, reserved for batch sampling
 
 METRICS_HEADER = "# step cl vtm mlm scl total lr\n"
 
+# the fields that fix the parameter set; a curriculum transfer keeps all
+# of them, a resume also keeps frames_m and dropout
+MODEL_FIELDS = ("embed_dim", "heads", "layers_v", "layers_t", "layers_f",
+                "patch_size", "canvas", "k_max", "vocab_size", "variant")
+
+# annotation -> accepted value types; bool is rejected where it is not
+# the annotation, although it is an int
+_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float),
+                "str": str}
+
 
 @dataclass
 class TrainConfig:
+    """Every setting of a run; checked whole on construction."""
+
     # optimization
     total_steps: int = 300
     batch: int = 8
@@ -82,12 +100,39 @@ class TrainConfig:
     checkpoint_interval: int = 0  # 0: final checkpoint only
 
     def __post_init__(self):
+        for fld in dataclasses.fields(self):
+            val = getattr(self, fld.name)
+            if isinstance(val, bool) != (fld.type == "bool") \
+                    or not isinstance(val, _FIELD_TYPES[fld.type]):
+                raise ConfigError(f"{fld.name} must be {fld.type}, "
+                                  f"got {val!r}")
+            if fld.type == "float" and not math.isfinite(val):
+                raise ConfigError(f"{fld.name} must be finite")
+        for name in ("batch", "embed_dim", "heads", "patch_size", "canvas",
+                     "k_max", "vocab_size", "frames_m"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("total_steps", "seed", "layers_v", "layers_t",
+                     "layers_f", "checkpoint_interval"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if self.embed_dim % self.heads != 0:
+            raise ConfigError("embed_dim must be divisible by heads")
+        if self.canvas % self.patch_size != 0:
+            raise ConfigError("patch_size must divide the canvas side")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown vision variant: {self.variant!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError("dropout must be in [0, 1)")
+        if not (self.cl or self.vtm or self.mlm or self.scl):
+            raise ConfigError("no objective enabled")
+        if self.scl and not (self.mvsc or self.mlsc):
+            raise ConfigError("semantic completion needs mvsc or mlsc on")
+        for name in ("image_mask_ratio", "text_mask_ratio"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1]")
         if not (0.0 < self.warmup_fraction < 1.0):
             raise ConfigError("warmup_fraction must lie in (0, 1)")
-        if self.total_steps < 0:
-            raise ConfigError("total_steps must be >= 0")
-        if self.batch < 1:
-            raise ConfigError("batch must be >= 1")
         if self.vtm and self.batch < 2:
             raise ConfigError("matching loss needs batch >= 2 "
                               "for in-batch negatives")
@@ -99,26 +144,14 @@ class TrainConfig:
             raise ConfigError(f"unknown phase {self.phase!r}")
         if self.phase == "image" and self.frames_m != 1:
             raise ConfigError("image phase is single-frame")
-        if self.frames_m < 1:
-            raise ConfigError("frames_m must be >= 1")
-        if self.checkpoint_interval < 0:
-            raise ConfigError("checkpoint_interval must be >= 0")
 
-    def to_model_config(self) -> ModelConfig:
-        return ModelConfig(embed_dim=self.embed_dim, heads=self.heads,
-                           layers_v=self.layers_v, layers_t=self.layers_t,
-                           layers_f=self.layers_f,
-                           patch_size=self.patch_size, canvas=self.canvas,
-                           max_frames=self.frames_m, k_max=self.k_max,
-                           vocab_size=self.vocab_size, variant=self.variant,
-                           dropout=self.dropout)
+    @property
+    def grid_side(self) -> int:
+        return self.canvas // self.patch_size
 
-    def to_objective_config(self) -> ObjectiveConfig:
-        return ObjectiveConfig(cl=self.cl, vtm=self.vtm, mlm=self.mlm,
-                               scl=self.scl,
-                               image_mask_ratio=self.image_mask_ratio,
-                               text_mask_ratio=self.text_mask_ratio,
-                               mvsc=self.mvsc, mlsc=self.mlsc)
+    @property
+    def n_patches(self) -> int:
+        return self.grid_side ** 2
 
 
 # config file
@@ -130,38 +163,39 @@ def _parse_bool(raw: str) -> bool:
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {raw!r}")
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# each raises ValueError on a bad value, which the parser reports with
+# the file, line and key
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
 
 
 def parse_config_file(path) -> dict:
     """Typed key->value dict from a config file. Partial files are fine;
     missing keys fall back to TrainConfig defaults at construction."""
-    hints = typing.get_type_hints(TrainConfig)
+    types = {fld.name: fld.type for fld in dataclasses.fields(TrainConfig)}
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
     out: dict = {}
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected key = value")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in hints:
-                raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
-            try:
-                typ = hints[key]
-                if typ is bool:
-                    out[key] = _parse_bool(raw)
-                elif typ is int:
-                    out[key] = int(raw)
-                elif typ is float:
-                    out[key] = float(raw)
-                else:
-                    out[key] = raw
-            except ValueError as e:
-                raise ConfigError(f"{path}:{ln}: bad value for "
-                                  f"{key!r}: {raw!r}") from e
+    for ln, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{ln}: expected key = value")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in types:
+            raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
+        try:
+            out[key] = _PARSERS[types[key]](raw)
+        except ValueError as e:
+            raise ConfigError(f"{path}:{ln}: bad value for "
+                              f"{key!r}: {raw!r}") from e
     return out
 
 
@@ -277,15 +311,14 @@ def snapshot(model: PretrainModel, opt: AdamW, step: int,
 
 
 def init_checkpoint(config: TrainConfig) -> Checkpoint:
-    model = PretrainModel(config.to_model_config(), seed=config.seed)
+    model = PretrainModel(config)
     opt = AdamW(model.params, weight_decay=config.weight_decay)
     return snapshot(model, opt, 0, config)
 
 
 def build_model(ckpt: Checkpoint):
     """Live (model, optimizer) pair restored from a checkpoint."""
-    model = PretrainModel(ckpt.config.to_model_config(),
-                          seed=ckpt.config.seed)
+    model = PretrainModel(ckpt.config)
     live = set(model.params.names())
     saved = set(ckpt.params)
     if live != saved:
@@ -348,7 +381,8 @@ def load_checkpoint(path) -> Checkpoint:
                    for e in header["arrays"]]
         t, step = int(header["t"]), int(header["step"])
         config = TrainConfig(**header["config"])
-    except (ValueError, KeyError, TypeError, ConfigError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError,
+            ConfigError) as e:
         raise InputError(f"{path}: malformed header: {e!r}") from e
     off += hlen
     for kind, name, shape in entries:
@@ -356,16 +390,26 @@ def load_checkpoint(path) -> Checkpoint:
                 or any(d < 0 for d in shape):
             raise InputError(f"{path}: malformed array entry "
                              f"{(kind, name, shape)!r}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * 8
         if len(data) < off + nbytes:
             raise InputError(f"{path}: truncated array {name!r}")
-        tables[kind][name] = np.frombuffer(
-            data, dtype="<f8", count=count, offset=off).reshape(shape).copy()
+        try:
+            tables[kind][name] = np.frombuffer(
+                data, dtype="<f8", count=count,
+                offset=off).reshape(shape).copy()
+        except ValueError as e:  # an empty shape too large for numpy
+            raise InputError(f"{path}: array {name!r}: {e}") from None
         off += nbytes
     if off != len(data):
         raise InputError(f"{path}: {len(data) - off} trailing bytes")
-    return Checkpoint(params=tables["param"], m=tables["m"],
+    params = tables["param"]
+    for kind in ("m", "v"):
+        if set(tables[kind]) != set(params) or any(
+                a.shape != params[n].shape for n, a in tables[kind].items()):
+            raise InputError(f"{path}: {kind} table does not match the "
+                             f"parameter names and shapes")
+    return Checkpoint(params=params, m=tables["m"],
                       v=tables["v"], t=t, step=step, config=config)
 
 
@@ -404,7 +448,8 @@ def metrics_line(step: int, report, enc_lr: float) -> str:
 def _validate_corpus(config: TrainConfig, corpus) -> None:
     if not corpus:
         raise InputError("empty corpus")
-    want = (config.frames_m, 3, config.canvas, config.canvas)
+    # load_corpus gives every sample one shape, so the first stands for all
+    want = (config.frames_m, CHANNELS, config.canvas, config.canvas)
     got = corpus[0].frames.shape
     if got != want:
         raise ShapeError(f"corpus frames {got}, config wants {want}")
@@ -425,11 +470,12 @@ def train(config: TrainConfig, corpus, out_dir=None, resume=None):
     own run bit-exactly."""
     _validate_corpus(config, corpus)
     if resume is None:
-        model = PretrainModel(config.to_model_config(), seed=config.seed)
+        model = PretrainModel(config)
         opt = AdamW(model.params, weight_decay=config.weight_decay)
         start = 0
     else:
-        if resume.config.to_model_config() != config.to_model_config():
+        if any(getattr(resume.config, fld) != getattr(config, fld)
+               for fld in MODEL_FIELDS + ("frames_m", "dropout")):
             raise ConfigError("resume checkpoint has different model "
                               "dimensions than the passed config")
         model, opt = build_model(resume)
@@ -437,7 +483,6 @@ def train(config: TrainConfig, corpus, out_dir=None, resume=None):
         if start > config.total_steps:
             raise ConfigError(f"resume step {start} past total_steps "
                               f"{config.total_steps}")
-    obj_cfg = config.to_objective_config()
     metrics: list = []
 
     log = None
@@ -455,7 +500,7 @@ def train(config: TrainConfig, corpus, out_dir=None, resume=None):
                                 config.seed, step)
             frames, captions = stack_batch(corpus, idx)
             model.zero_grad()
-            report, total = total_loss(model, frames, captions, obj_cfg,
+            report, total = total_loss(model, frames, captions, config,
                                        step_rngs(config.seed, step),
                                        train=True)
             vals = [report.cl, report.vtm, report.mlm, report.scl,
@@ -506,8 +551,7 @@ def curriculum_transfer(image_ckpt: Checkpoint,
     old = image_ckpt.config
     if old.frames_m != 1:
         raise ConfigError("source checkpoint must be single-frame")
-    for fld in ("embed_dim", "heads", "layers_v", "layers_t", "layers_f",
-                "patch_size", "canvas", "k_max", "vocab_size", "variant"):
+    for fld in MODEL_FIELDS:
         a, b = getattr(old, fld), getattr(video_config, fld)
         if a != b:
             raise ConfigError(f"{fld} mismatch: image {a} vs video {b}")

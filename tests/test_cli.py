@@ -20,6 +20,23 @@ def corpus_file(tmp_path):
     return path
 
 
+# every pixel value of one frame but the last
+PX = " ".join(["0.5"] * (sd.CHANNELS * sd.CANVAS * sd.CANVAS - 1))
+GOOD_LINE = f"1\t1\tred square\t{PX} 0.5\n"
+
+# corpus text -> the line load_corpus must name
+BAD_CORPORA = {
+    "scene-id": (f"x\t1\tred square\t{PX} 0.5\n", 1),
+    "frame-count": (f"1\tone\tred square\t{PX} 0.5\n", 1),
+    "pixel": (f"1\t1\tred square\t{PX} x\n", 1),
+    "zero-frames": ("1\t0\tred square\t\n", 1),
+    "frame-counts-differ": (
+        GOOD_LINE + f"2\t2\tred cross\t{PX} 0.5 {PX} 0.5\n", 2),
+    "not-utf8": (GOOD_LINE + "2\t1\tred cr\udcffoss\t0.5\n", 2),
+    "nan-pixel": (f"1\t1\tred square\t{PX} nan\n", 1),
+}
+
+
 def quick_pretrain(tmp_path, corpus_file, *extra):
     out = tmp_path / "run"
     code = run("pretrain", "--corpus", str(corpus_file), "--out",
@@ -78,6 +95,25 @@ class TestPretrain:
                 str(tmp_path / "r"), "--warp-speed", "9")
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("flags, config", [
+        ((), "heads = 0\n"),
+        ((), "patch_size = 0\n"),
+        ((), "embed_dim = 0\n"),
+        ((), "layers_v = -1\n"),
+        ((), "variant = Frame\udcffCLS\n"),
+        (("--image-mask-ratio", "1.5", "--steps", "0"), ""),
+        (("--no-cl", "--no-vtm", "--no-mlm", "--no-scl"), ""),
+    ], ids=["heads", "patch-size", "embed-dim", "layers-v", "not-utf8",
+            "mask-ratio", "no-objective"])
+    def test_bad_config_writes_nothing(self, tmp_path, corpus_file, flags,
+                                       config):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_bytes(config.encode("utf-8", "surrogateescape"))
+        out = tmp_path / "run"
+        assert run("pretrain", "--corpus", str(corpus_file), "--out",
+                   str(out), "--config", str(cfg), *flags) == 2
+        assert not out.exists()
+
     def test_bad_config_value(self, tmp_path, corpus_file):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("batch = many\n")
@@ -131,6 +167,17 @@ class TestEvalRetrieval:
     def test_ckpt_is_a_directory(self, tmp_path, corpus_file):
         assert run("eval-retrieval", "--ckpt", str(tmp_path), "--corpus",
                    str(corpus_file)) == 2
+
+    @pytest.mark.parametrize("case", list(BAD_CORPORA))
+    def test_bad_corpus_line(self, tmp_path, capsys, case):
+        text, line = BAD_CORPORA[case]
+        corpus = tmp_path / "bad.tsv"
+        corpus.write_bytes(text.encode("utf-8", "surrogateescape"))
+        ckpt = tmp_path / "init.vlsc"
+        tr.save_checkpoint(tr.init_checkpoint(tr.TrainConfig()), ckpt)
+        assert run("eval-retrieval", "--ckpt", str(ckpt), "--corpus",
+                   str(corpus)) == 2
+        assert f"{corpus}:{line}:" in capsys.readouterr().err
 
 
 class TestExportAttention:

@@ -3,30 +3,24 @@ import pytest
 
 from vlsc import synthdata as sd
 from vlsc import tensor as T
-from vlsc.encoders import ModelConfig
 from vlsc.errors import ConfigError, InputError, ShapeError
 from vlsc.gradcheck import grad_check
 from vlsc.model import PretrainModel
 from vlsc.tensor import Tensor
+from vlsc.trainer import TrainConfig
 
 
 def tiny_config(**kw):
     base = dict(embed_dim=8, heads=2, layers_v=1, layers_t=1, layers_f=1,
-                patch_size=4, canvas=8, channels=3, max_frames=2,
+                patch_size=4, canvas=8, frames_m=2, phase="video",
                 k_max=8, vocab_size=64, dropout=0.0)
     base.update(kw)
-    return ModelConfig(**base)
-
-
-def desk_config(**kw):
-    base = dict(dropout=0.0)
-    base.update(kw)
-    return ModelConfig(**base)
+    return TrainConfig(**base)
 
 
 def batch(n, m, cfg, seed=0):
     rng = np.random.default_rng(seed)
-    frames = rng.uniform(size=(n, m, cfg.channels, cfg.canvas, cfg.canvas))
+    frames = rng.uniform(size=(n, m, sd.CHANNELS, cfg.canvas, cfg.canvas))
     vocab = sd.default_vocab(cfg.vocab_size)
     caps = np.stack([sd.tokenize("red square top left", vocab, cfg.k_max)
                      for _ in range(n)])
@@ -39,32 +33,32 @@ def batch(n, m, cfg, seed=0):
 class TestConfig:
     def test_head_divisibility(self):
         with pytest.raises(ConfigError):
-            ModelConfig(embed_dim=30, heads=4)
+            TrainConfig(embed_dim=30, heads=4)
 
     def test_patch_divides_canvas(self):
         with pytest.raises(ConfigError):
-            ModelConfig(canvas=18, patch_size=4)
+            TrainConfig(canvas=18, patch_size=4)
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
-            ModelConfig(variant="Exotic")
+            TrainConfig(variant="Exotic")
 
     def test_defaults(self):
-        cfg = ModelConfig()
+        cfg = TrainConfig()
         assert cfg.n_patches == 16 and cfg.grid_side == 4
 
 
 class TestPatchifyEmbed:
     def test_output_shape(self):
         cfg = tiny_config()   # canvas 8, P 4 -> N 4
-        model = PretrainModel(cfg, seed=0)
+        model = PretrainModel(cfg)
         frames = np.zeros((1, 2, 3, 8, 8))
         g = model.vision.embed(frames)
         assert g.shape == (1, 2, 5, 8)
 
     def test_zero_image_all_zero_except_cls(self):
         cfg = tiny_config()
-        model = PretrainModel(cfg, seed=0)
+        model = PretrainModel(cfg)
         reg = model.params
         reg["vision.pos_spatial"].data[:] = 0
         reg["vision.pos_temporal"].data[:] = 0
@@ -76,8 +70,8 @@ class TestPatchifyEmbed:
     def test_temporal_embedding_difference(self):
         # same pixels, same spatial slot, different frames: tokens differ
         # exactly by the temporal embedding rows
-        cfg = tiny_config()
-        model = PretrainModel(cfg, seed=1)
+        cfg = tiny_config(seed=1)
+        model = PretrainModel(cfg)
         rng = np.random.default_rng(2)
         one = rng.uniform(size=(3, 8, 8))
         frames = np.stack([one, one])[None]
@@ -89,13 +83,13 @@ class TestPatchifyEmbed:
 
     def test_indivisible_dims_rejected(self):
         cfg = tiny_config()
-        model = PretrainModel(cfg, seed=0)
+        model = PretrainModel(cfg)
         with pytest.raises(ShapeError):
             model.vision.embed(np.zeros((1, 1, 3, 9, 9)))
 
     def test_mask_substitution(self):
-        cfg = tiny_config()
-        model = PretrainModel(cfg, seed=3)
+        cfg = tiny_config(seed=3)
+        model = PretrainModel(cfg)
         frames = np.random.default_rng(0).uniform(size=(1, 1, 3, 8, 8))
         mask = np.zeros((1, 1, 4), dtype=bool)
         mask[0, 0, 2] = True
@@ -113,16 +107,16 @@ class TestPatchifyEmbed:
 
 class TestVisualBlocks:
     def test_m1_shape_unchanged(self):
-        cfg = tiny_config(max_frames=1)
-        model = PretrainModel(cfg, seed=0)
+        cfg = tiny_config(frames_m=1)
+        model = PretrainModel(cfg)
         frames = np.random.default_rng(1).uniform(size=(2, 1, 3, 8, 8))
         out = model.vision(frames)
         assert out.grid.shape == (2, 1, 5, 8)
         assert out.flat.shape == (2, 5, 8)
 
     def test_frame_permutation_equivariance_tied_temporal(self):
-        cfg = tiny_config(layers_v=2)
-        model = PretrainModel(cfg, seed=4)
+        cfg = tiny_config(layers_v=2, seed=4)
+        model = PretrainModel(cfg)
         et = model.params["vision.pos_temporal"]
         et.data[:] = et.data[0]  # tie every temporal row
         frames = np.random.default_rng(5).uniform(size=(1, 2, 3, 8, 8))
@@ -133,8 +127,8 @@ class TestVisualBlocks:
 
     def test_cross_frame_patch_isolation_single_block(self):
         # within one block, patch tokens of frame 0 ignore frame 1 pixels
-        cfg = tiny_config(layers_v=1)
-        model = PretrainModel(cfg, seed=6)
+        cfg = tiny_config(layers_v=1, seed=6)
+        model = PretrainModel(cfg)
         rng = np.random.default_rng(7)
         frames = rng.uniform(size=(1, 2, 3, 8, 8))
         changed = frames.copy()
@@ -146,16 +140,16 @@ class TestVisualBlocks:
         assert np.abs(a[0, 0, 0] - b[0, 0, 0]).max() > 1e-9
 
     def test_too_many_frames(self):
-        cfg = tiny_config(max_frames=2)
-        model = PretrainModel(cfg, seed=0)
+        cfg = tiny_config(frames_m=2)
+        model = PretrainModel(cfg)
         with pytest.raises(ShapeError):
             model.vision(np.zeros((1, 3, 3, 8, 8)))
 
 
 class TestTextEncoder:
     def test_pad_embedding_never_leaks(self):
-        cfg = tiny_config()
-        model = PretrainModel(cfg, seed=8)
+        cfg = tiny_config(seed=8)
+        model = PretrainModel(cfg)
         vocab = sd.default_vocab()
         ids = np.stack([sd.tokenize("red square", vocab, cfg.k_max)])
         base = model.text(ids).tokens.data.copy()
@@ -165,16 +159,16 @@ class TestTextEncoder:
         np.testing.assert_allclose(base[0][real], after[0][real], atol=1e-12)
 
     def test_identical_captions_identical_outputs(self):
-        cfg = tiny_config()
-        model = PretrainModel(cfg, seed=9)
+        cfg = tiny_config(seed=9)
+        model = PretrainModel(cfg)
         vocab = sd.default_vocab()
         ids = np.stack([sd.tokenize("blue bar bottom right", vocab, cfg.k_max)] * 2)
         out = model.text(ids).tokens.data
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_word_order_matters(self):
-        cfg = tiny_config()
-        model = PretrainModel(cfg, seed=10)
+        cfg = tiny_config(seed=10)
+        model = PretrainModel(cfg)
         vocab = sd.default_vocab()
         a = np.stack([sd.tokenize("red square", vocab, cfg.k_max)])
         b = np.stack([sd.tokenize("square red", vocab, cfg.k_max)])
@@ -184,13 +178,13 @@ class TestTextEncoder:
 
     def test_all_pad_rejected(self):
         cfg = tiny_config()
-        model = PretrainModel(cfg, seed=0)
+        model = PretrainModel(cfg)
         with pytest.raises(InputError):
             model.text(np.zeros((1, cfg.k_max), dtype=np.int64))
 
     def test_out_of_vocab_rejected(self):
         cfg = tiny_config()
-        model = PretrainModel(cfg, seed=0)
+        model = PretrainModel(cfg)
         ids = np.full((1, cfg.k_max), 99, dtype=np.int64)
         with pytest.raises(InputError):
             model.text(ids)
@@ -198,8 +192,8 @@ class TestTextEncoder:
 
 class TestFusion:
     def test_shapes_preserved_and_rows_sum_one(self):
-        cfg = tiny_config(layers_f=2)
-        model = PretrainModel(cfg, seed=11)
+        cfg = tiny_config(layers_f=2, seed=11)
+        model = PretrainModel(cfg)
         frames, caps = batch(2, 2, cfg)
         out = model.forward(frames, caps)
         assert out.fusion.vision_tokens.shape == out.v_flat.shape
@@ -212,8 +206,8 @@ class TestFusion:
     def test_zero_value_projections_decouple_text(self):
         # with the vision stream's cross value/output projections zeroed,
         # vision output no longer depends on the caption
-        cfg = tiny_config(layers_f=2)
-        model = PretrainModel(cfg, seed=12)
+        cfg = tiny_config(layers_f=2, seed=12)
+        model = PretrainModel(cfg)
         for l in range(cfg.layers_f):
             model.params[f"fusion.l{l}.v.cross.v.w"].data[:] = 0
             model.params[f"fusion.l{l}.v.cross.v.b"].data[:] = 0
@@ -226,8 +220,8 @@ class TestFusion:
         np.testing.assert_allclose(va, vb, atol=1e-12)
 
     def test_eval_determinism(self):
-        cfg = tiny_config(layers_f=2)
-        model = PretrainModel(cfg, seed=13)
+        cfg = tiny_config(layers_f=2, seed=13)
+        model = PretrainModel(cfg)
         frames, caps = batch(2, 2, cfg)
         a = model.forward(frames, caps)
         b = model.forward(frames, caps)
@@ -238,7 +232,7 @@ class TestFusion:
 class TestGlobals:
     def test_mean_of_identical_cls_is_that_vector(self):
         cfg = tiny_config()
-        model = PretrainModel(cfg, seed=0)
+        model = PretrainModel(cfg)
         d, np1 = cfg.embed_dim, cfg.n_patches + 1
         vec = np.arange(d, dtype=np.float64)
         tokens = np.zeros((1, 2 * np1, d))
@@ -249,7 +243,7 @@ class TestGlobals:
 
     def test_global_changes_with_any_frame_cls(self):
         cfg = tiny_config()
-        model = PretrainModel(cfg, seed=0)
+        model = PretrainModel(cfg)
         d, np1 = cfg.embed_dim, cfg.n_patches + 1
         tokens = np.random.default_rng(3).normal(size=(1, 2 * np1, d))
         base = model.fused_vision_global(Tensor(tokens), 2).data.copy()
@@ -260,10 +254,10 @@ class TestGlobals:
             assert np.abs(out - base).max() > 1e-9
 
     def test_m1_framecls_equals_meanpooling_with_copied_weights(self):
-        mp = PretrainModel(tiny_config(variant="MeanPooling", max_frames=1),
-                           seed=14)
-        fc = PretrainModel(tiny_config(variant="FrameCLS", max_frames=1),
-                           seed=15)
+        mp = PretrainModel(tiny_config(variant="MeanPooling", frames_m=1,
+                                       seed=14))
+        fc = PretrainModel(tiny_config(variant="FrameCLS", frames_m=1,
+                                       seed=15))
         state = {name: t.data for name, t in mp.params.items()}
         for name, t in fc.params.items():
             if name in state:
@@ -282,8 +276,8 @@ class TestVariants:
     @pytest.mark.parametrize("variant", ["FrameCLS", "MeanPooling",
                                          "GlobalCLS"])
     def test_forward_shapes(self, variant):
-        cfg = tiny_config(variant=variant, layers_v=2)
-        model = PretrainModel(cfg, seed=16)
+        cfg = tiny_config(variant=variant, layers_v=2, seed=16)
+        model = PretrainModel(cfg)
         frames, caps = batch(2, 2, cfg)
         out = model.forward(frames, caps)
         n_vis = 2 * (cfg.n_patches + 1) + (1 if variant == "GlobalCLS" else 0)
@@ -302,8 +296,8 @@ class TestVariants:
             assert out.token_frames[-1] == -1 and out.token_patches[-1] == -1
 
     def test_meanpooling_has_no_cross_frame_flow(self):
-        cfg = tiny_config(variant="MeanPooling", layers_v=2)
-        model = PretrainModel(cfg, seed=17)
+        cfg = tiny_config(variant="MeanPooling", layers_v=2, seed=17)
+        model = PretrainModel(cfg)
         rng = np.random.default_rng(18)
         frames = rng.uniform(size=(1, 2, 3, 8, 8))
         changed = frames.copy()
@@ -313,8 +307,8 @@ class TestVariants:
         np.testing.assert_allclose(a[0, 0], b[0, 0], atol=1e-12)
 
     def test_globalcls_global_sees_all_frames(self):
-        cfg = tiny_config(variant="GlobalCLS", layers_v=2)
-        model = PretrainModel(cfg, seed=19)
+        cfg = tiny_config(variant="GlobalCLS", layers_v=2, seed=19)
+        model = PretrainModel(cfg)
         rng = np.random.default_rng(20)
         frames = rng.uniform(size=(1, 2, 3, 8, 8))
         changed = frames.copy()
@@ -326,8 +320,8 @@ class TestVariants:
 
 class TestEndToEndGradients:
     def test_patchify_blocks_fuse_scalar(self):
-        cfg = tiny_config()
-        model = PretrainModel(cfg, seed=21)
+        cfg = tiny_config(seed=21)
+        model = PretrainModel(cfg)
         frames, caps = batch(2, 2, cfg, seed=5)
         w = np.random.default_rng(6).normal(size=(2, cfg.embed_dim))
 
@@ -344,7 +338,7 @@ class TestEndToEndGradients:
 
     def test_forward_count_increments(self):
         cfg = tiny_config()
-        model = PretrainModel(cfg, seed=0)
+        model = PretrainModel(cfg)
         frames, caps = batch(1, 1, cfg)
         assert model.forward_count == 0
         model.forward(frames, caps)

@@ -3,17 +3,17 @@ import pytest
 
 from vlsc import evalviz as ev
 from vlsc import synthdata as sd
-from vlsc.encoders import ModelConfig
 from vlsc.errors import InputError
 from vlsc.model import PretrainModel
+from vlsc.trainer import TrainConfig
 
 
 def small_model(seed=0, **kw):
     base = dict(embed_dim=8, heads=2, layers_v=1, layers_t=1, layers_f=1,
-                patch_size=4, canvas=16, max_frames=2, k_max=16,
-                vocab_size=64, dropout=0.0)
+                patch_size=4, canvas=16, frames_m=2, phase="video",
+                k_max=16, vocab_size=64, dropout=0.0, seed=seed)
     base.update(kw)
-    return PretrainModel(ModelConfig(**base), seed=seed)
+    return PretrainModel(TrainConfig(**base))
 
 
 def corpus(n, frames_m=1, seed=0):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,25 +7,26 @@ from vlsc import masking as mk
 from vlsc import objectives as obj
 from vlsc import synthdata as sd
 from vlsc import tensor as T
-from vlsc.encoders import ModelConfig, TextEncoder, VisionEncoder
+from vlsc.encoders import TextEncoder, VisionEncoder
 from vlsc.errors import ConfigError
 from vlsc.gradcheck import grad_check
 from vlsc.model import PretrainModel
 from vlsc.tensor import Tensor
+from vlsc.trainer import TrainConfig
 
 
 def tiny_config(**kw):
     base = dict(embed_dim=8, heads=2, layers_v=1, layers_t=1, layers_f=1,
-                patch_size=4, canvas=8, channels=3, max_frames=2,
+                patch_size=4, canvas=8, frames_m=2, phase="video",
                 k_max=8, vocab_size=64, dropout=0.0)
     base.update(kw)
-    return ModelConfig(**base)
+    return TrainConfig(**base)
 
 
 def make_batch(n, m=1, cfg=None, seed=0):
     cfg = cfg or tiny_config()
     rng = np.random.default_rng(seed)
-    frames = rng.uniform(size=(n, m, cfg.channels, cfg.canvas, cfg.canvas))
+    frames = rng.uniform(size=(n, m, sd.CHANNELS, cfg.canvas, cfg.canvas))
     vocab = sd.default_vocab()
     words = ["red", "green", "blue", "square", "cross", "bar", "top", "left"]
     caps = np.stack([
@@ -80,7 +83,7 @@ class TestInfoNce:
 
 class TestContrastive:
     def test_b1_zero(self):
-        model = PretrainModel(tiny_config(), seed=0)
+        model = PretrainModel(tiny_config())
         frames, caps = make_batch(1)
         out = model.forward(frames, caps)
         loss = obj.contrastive_loss(model, out.v_enc_global,
@@ -88,7 +91,7 @@ class TestContrastive:
         assert loss.item() == 0.0
 
     def test_matches_brute_force(self):
-        model = PretrainModel(tiny_config(), seed=1)
+        model = PretrainModel(tiny_config(seed=1))
         frames, caps = make_batch(4, seed=5)
         out = model.forward(frames, caps)
         loss = obj.contrastive_loss(model, out.v_enc_global,
@@ -114,7 +117,7 @@ class TestContrastive:
         assert abs(loss - expected) <= 1e-10
 
     def test_temperature_clamped(self):
-        model = PretrainModel(tiny_config(), seed=2)
+        model = PretrainModel(tiny_config(seed=2))
         model.params["head.cl_tau"].data[:] = 5.0
         assert model.cl_temperature().item() == 1.0
         model.params["head.cl_tau"].data[:] = 1e-9
@@ -123,7 +126,7 @@ class TestContrastive:
 
 class TestVtm:
     def test_uniform_logits_ln2(self):
-        model = PretrainModel(tiny_config(), seed=3)
+        model = PretrainModel(tiny_config(seed=3))
         model.params["head.vtm.w"].data[:] = 0
         model.params["head.vtm.b"].data[:] = 0
         frames, caps = make_batch(4, seed=6)
@@ -140,7 +143,7 @@ class TestVtm:
                 assert np.all((0 <= neg) & (neg < n))
 
     def test_b1_config_error(self):
-        model = PretrainModel(tiny_config(), seed=0)
+        model = PretrainModel(tiny_config())
         frames, caps = make_batch(1)
         with pytest.raises(ConfigError):
             obj.vtm_loss(model, model.vision(frames), model.text(caps),
@@ -149,7 +152,7 @@ class TestVtm:
 
 class TestMlm:
     def test_uniform_logits_ln_vocab(self):
-        model = PretrainModel(tiny_config(), seed=5)
+        model = PretrainModel(tiny_config(seed=5))
         model.params["head.mlm.w"].data[:] = 0
         model.params["head.mlm.b"].data[:] = 0
         frames, caps = make_batch(3, seed=7)
@@ -159,8 +162,8 @@ class TestMlm:
         assert abs(loss.item() - np.log(64.0)) <= 1e-10
 
     def test_one_hot_correct_logits_near_zero(self):
-        cfg = tiny_config()
-        model = PretrainModel(cfg, seed=6)
+        cfg = tiny_config(seed=6)
+        model = PretrainModel(cfg)
         vocab = sd.default_vocab()
         caps = np.stack([sd.tokenize("red", vocab, cfg.k_max)])
         frames, _ = make_batch(1, cfg=cfg)
@@ -175,8 +178,8 @@ class TestMlm:
 
     def test_gradient_only_at_masked_rows(self):
         # replicate the pipeline so the fused text tokens stay inspectable
-        cfg = tiny_config()
-        model = PretrainModel(cfg, seed=7)
+        cfg = tiny_config(seed=7)
+        model = PretrainModel(cfg)
         frames, caps = make_batch(2, seed=8)
         rng = np.random.default_rng(3)
         masked = np.empty_like(caps)
@@ -203,20 +206,20 @@ class TestMlm:
 
 class TestScl:
     def test_b1_zero(self):
-        model = PretrainModel(tiny_config(), seed=8)
+        model = PretrainModel(tiny_config(seed=8))
         frames, caps = make_batch(1)
         loss, _ = scl(model, frames, caps, 0.8, 0.4, np.random.default_rng(0))
         assert loss.item() == 0.0
 
     def test_exactly_two_forwards(self):
-        model = PretrainModel(tiny_config(), seed=9)
+        model = PretrainModel(tiny_config(seed=9))
         frames, caps = make_batch(3, seed=9)
         before = model.forward_count
         scl(model, frames, caps, 0.8, 0.4, np.random.default_rng(1))
         assert model.forward_count - before == 2
 
     def test_zero_ratios_identical_passes(self):
-        model = PretrainModel(tiny_config(), seed=10)
+        model = PretrainModel(tiny_config(seed=10))
         frames, caps = make_batch(3, seed=10)
         _, pair = scl(model, frames, caps, 0.0, 0.0, np.random.default_rng(2))
         np.testing.assert_array_equal(pair.i_re.data, pair.i_co.data)
@@ -227,7 +230,7 @@ class TestScl:
     def test_detach_isolates_complete_image_pass(self):
         # visual-side completion only: the complete-image pass (pass 2)
         # must receive no gradient at all
-        model = PretrainModel(tiny_config(), seed=11)
+        model = PretrainModel(tiny_config(seed=11))
         frames, caps = make_batch(3, seed=11)
         loss, pair = scl(model, frames, caps, 0.8, 0.4,
                          np.random.default_rng(3),
@@ -247,7 +250,7 @@ class TestScl:
         assert pair.t_co.requires_grad is False
 
     def test_detach_isolates_complete_text_pass(self):
-        model = PretrainModel(tiny_config(), seed=12)
+        model = PretrainModel(tiny_config(seed=12))
         frames, caps = make_batch(3, seed=12)
         loss, pair = scl(model, frames, caps, 0.8, 0.4,
                          np.random.default_rng(4),
@@ -263,7 +266,7 @@ class TestScl:
         assert pair.t_re.grad is not None and np.any(pair.t_re.grad != 0)
 
     def test_toggles_sum_to_full(self):
-        model = PretrainModel(tiny_config(), seed=13)
+        model = PretrainModel(tiny_config(seed=13))
         frames, caps = make_batch(3, seed=13)
         both, _ = scl(model, frames, caps, 0.8, 0.4, np.random.default_rng(5))
         v_only, _ = scl(model, frames, caps, 0.8, 0.4,
@@ -273,7 +276,7 @@ class TestScl:
         assert abs(both.item() - (v_only.item() + l_only.item())) <= 1e-12
 
     def test_both_sides_off_rejected(self):
-        model = PretrainModel(tiny_config(), seed=0)
+        model = PretrainModel(tiny_config())
         frames, caps = make_batch(2)
         with pytest.raises(ConfigError):
             scl(model, frames, caps, 0.8, 0.4,
@@ -282,19 +285,19 @@ class TestScl:
 
 class TestTotal:
     def test_only_mlm(self):
-        model = PretrainModel(tiny_config(), seed=14)
+        cfg = tiny_config(seed=14, cl=False, vtm=False, mlm=True, scl=False)
+        model = PretrainModel(cfg)
         frames, caps = make_batch(3, seed=14)
-        cfg = obj.ObjectiveConfig(cl=False, vtm=False, mlm=True, scl=False)
         report, total = obj.total_loss(model, frames, caps, cfg, rngs())
         assert report.total == report.mlm == total.item()
         assert report.cl is None and report.vtm is None
         assert report.scl is None
 
     def test_all_enabled_additivity(self):
-        model = PretrainModel(tiny_config(), seed=15)
+        model = PretrainModel(tiny_config(seed=15))
         frames, caps = make_batch(4, seed=15)
-        report, total = obj.total_loss(model, frames, caps,
-                                       obj.ObjectiveConfig(), rngs())
+        report, total = obj.total_loss(model, frames, caps, model.config,
+                                       rngs())
         parts = report.cl + report.vtm + report.mlm + report.scl
         assert abs(report.total - parts) <= 1e-12
         assert total.item() == report.total
@@ -304,8 +307,8 @@ class TestTotal:
         frames, caps = make_batch(4, seed=16)
         values = {}
         for with_cl in (True, False):
-            model = PretrainModel(tiny_config(), seed=16)
-            cfg = obj.ObjectiveConfig(cl=with_cl)
+            cfg = tiny_config(seed=16, cl=with_cl)
+            model = PretrainModel(cfg)
             report, _ = obj.total_loss(model, frames, caps, cfg, rngs(7))
             values[with_cl] = (report.vtm, report.mlm, report.scl)
         assert values[True] == values[False]
@@ -313,14 +316,14 @@ class TestTotal:
     def test_train_mode_toggles_keep_other_draws(self):
         # with dropout on, dropping any one objective must not move any
         # other component's value
-        cfg = tiny_config(dropout=0.1)
+        cfg = tiny_config(dropout=0.1, seed=19)
         frames, caps = make_batch(4, seed=19)
 
         def run(train=True, **off):
-            model = PretrainModel(cfg, seed=19)
+            model = PretrainModel(cfg)
             report, _ = obj.total_loss(model, frames, caps,
-                                       obj.ObjectiveConfig(**off), rngs(8),
-                                       train=train)
+                                       dataclasses.replace(cfg, **off),
+                                       rngs(8), train=train)
             return report
 
         full = run()
@@ -334,7 +337,7 @@ class TestTotal:
                     assert getattr(part, other) == getattr(full, other), \
                         (off, other)
         # the complete inputs are encoded on "clean": vision, then text
-        model = PretrainModel(cfg, seed=19)
+        model = PretrainModel(cfg)
         clean = rngs(8)["clean"]
         vis = model.vision(frames, train=True, rng=clean)
         txt = model.text(caps, train=True, rng=clean)
@@ -354,10 +357,9 @@ class TestTotal:
                 calls[_cls] += 1
                 return _call(self, *args, **kw)
             monkeypatch.setattr(cls, "__call__", counted)
-        model = PretrainModel(tiny_config(), seed=18)
+        model = PretrainModel(tiny_config(seed=18, **off))
         frames, caps = make_batch(3, seed=18)
-        obj.total_loss(model, frames, caps, obj.ObjectiveConfig(**off),
-                       rngs())
+        obj.total_loss(model, frames, caps, model.config, rngs())
         assert calls == {VisionEncoder: vision, TextEncoder: text}
         assert model.forward_count == fused
 
@@ -372,20 +374,17 @@ class TestTotal:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_eval_values_pinned(self, m):
-        cfg = tiny_config(dropout=0.0)
-        model = PretrainModel(cfg, seed=21)
+        cfg = tiny_config(dropout=0.0, seed=21)
+        model = PretrainModel(cfg)
         frames, caps = make_batch(4, m=m, cfg=cfg, seed=21)
-        report, _ = obj.total_loss(model, frames, caps,
-                                   obj.ObjectiveConfig(), rngs(5, 2))
+        report, _ = obj.total_loss(model, frames, caps, cfg, rngs(5, 2))
         assert (report.cl, report.vtm, report.mlm,
                 report.scl) == self.PINNED[m]
 
     def test_all_disabled_rejected(self):
-        model = PretrainModel(tiny_config(), seed=0)
-        frames, caps = make_batch(2)
-        cfg = obj.ObjectiveConfig(cl=False, vtm=False, mlm=False, scl=False)
-        with pytest.raises(ConfigError):
-            obj.total_loss(model, frames, caps, cfg, rngs())
+        # the config itself refuses, before any model or loss runs
+        with pytest.raises(ConfigError, match="no objective"):
+            tiny_config(cl=False, vtm=False, mlm=False, scl=False)
 
 
 def scl_frozen_targets(model, frames, caps, cfg):
@@ -397,27 +396,26 @@ def scl_frozen_targets(model, frames, caps, cfg):
     measures a different function than the one the optimizer descends,
     so the check must pin them."""
     _, pair = scl(model, frames, caps, cfg.image_mask_ratio,
-                  cfg.text_mask_ratio, rngs(3)["scl"],
-                  tau=cfg.scl_tau)
+                  cfg.text_mask_ratio, rngs(3)["scl"])
     return pair.i_co.data.copy(), pair.t_co.data.copy()
 
 
 class TestObjectiveGradients:
     def test_each_objective_and_total(self):
-        model = PretrainModel(tiny_config(), seed=17)
+        full = tiny_config(seed=17)
+        model = PretrainModel(full)
         frames, caps = make_batch(3, seed=17)
-        full = obj.ObjectiveConfig()
         frozen = scl_frozen_targets(model, frames, caps, full)
 
         def scl_term():
             return scl(model, frames, caps, full.image_mask_ratio,
                        full.text_mask_ratio, rngs(3)["scl"],
-                       tau=full.scl_tau, frozen_targets=frozen)[0]
+                       frozen_targets=frozen)[0]
 
         cases = {
-            "cl": obj.ObjectiveConfig(vtm=False, mlm=False, scl=False),
-            "vtm": obj.ObjectiveConfig(cl=False, mlm=False, scl=False),
-            "mlm": obj.ObjectiveConfig(cl=False, vtm=False, scl=False),
+            "cl": dataclasses.replace(full, vtm=False, mlm=False, scl=False),
+            "vtm": dataclasses.replace(full, cl=False, mlm=False, scl=False),
+            "mlm": dataclasses.replace(full, cl=False, vtm=False, scl=False),
         }
         for name, cfg in cases.items():
             def loss():
@@ -432,7 +430,7 @@ class TestObjectiveGradients:
         assert err <= 1e-4, f"scl: {err}"
 
         # freezing at the center point must not change the value itself
-        no_scl = obj.ObjectiveConfig(scl=False)
+        no_scl = dataclasses.replace(full, scl=False)
         _, live_total = obj.total_loss(model, frames, caps, full, rngs(3))
         composed = obj.total_loss(model, frames, caps, no_scl,
                                   rngs(3))[1].item() + scl_term().item()
@@ -448,14 +446,13 @@ class TestObjectiveGradients:
     def test_scl_live_targets_break_finite_differences(self):
         # the counterexample that motivates frozen targets: with live
         # targets the probe and the backward disagree by O(1)
-        model = PretrainModel(tiny_config(), seed=17)
+        full = tiny_config(seed=17)
+        model = PretrainModel(full)
         frames, caps = make_batch(3, seed=17)
-        full = obj.ObjectiveConfig()
 
         def live():
             return scl(model, frames, caps, full.image_mask_ratio,
-                       full.text_mask_ratio, rngs(3)["scl"],
-                       tau=full.scl_tau)[0]
+                       full.text_mask_ratio, rngs(3)["scl"])[0]
         err = grad_check(live, model.params, eps=2e-4,
                          max_elements=64, seed=1)
         assert err > 1e-2

@@ -2,11 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vlsc import synthdata as sd
-from vlsc.errors import InputError, VocabError
+from vlsc.errors import InputError, VlscError, VocabError
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +67,6 @@ class TestTokenize:
                                              vocab) == text
                         count += 1
         assert count == (4 * 9 + 6 * 81 + 4 * 729) * 5
-
-    def test_attention_mask(self, vocab):
-        ids = sd.tokenize("red square", vocab)
-        mask = sd.text_attention_mask(ids)
-        assert mask[:3].all() and not mask[3:].any()
 
 
 class TestGeneration:
@@ -204,3 +199,57 @@ class TestCorpusIO:
         path.write_text(f"1\t1\tred square\t{vals}\n")
         with pytest.raises(InputError):
             sd.load_corpus(path, vocab)
+
+
+# any bytes given to load_corpus must give a list of samples or a VlscError
+
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFuzzCorpus:
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("corpus") / "c.tsv"
+        sd.save_corpus(path, sd.generate_corpus(2, seed=1))
+        return path.read_bytes()
+
+    def check(self, path, vocab):
+        try:
+            corpus = sd.load_corpus(path, vocab)
+        except VlscError:
+            return
+        for s in corpus:
+            assert s.frames.shape == corpus[0].frames.shape
+            assert np.all((s.frames >= 0.0) & (s.frames <= 1.0))
+
+    @FUZZ
+    @given(data=st.binary(max_size=300))
+    def test_any_bytes(self, tmp_path, vocab, data):
+        path = tmp_path / "c.tsv"
+        path.write_bytes(data)
+        self.check(path, vocab)
+
+    @FUZZ
+    @given(edits=st.lists(st.tuples(st.integers(0, 2 ** 20),
+                                    st.integers(0, 255)), max_size=4),
+           cut=st.integers(0, 2 ** 20))
+    def test_mutated_file(self, tmp_path, vocab, valid, edits, cut):
+        data = bytearray(valid)
+        for pos, val in edits:
+            data[pos % len(data)] = val
+        path = tmp_path / "c.tsv"
+        path.write_bytes(bytes(data[:cut]))
+        self.check(path, vocab)
+
+    @FUZZ
+    @given(field=st.integers(0, 3), line=st.integers(0, 1),
+           raw=st.text(max_size=12).filter(lambda t: "\n" not in t))
+    def test_any_field(self, tmp_path, vocab, valid, field, line, raw):
+        lines = valid.decode().splitlines()
+        cells = lines[line].split("\t")
+        cells[field] = raw
+        lines[line] = "\t".join(cells)
+        path = tmp_path / "c.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.check(path, vocab)

@@ -1,13 +1,18 @@
+import dataclasses
+import hashlib
 import json
 import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vlsc import synthdata as sd
 from vlsc import trainer as tr
-from vlsc.errors import ConfigError, InputError, NumericError, ShapeError
+from vlsc.errors import (ConfigError, InputError, NumericError, ShapeError,
+                         VlscError)
 from vlsc.model import PretrainModel
 from vlsc.tensor import ParamRegistry
 
@@ -90,6 +95,28 @@ class TestConfigValidation:
     def test_unknown_phase(self):
         with pytest.raises(ConfigError):
             tr.TrainConfig(phase="audio")
+
+    @pytest.mark.parametrize("bad", [
+        dict(embed_dim=0), dict(heads=0), dict(patch_size=0),
+        dict(canvas=0), dict(k_max=0), dict(vocab_size=0),
+        dict(layers_v=-1), dict(layers_t=-1), dict(layers_f=-1),
+        dict(seed=-1), dict(total_steps=-1), dict(checkpoint_interval=-1),
+        dict(image_mask_ratio=1.5), dict(text_mask_ratio=-0.1),
+        dict(dropout=1.0), dict(dropout=-0.1),
+        dict(cl=False, vtm=False, mlm=False, scl=False),
+        dict(mvsc=False, mlsc=False),
+        dict(batch=2.0), dict(cl=1), dict(base_lr=True), dict(variant=3),
+        dict(base_lr=math.nan), dict(grad_clip=math.inf),
+    ])
+    def test_rejected_values(self, bad):
+        with pytest.raises(ConfigError):
+            tr.TrainConfig(**bad)
+
+    def test_accepted_edges(self):
+        tr.TrainConfig(scl=False, mvsc=False, mlsc=False)
+        tr.TrainConfig(image_mask_ratio=1.0, text_mask_ratio=0.0,
+                       layers_v=0, dropout=0.0)
+        tr.TrainConfig(base_lr=1)  # an int is a valid float value
 
 
 class TestConfigFile:
@@ -191,7 +218,7 @@ class TestAdamW:
         assert math.isclose(db / da, 5.0, rel_tol=1e-9)
 
     def test_moments_shapes_cover_all_params(self):
-        model = PretrainModel(tiny_train_config().to_model_config(), seed=0)
+        model = PretrainModel(tiny_train_config())
         opt = tr.AdamW(model.params)
         assert set(opt.m) == set(model.params.names())
         for n, p in model.params.items():
@@ -280,19 +307,19 @@ class TestCheckpointIO:
         lambda h: h["arrays"][0].pop("shape"),
         lambda h: h["arrays"][0].update(kind="q"),
         lambda h: h["arrays"][0].update(shape=[-1, -1]),
+        lambda h: h["arrays"][0].update(shape=[0, 10 ** 20]),
+        lambda h: h.update(t=math.inf),
         lambda h: h.update(arrays=None),
+        lambda h: _first_moment(h).update(name="no.such.param"),
+        lambda h: _first_moment(h).update(
+            shape=[1] + _first_moment(h)["shape"]),
     ])
     def test_malformed_header(self, tmp_path, edit):
         p = tmp_path / "x.vlsc"
         tr.save_checkpoint(tr.init_checkpoint(tiny_train_config()), p)
-        data = p.read_bytes()
-        off = len(tr.CKPT_MAGIC) + 8
-        (hlen,) = struct.unpack_from("<Q", data, off - 8)
-        header = json.loads(data[off:off + hlen])
+        header, body = split_ckpt(p.read_bytes())
         edit(header)
-        raw = json.dumps(header).encode()
-        p.write_bytes(tr.CKPT_MAGIC + struct.pack("<Q", len(raw)) + raw
-                      + data[off + hlen:])
+        p.write_bytes(join_ckpt(header, body))
         with pytest.raises(InputError):
             tr.load_checkpoint(p)
 
@@ -302,6 +329,24 @@ class TestCheckpointIO:
         for name, p in model.params.items():
             assert np.array_equal(p.data, ckpt.params[name])
         assert opt.t == 0
+
+
+def split_ckpt(data: bytes):
+    """(header dict, array bytes) of a checkpoint file's contents."""
+    off = len(tr.CKPT_MAGIC) + 8
+    (hlen,) = struct.unpack_from("<Q", data, off - 8)
+    return json.loads(data[off:off + hlen]), data[off + hlen:]
+
+
+def join_ckpt(header, body: bytes) -> bytes:
+    raw = json.dumps(header).encode()
+    return tr.CKPT_MAGIC + struct.pack("<Q", len(raw)) + raw + body
+
+
+def _first_moment(header):
+    """The first 1-d entry of the m table in a checkpoint header."""
+    return next(e for e in header["arrays"]
+                if e["kind"] == "m" and len(e["shape"]) == 1)
 
 
 def small_corpus(n=4, frames_m=1, seed=0):
@@ -401,6 +446,36 @@ class TestTrainLoop:
             tr.train(cfg, small_corpus(), resume=ckpt)
 
 
+class TestTrainPinned:
+    # metrics lines and checkpoint sha256 of a 2-step train-mode run
+    # (dropout 0.1), recorded before TrainConfig became the one config:
+    # any change to the draws, the arithmetic or the file bytes shows here
+    PINNED = {
+        1: (["1 1.6726954712589537 0.69334770659316081 4.1461306298858069 "
+             "1.3785228225971766 7.890696630335098 0.00055555555555555556",
+             "2 1.432335929686009 0.69334901916193337 4.100965814781631 "
+             "1.453786448986407 7.6804372126159803 0"],
+            "97c08795ec417eaa44e15bdcea23be87"
+            "acd2aec2ab102a6c15d579efa4254606"),
+        2: (["1 1.865637932166027 0.6938209412124432 4.1755095240632158 "
+             "1.4036134700089491 8.1385818674506361 0.00055555555555555556",
+             "2 1.4331812760948068 0.69321312924374867 4.1623298546015883 "
+             "1.3914279303178119 7.6801521902579566 0"],
+            "c3dbd6b35a340efeedcccfa75fd5a7e6"
+            "6ea66f93474a23d1d38addec3ab37e07"),
+    }
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_train_run_pinned(self, tmp_path, m):
+        cfg = tiny_train_config(total_steps=2, dropout=0.1, frames_m=m,
+                                phase="video" if m > 1 else "image")
+        tr.train(cfg, small_corpus(frames_m=m), out_dir=tmp_path)
+        lines = (tmp_path / "metrics.txt").read_text().splitlines()[1:]
+        digest = hashlib.sha256(
+            (tmp_path / "ckpt_final.vlsc").read_bytes()).hexdigest()
+        assert (lines, digest) == self.PINNED[m]
+
+
 class TestBatching:
     def test_without_replacement_when_possible(self):
         idx = tr.batch_indices(8, 8, seed=0, step=1)
@@ -475,3 +550,128 @@ class TestCurriculum:
             1, 3, cfg.n_patches + 1, cfg.embed_dim)
         cls = toks[0, :, 0, :]
         assert np.max(np.abs(cls - cls[0])) <= 1e-10
+
+
+# any bytes given to a loader must give a valid object or a VlscError
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def mutate(data: bytes, edits, cut) -> bytes:
+    """data with bytes overwritten at (position, value) edits, then cut
+    to at most cut bytes."""
+    out = bytearray(data)
+    for pos, val in edits:
+        out[pos % len(out)] = val
+    return bytes(out[:cut])
+
+
+BYTE_EDITS = st.lists(st.tuples(st.integers(0, 2 ** 20), st.integers(0, 255)),
+                      max_size=4)
+
+
+class TestFuzzConfigFile:
+    VALID = "".join(f"{k} = {v}\n" for k, v in (
+        ("total_steps", 3), ("batch", 2), ("base_lr", 0.001), ("scl", "true"),
+        ("variant", "GlobalCLS"), ("image_mask_ratio", 0.7)))
+
+    def check(self, path):
+        try:
+            assert isinstance(tr.parse_config_file(path), dict)
+            assert isinstance(tr.load_config(path), tr.TrainConfig)
+        except VlscError:
+            pass
+
+    @FUZZ
+    @given(data=st.binary(max_size=200))
+    def test_any_bytes(self, tmp_path, data):
+        p = tmp_path / "f.cfg"
+        p.write_bytes(data)
+        self.check(p)
+
+    @FUZZ
+    @given(edits=BYTE_EDITS, cut=st.integers(0, 400))
+    def test_mutated_file(self, tmp_path, edits, cut):
+        p = tmp_path / "f.cfg"
+        p.write_bytes(mutate(self.VALID.encode(), edits, cut))
+        self.check(p)
+
+    @FUZZ
+    @given(key=st.sampled_from([f.name for f in
+                                dataclasses.fields(tr.TrainConfig)]),
+           raw=st.text(max_size=12).filter(lambda t: "\n" not in t
+                                           and "\r" not in t))
+    def test_any_value(self, tmp_path, key, raw):
+        p = tmp_path / "f.cfg"
+        p.write_text(f"{key} = {raw}\n", encoding="utf-8")
+        self.check(p)
+
+
+@pytest.fixture(scope="module")
+def valid_ckpt_bytes(tmp_path_factory):
+    p = tmp_path_factory.mktemp("ckpt") / "x.vlsc"
+    cfg = tiny_train_config(embed_dim=4, heads=1, layers_v=0, layers_t=0,
+                            layers_f=0)
+    tr.save_checkpoint(tr.init_checkpoint(cfg), p)
+    return p.read_bytes()
+
+
+class TestFuzzCheckpoint:
+    def check(self, path):
+        try:
+            ckpt = tr.load_checkpoint(path)
+        except VlscError:
+            return
+        assert set(ckpt.params) == set(ckpt.m) == set(ckpt.v)
+        for fld in dataclasses.fields(ckpt.config):
+            kind = type(getattr(ckpt.config, fld.name)).__name__
+            assert kind == fld.type or (kind, fld.type) == ("int", "float")
+
+    @FUZZ
+    @given(data=st.binary(max_size=200))
+    def test_any_bytes(self, tmp_path, data):
+        p = tmp_path / "x.vlsc"
+        p.write_bytes(data)
+        self.check(p)
+
+    def test_deeply_nested_header(self, tmp_path):
+        raw = b"[" * 10 ** 5 + b"]" * 10 ** 5
+        p = tmp_path / "x.vlsc"
+        p.write_bytes(tr.CKPT_MAGIC + struct.pack("<Q", len(raw)) + raw)
+        with pytest.raises(InputError):
+            tr.load_checkpoint(p)
+
+    @FUZZ
+    @given(edits=BYTE_EDITS, cut=st.integers(0, 2 ** 20))
+    def test_mutated_file(self, tmp_path, valid_ckpt_bytes, edits, cut):
+        # the edits land in the header, which is where the structure is
+        header_end = len(valid_ckpt_bytes) - len(
+            split_ckpt(valid_ckpt_bytes)[1])
+        edits = [(pos % header_end, val) for pos, val in edits]
+        p = tmp_path / "x.vlsc"
+        p.write_bytes(mutate(valid_ckpt_bytes, edits, cut))
+        self.check(p)
+
+    @FUZZ
+    @given(where=st.sampled_from(["config", "top", "array"]),
+           key=st.text(max_size=20), value=JSON_VALUES,
+           pick=st.integers(0, 10 ** 6))
+    def test_any_header_value(self, tmp_path, valid_ckpt_bytes, where, key,
+                              value, pick):
+        header, body = split_ckpt(valid_ckpt_bytes)
+        target = {"config": header["config"], "top": header,
+                  "array": header["arrays"][pick % len(header["arrays"])]
+                  }[where]
+        keys = sorted(target)
+        target[keys[pick % len(keys)] if pick % 3 else key] = value
+        p = tmp_path / "x.vlsc"
+        p.write_bytes(join_ckpt(header, body))
+        self.check(p)
