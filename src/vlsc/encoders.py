@@ -43,7 +43,7 @@ def linear_params(reg: ParamRegistry, rng, name: str, d_in: int, d_out: int):
 
 
 def linear(reg, name: str, x: Tensor) -> Tensor:
-    return x @ reg[f"{name}.w"] + reg[f"{name}.b"]
+    return T.linear(x, reg[f"{name}.w"], reg[f"{name}.b"])
 
 
 def ln_params(reg: ParamRegistry, name: str, d: int):
@@ -69,35 +69,14 @@ def ffn(reg, name: str, x: Tensor) -> Tensor:
     return linear(reg, f"{name}.2", T.gelu(linear(reg, f"{name}.1", x)))
 
 
-def split_heads(x: Tensor, h: int) -> Tensor:
-    *lead, length, d = x.shape
-    y = x.reshape(*lead, length, h, d // h)
-    perm = list(range(len(y.shape)))
-    perm[-3], perm[-2] = perm[-2], perm[-3]
-    return y.transpose(tuple(perm))
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    perm = list(range(len(x.shape)))
-    perm[-3], perm[-2] = perm[-2], perm[-3]
-    y = x.transpose(tuple(perm))
-    *lead, length, h, dh = y.shape
-    return y.reshape(*lead, length, h * dh)
-
-
 def attention(reg, name: str, q_in: Tensor, kv_in: Tensor, heads: int,
               mask=None, return_weights: bool = False):
-    """Multi-head attention; q_in (..., Q, D), kv_in (..., K, D)."""
-    q = split_heads(linear(reg, f"{name}.q", q_in), heads)
-    k = split_heads(linear(reg, f"{name}.k", kv_in), heads)
-    v = split_heads(linear(reg, f"{name}.v", kv_in), heads)
-    if return_weights:
-        out, w = T.scaled_dot_attention(q, k, v, mask=mask,
-                                        return_weights=True)
-    else:
-        out = T.scaled_dot_attention(q, k, v, mask=mask)
-        w = None
-    out = linear(reg, f"{name}.o", merge_heads(out))
+    """Multi-head attention; q_in (..., Q, D), kv_in (..., K, D). With
+    return_weights, also the (..., h, Q, K) weights array."""
+    out, w = T.mha(linear(reg, f"{name}.q", q_in),
+                   linear(reg, f"{name}.k", kv_in),
+                   linear(reg, f"{name}.v", kv_in), heads, mask=mask)
+    out = linear(reg, f"{name}.o", out)
     return (out, w) if return_weights else out
 
 
@@ -180,8 +159,7 @@ class VisionEncoder:
         d = cfg.embed_dim
         n = cfg.n_patches
 
-        v = Tensor(self._patchify(frames)) @ reg["vision.patch_proj.w"] \
-            + reg["vision.patch_proj.b"]
+        v = linear(reg, "vision.patch_proj", Tensor(self._patchify(frames)))
         if visual_mask is not None and np.any(visual_mask):
             mf = np.asarray(visual_mask, dtype=np.float64)[..., None]
             if mf.shape[:3] != (b, m, n):
@@ -324,7 +302,7 @@ class FusionOut:
     vision_tokens: Tensor   # (B, n_vis, D)
     text_tokens: Tensor     # (B, K, D)
     # text-query -> vision-key attention weights, one (B, h, K, n_vis)
-    # tensor per layer, rows summing to 1
+    # array per layer, rows summing to 1
     cross_attention: list = field(default_factory=list)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InputError
 from .model import PretrainModel
 from .synthdata import PAD_ID
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 
 @dataclass
@@ -66,9 +66,10 @@ def encode_corpus(model: PretrainModel, corpus,
         chunk = corpus[lo:lo + batch_size]
         frames = np.stack([s.frames for s in chunk])
         caps = np.stack([s.caption for s in chunk])
-        vis = model.vision(frames)
-        txt = model.text(caps)
-        pv, pt = model.project_globals(vis.enc_global, txt.enc_global)
+        with no_grad():
+            vis = model.vision(frames)
+            txt = model.text(caps)
+            pv, pt = model.project_globals(vis.enc_global, txt.enc_global)
         vp.append(pv.data)
         tp.append(pt.data)
         vf.append(vis.flat.data)
@@ -92,11 +93,12 @@ def match_scores(model: PretrainModel, enc: EncodedCorpus,
                  text_idx: np.ndarray, vis_idx: np.ndarray) -> np.ndarray:
     """Positive-class match logit for each (text_idx[j], vis_idx[j])
     pair, fused in one batch."""
-    _, v_g, t_g = model.fuse_pair(Tensor(enc.v_flat[vis_idx]),
-                                  Tensor(enc.t_tokens[text_idx]),
-                                  enc.text_mask[text_idx],
-                                  enc.frames_m, train=False)
-    return model.vtm_logits(v_g, t_g).data[:, 1]
+    with no_grad():
+        _, v_g, t_g = model.fuse_pair(Tensor(enc.v_flat[vis_idx]),
+                                      Tensor(enc.t_tokens[text_idx]),
+                                      enc.text_mask[text_idx],
+                                      enc.frames_m, train=False)
+        return model.vtm_logits(v_g, t_g).data[:, 1]
 
 
 def rerank(order: np.ndarray, k: int, scores: np.ndarray) -> np.ndarray:
@@ -174,8 +176,9 @@ def cls_attention_row(model: PretrainModel, frames: np.ndarray,
     text-to-vision attention, plus the token layout arrays."""
     if np.all(caption == PAD_ID):
         raise InputError("caption is all padding")
-    fwd = model.forward(frames[None], caption[None], train=False)
-    last = fwd.fusion.cross_attention[-1].data[0]  # (h, K, n_vis)
+    with no_grad():
+        fwd = model.forward(frames[None], caption[None], train=False)
+    last = fwd.fusion.cross_attention[-1][0]  # (h, K, n_vis)
     return last[:, 0, :], fwd.token_frames, fwd.token_patches
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import NumericError
-from .tensor import ParamRegistry, Tensor
+from .tensor import ParamRegistry, Tensor, no_grad
 
 
 def grad_check(loss_fn, params: ParamRegistry, eps: float = 1e-4,
@@ -20,7 +20,8 @@ def grad_check(loss_fn, params: ParamRegistry, eps: float = 1e-4,
     deterministic. Every parameter element is probed when the registry is
     small; otherwise a seeded random subset of at least 64 elements is
     used. The relative error per element is
-    ``|a - n| / max(|a|, |n|, 1e-8)``.
+    ``|a - n| / max(|a|, |n|, 1e-8)``. Only the analytic pass builds a
+    graph; the finite-difference probes run under ``no_grad``.
 
     The numeric side is a Richardson-extrapolated central difference,
     (4*d(h/2) - d(h)) / 3, which cancels the O(h^2) truncation term:
@@ -35,7 +36,8 @@ def grad_check(loss_fn, params: ParamRegistry, eps: float = 1e-4,
         raise ValueError("eps must be positive")
 
     def evaluate() -> float:
-        out = loss_fn()
+        with no_grad():
+            out = loss_fn()
         val = out.item() if isinstance(out, Tensor) else float(out)
         if not math.isfinite(val):
             raise NumericError("loss is not finite during grad_check")

@@ -239,8 +239,9 @@ def save_corpus(path, corpus, vocab: Vocab | None = None) -> None:
 
 def load_corpus(path, vocab: Vocab | None = None,
                 k_max: int = K_MAX) -> list[PairedSample]:
-    """Every line is checked, so all samples share one frame count and
-    hold finite pixels in [0, 1]; a bad line raises InputError naming
+    """Every line is checked, so all samples share one frame count,
+    hold finite pixels in [0, 1] and caption only vocabulary words; a bad
+    line raises InputError, or VocabError for an unknown word, naming
     path:line."""
     if vocab is None:
         vocab = default_vocab()
@@ -277,7 +278,10 @@ def load_corpus(path, vocab: Vocab | None = None,
                 raise InputError(f"{where}: pixel values not finite or "
                                  f"outside [0, 1]")
             frames = flat.reshape(m, CHANNELS, CANVAS, CANVAS)
-            caption = tokenize(text, vocab, k_max)
+            try:
+                caption = tokenize(text, vocab, k_max)
+            except VocabError as e:
+                raise VocabError(f"{where}: {e}") from None
             out.append(PairedSample(frames=frames, caption=caption,
                                     scene_id=scene_id))
     return out

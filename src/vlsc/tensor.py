@@ -3,16 +3,23 @@
 Every value is a dense numpy array in row-major order. Ops record their
 parents and a backward closure; ``Tensor.backward()`` runs a topological
 sweep and accumulates gradients into every reachable tensor that has
-``requires_grad`` set. The op set is deliberately small: matmul, reshape,
-transpose, concat, slicing/gather, elementwise arithmetic, exp/log/sqrt,
-softmax/log-softmax, reductions, layer norm, GELU, embedding lookup,
-cosine similarity, cross-entropy, plus detach and clip. Everything else
-in the package is composed from these.
+``requires_grad`` set. Inside ``no_grad()`` ops record nothing. The op
+set is deliberately small: matmul, reshape, transpose, concat,
+slicing/gather, elementwise arithmetic, sum/mean, log-softmax, GELU,
+clip, dropout, embedding lookup, cosine similarity and cross-entropy,
+plus three fused single-node kernels with closed-form backward: linear
+(x @ W + b), layer norm and multi-head attention. Everything else in the
+package is composed from these.
+
+Each fused forward runs the numpy operations of its composed equivalent
+in the same order, so forward values are bit-identical to composing the
+smaller ops; only the backward rounds differently.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
@@ -21,6 +28,24 @@ from .errors import NumericError, ShapeError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# False inside no_grad(); read by Tensor._from_op
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Ops run inside the block build no graph: every result has
+    ``requires_grad`` False and keeps no parents or backward closure.
+    Forward values are unchanged. Nests, and restores the previous mode
+    on exit, also when the block raises."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 def _as_array(x) -> np.ndarray:
@@ -57,7 +82,8 @@ class Tensor:
 
     @staticmethod
     def _from_op(data: np.ndarray, parents: tuple, backward_fn) -> "Tensor":
-        out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+        out = Tensor(data, requires_grad=_grad_enabled
+                     and any(p.requires_grad for p in parents))
         if out.requires_grad:
             out._parents = parents
             out._backward_fn = backward_fn
@@ -157,10 +183,16 @@ class Tensor:
         return Tensor._from_op(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-as_tensor(other))
+        other = as_tensor(other)
+        out = self.data - other.data
+
+        def back(g):
+            return _unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)
+
+        return Tensor._from_op(out, (self, other), back)
 
     def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) + (-self)
+        return as_tensor(other) - self
 
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -253,16 +285,18 @@ class Tensor:
 
     # -- reductions --------------------------------------------------------
 
+    def _spread(self, g: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+        """The gradient of a reduction over ``axis``, copied back out to
+        this tensor's shape."""
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, self.shape).copy()
+
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out = self.data.sum(axis=axis, keepdims=keepdims)
-        shape = self.shape
 
         def back(g):
-            if axis is None:
-                return (np.broadcast_to(g, shape).copy(),)
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, shape).copy(),)
+            return (self._spread(g, axis, keepdims),)
 
         return Tensor._from_op(np.asarray(out, dtype=np.float64), (self,), back)
 
@@ -274,7 +308,12 @@ class Tensor:
             n = 1
             for a in ax:
                 n *= self.shape[a]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        out = self.data.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+        def back(g):
+            return (self._spread(g * (1.0 / n), axis, keepdims),)
+
+        return Tensor._from_op(np.asarray(out, dtype=np.float64), (self,), back)
 
 
 def as_tensor(x) -> Tensor:
@@ -282,20 +321,6 @@ def as_tensor(x) -> Tensor:
 
 
 # -- elementwise functions --------------------------------------------------
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-    return Tensor._from_op(out, (x,), lambda g: (g * out,))
-
-
-def log(x: Tensor) -> Tensor:
-    return Tensor._from_op(np.log(x.data), (x,), lambda g: (g / x.data,))
-
-
-def sqrt(x: Tensor) -> Tensor:
-    out = np.sqrt(x.data)
-    return Tensor._from_op(out, (x,), lambda g: (g * 0.5 / out,))
-
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
@@ -325,21 +350,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p <= 0.0:
         return x
     keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(keep)
-
-
-# -- softmax family ----------------------------------------------------------
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    m = x.data.max(axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def back(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    return Tensor._from_op(y, (x,), back)
+    return Tensor._from_op(x.data * keep, (x,), lambda g: (g * keep,))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -384,40 +395,95 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor._from_op(out, (weight,), back)
 
 
-# -- composite numeric kernels ------------------------------------------------
+# -- fused kernels ------------------------------------------------------------
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for x (..., d_in), w (d_in, d_out) and b (d_out,)."""
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] \
+            or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear shapes do not conform: x {x.shape}, "
+                         f"w {w.shape}, b {b.shape}")
+    out = x.data @ w.data + b.data
+
+    def back(g):
+        rows = g.reshape(-1, g.shape[-1])
+        return (g @ w.data.T, x.data.reshape(-1, x.shape[-1]).T @ rows,
+                rows.sum(axis=0))
+
+    return Tensor._from_op(out, (x, w, b), back)
+
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    xhat = xc / sqrt(var + eps)
-    return xhat * gain + bias
+    inv_n = 1.0 / x.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xhat = xc / std
+    out = xhat * gain.data + bias.data
+
+    def back(g):
+        gh = g * gain.data
+        gx = (gh - gh.sum(axis=-1, keepdims=True) * inv_n
+              - xhat * (gh * xhat).sum(axis=-1, keepdims=True) * inv_n) / std
+        return (gx, _unbroadcast(g * xhat, gain.shape),
+                _unbroadcast(g, bias.shape))
+
+    return Tensor._from_op(out, (x, gain, bias), back)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
-                         mask: np.ndarray | None = None,
-                         return_weights: bool = False):
-    """softmax(q kᵀ / sqrt(d)) v over the last two axes.
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., L, D) -> (..., heads, L, D / heads)."""
+    y = a.reshape(*a.shape[:-1], heads, a.shape[-1] // heads)
+    return np.swapaxes(y, -3, -2)
 
-    ``mask`` is an additive constant (broadcastable to the score shape);
-    use -inf to exclude keys. Attention weights per query row sum to 1.
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(..., heads, L, dh) -> (..., L, heads * dh)."""
+    y = np.swapaxes(a, -3, -2)
+    return y.reshape(*y.shape[:-2], y.shape[-2] * y.shape[-1])
+
+
+def mha(q: Tensor, k: Tensor, v: Tensor, heads: int,
+        mask: np.ndarray | None = None):
+    """Multi-head ``softmax(q kᵀ / sqrt(d) + mask) v`` in one node.
+
+    q is (..., Q, D); k and v are (..., K, D) with the same leading
+    shape. D is split into ``heads`` heads of width d = D / heads, and
+    the head outputs are merged back into (..., Q, D). ``mask`` is an
+    additive constant broadcastable to the (..., heads, Q, K) scores;
+    use -inf to exclude keys. Returns the output Tensor and the
+    attention weights as a (..., heads, Q, K) array whose rows sum to 1.
     """
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
         raise ShapeError("attention operands must have ndim >= 2")
-    d = q.shape[-1]
-    if d <= 0 or k.shape[-1] != d:
-        raise ShapeError(f"query/key width mismatch: {q.shape} vs {k.shape}")
-    if v.shape[-2] != k.shape[-2]:
-        raise ShapeError(f"key/value length mismatch: {k.shape} vs {v.shape}")
-    scores = (q @ k.swap_last()) * (1.0 / math.sqrt(d))
+    d_model = q.shape[-1]
+    if k.shape[-1] != d_model or q.shape[:-2] != k.shape[:-2]:
+        raise ShapeError(f"query/key shapes do not conform: "
+                         f"{q.shape} vs {k.shape}")
+    if v.shape != k.shape:
+        raise ShapeError(f"key/value shapes differ: {k.shape} vs {v.shape}")
+    if heads < 1 or d_model % heads != 0:
+        raise ShapeError(f"{heads} heads do not divide width {d_model}")
+    scale = 1.0 / math.sqrt(d_model // heads)
+    qs, ks, vs = (_split_heads(t.data, heads) for t in (q, k, v))
+    scores = (qs @ np.swapaxes(ks, -1, -2)) * scale
     if mask is not None:
-        scores = scores + Tensor(mask)
-    weights = softmax(scores, axis=-1)
-    out = weights @ v
-    if return_weights:
-        return out, weights
-    return out
+        scores = scores + np.asarray(mask, dtype=np.float64)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    o = weights @ vs
+
+    def back(g):
+        go = _split_heads(g, heads)
+        gw = go @ np.swapaxes(vs, -1, -2)
+        # softmax backward; rowsum(gw * weights) equals rowsum(go * o),
+        # the identity FlashAttention uses (Dao et al. 2022)
+        gs = weights * (gw - (go * o).sum(axis=-1, keepdims=True)) * scale
+        return (_merge_heads(gs @ ks),
+                _merge_heads(np.swapaxes(gs, -1, -2) @ qs),
+                _merge_heads(np.swapaxes(weights, -1, -2) @ go))
+
+    return Tensor._from_op(_merge_heads(o), (q, k, v), back), weights
 
 
 def cosine_similarity_matrix(a: Tensor, b: Tensor) -> Tensor:

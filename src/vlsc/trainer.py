@@ -459,15 +459,26 @@ def _validate_corpus(config: TrainConfig, corpus) -> None:
                          f"{config.k_max}")
 
 
+def _abort(model: PretrainModel, opt: AdamW, step: int,
+           config: TrainConfig, out_dir, message: str):
+    """Save the state the failing step started from as
+    ckpt_diagnostic.vlsc in out_dir, if given, then raise NumericError."""
+    if out_dir is not None:
+        save_checkpoint(snapshot(model, opt, step, config),
+                        os.path.join(out_dir, "ckpt_diagnostic.vlsc"))
+    raise NumericError(message)
+
+
 def train(config: TrainConfig, corpus, out_dir=None, resume=None):
     """Run the loop; returns (final Checkpoint, metrics lines).
 
     out_dir, when given, receives metrics.txt (append-only),
-    ckpt_final.vlsc, interval checkpoints, and on a non-finite loss a
-    diagnostic checkpoint next to the NumericError. resume continues
-    from a checkpoint's parameters, moments and step counter under the
-    *passed* config, so an interval checkpoint replays the rest of its
-    own run bit-exactly."""
+    ckpt_final.vlsc, interval checkpoints, and on a non-finite loss or
+    gradient norm a diagnostic checkpoint of the state before the failing
+    step next to the NumericError, which is raised before the optimizer
+    moves. resume continues from a checkpoint's parameters, moments and
+    step counter under the *passed* config, so an interval checkpoint
+    replays the rest of its own run bit-exactly."""
     _validate_corpus(config, corpus)
     if resume is None:
         model = PretrainModel(config)
@@ -506,16 +517,17 @@ def train(config: TrainConfig, corpus, out_dir=None, resume=None):
             vals = [report.cl, report.vtm, report.mlm, report.scl,
                     report.total]
             if not all(np.isfinite(v) for v in vals if v is not None):
-                if out_dir is not None:
-                    save_checkpoint(snapshot(model, opt, step, config),
-                                    os.path.join(out_dir,
-                                                 "ckpt_diagnostic.vlsc"))
-                raise NumericError(
-                    f"non-finite loss at step {step}: "
-                    f"cl={report.cl} vtm={report.vtm} mlm={report.mlm} "
-                    f"scl={report.scl}")
+                _abort(model, opt, step, config, out_dir,
+                       f"non-finite loss at step {step}: "
+                       f"cl={report.cl} vtm={report.vtm} mlm={report.mlm} "
+                       f"scl={report.scl}")
             total.backward()
-            clip_global_norm(model.params, config.grad_clip)
+            norm = clip_global_norm(model.params, config.grad_clip)
+            if not math.isfinite(norm):
+                # clipping scaled an inf gradient by 0, which gives NaN;
+                # the parameters and moments are still those of step - 1
+                _abort(model, opt, step, config, out_dir,
+                       f"non-finite gradient norm {norm} at step {step}")
             enc_lr, fus_lr = lr_at(step, config)
             opt.step(enc_lr, fus_lr)
             line = metrics_line(step, report, enc_lr)

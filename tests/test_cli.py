@@ -34,6 +34,7 @@ BAD_CORPORA = {
         GOOD_LINE + f"2\t2\tred cross\t{PX} 0.5 {PX} 0.5\n", 2),
     "not-utf8": (GOOD_LINE + "2\t1\tred cr\udcffoss\t0.5\n", 2),
     "nan-pixel": (f"1\t1\tred square\t{PX} nan\n", 1),
+    "unknown-word": (GOOD_LINE + f"2\t1\tpurple square\t{PX} 0.5\n", 2),
 }
 
 

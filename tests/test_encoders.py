@@ -201,7 +201,7 @@ class TestFusion:
         assert len(out.fusion.cross_attention) == cfg.layers_f
         for w in out.fusion.cross_attention:
             assert w.shape == (2, cfg.heads, cfg.k_max, out.v_flat.shape[1])
-            np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_zero_value_projections_decouple_text(self):
         # with the vision stream's cross value/output projections zeroed,

@@ -5,6 +5,7 @@ from vlsc import evalviz as ev
 from vlsc import synthdata as sd
 from vlsc.errors import InputError
 from vlsc.model import PretrainModel
+from vlsc.tensor import Tensor
 from vlsc.trainer import TrainConfig
 
 
@@ -75,6 +76,20 @@ class TestRetrieve:
         ev.encode_corpus(model, corpus(5), batch_size=2)
         assert model.forward_count == 0
 
+    def test_match_scores_same_with_graph(self):
+        # match_scores runs under no_grad; the same fusion with a graph
+        # built gives the same logits to the bit
+        model = small_model(seed=6)
+        enc = ev.encode_corpus(model, corpus(4, frames_m=2), batch_size=3)
+        t_idx, v_idx = np.array([0, 1, 2, 3]), np.array([2, 0, 3, 3])
+        _, v_g, t_g = model.fuse_pair(Tensor(enc.v_flat[v_idx]),
+                                      Tensor(enc.t_tokens[t_idx]),
+                                      enc.text_mask[t_idx], enc.frames_m)
+        live = model.vtm_logits(v_g, t_g)
+        assert live.requires_grad
+        assert np.array_equal(ev.match_scores(model, enc, t_idx, v_idx),
+                              live.data[:, 1])
+
     def test_csv_row_shape(self):
         model = small_model()
         r = ev.retrieve(model, corpus(3), k=2)
@@ -107,7 +122,7 @@ class TestAttentionRows:
         s = corpus(1, frames_m=2)[0]
         fwd = model.forward(s.frames[None], s.caption[None], train=False)
         for layer in fwd.fusion.cross_attention:
-            sums = layer.data.sum(axis=-1)
+            sums = layer.sum(axis=-1)
             assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
     def test_all_pad_caption_rejected(self):

@@ -48,7 +48,7 @@ def test_nonfinite_loss_raises():
     reg.register("x", np.array([0.0]))
 
     def loss():
-        return T.log(reg["x"]).sum()
+        return (reg["x"] ** -1.0).sum()
 
     with np.errstate(divide="ignore"), pytest.raises(NumericError):
         grad_check(loss, reg)
@@ -81,8 +81,22 @@ def test_through_layer_norm_and_attention():
     # invariant to the normalization (mean of squares of a normed row is ~1)
 
     def loss():
-        out = T.scaled_dot_attention(reg["q"], reg["k"], reg["v"])
+        out, _ = T.mha(reg["q"], reg["k"], reg["v"], 2)
         out = T.layer_norm(out, reg["g"], reg["b"])
         return (out * T.Tensor(w)).sum()
 
     assert grad_check(loss, reg) < 1e-5
+
+
+def test_only_the_analytic_pass_builds_a_graph():
+    reg = ParamRegistry()
+    reg.register("x", np.array([1.0, -2.0]))
+    graphs = []
+
+    def loss():
+        out = (reg["x"] * reg["x"]).sum()
+        graphs.append(out.requires_grad)
+        return out
+
+    grad_check(loss, reg)
+    assert graphs[0] and not any(graphs[1:]) and len(graphs) > 1
