@@ -21,7 +21,7 @@ from . import objectives as obj
 from . import synthdata as sd
 from . import trainer as tr
 from .encoders import VARIANTS
-from .errors import NumericError, VlscError
+from .errors import ConfigError, NumericError, VlscError
 from .gradcheck import grad_check
 from .model import PretrainModel
 
@@ -38,8 +38,19 @@ OBJECTIVE_ROWS = (
 )
 
 
+def _seed(raw: str, source: str) -> int:
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ConfigError(f"{source}: seed {raw!r} is not a non-negative "
+                          f"integer")
+    return seed
+
+
 def default_seed() -> int:
-    return int(os.environ.get("SCL_SEED", "0"))
+    return _seed(os.environ.get("SCL_SEED", "0"), "SCL_SEED")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,7 +310,7 @@ def split_corpus(pairs: int, frames_m: int, seed: int):
 
 
 def cmd_ablate(args) -> int:
-    seeds = ([int(s) for s in args.seeds.split(",")]
+    seeds = ([_seed(s, "--seeds") for s in args.seeds.split(",")]
              if args.seeds else [args.seed])
     rows = grid_rows(args.grid)
     with open(args.out, "w") as f:
@@ -331,8 +342,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)

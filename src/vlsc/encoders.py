@@ -7,7 +7,9 @@ masked patches are substituted with a learned mask embedding before the
 positional sums so geometry never changes. The fusion encoder runs
 modality self-attention then symmetric cross-attention per layer and
 retains the text-to-vision attention weights of every layer for
-visualization.
+visualization. Its pass splits into a per-stream layer-0 prefix, which
+re-ranking builds once per corpus item, and a finish that can skip the
+last layer's rows a caller never reads.
 
 The encoders read their shape from trainer.TrainConfig, which is checked
 on construction: frames_m sizes the temporal position table, and every
@@ -70,22 +72,26 @@ def ffn(reg, name: str, x: Tensor) -> Tensor:
 
 
 def attention(reg, name: str, q_in: Tensor, kv_in: Tensor, heads: int,
-              mask=None, return_weights: bool = False):
-    """Multi-head attention; q_in (..., Q, D), kv_in (..., K, D). With
-    return_weights, also the (..., h, Q, K) weights array."""
-    out, w = T.mha(linear(reg, f"{name}.q", q_in),
+              mask=None) -> Tensor:
+    """Multi-head attention; q_in (..., Q, D), kv_in (..., K, D)."""
+    out, _ = T.mha(linear(reg, f"{name}.q", q_in),
                    linear(reg, f"{name}.k", kv_in),
                    linear(reg, f"{name}.v", kv_in), heads, mask=mask)
-    out = linear(reg, f"{name}.o", out)
-    return (out, w) if return_weights else out
+    return linear(reg, f"{name}.o", out)
 
 
-def _drop(x: Tensor, p: float, train: bool, rng) -> Tensor:
+def _drop(x: Tensor, p: float, train: bool, rng, shape=None,
+          rows=None) -> Tensor:
+    """Dropout in train mode only; shape and rows as in T.dropout."""
     if train and p > 0.0:
         if rng is None:
             raise ConfigError("training forward needs an rng for dropout")
-        return T.dropout(x, p, rng)
+        return T.dropout(x, p, rng, shape=shape, rows=rows)
     return x
+
+
+def _take(x: Tensor, rows) -> Tensor:
+    return x if rows is None else T.take_rows(x, rows)
 
 
 def text_additive_mask(ids: np.ndarray) -> np.ndarray:
@@ -299,17 +305,66 @@ class TextEncoder:
 
 @dataclass
 class FusionOut:
-    vision_tokens: Tensor   # (B, n_vis, D)
-    text_tokens: Tensor     # (B, K, D)
+    # (B, n_vis, D) and (B, K, D) after the final norms; when the rows
+    # to finish were picked, those rows alone, folded to (B * rows, D)
+    vision_tokens: Tensor
+    text_tokens: Tensor
     # text-query -> vision-key attention weights, one (B, h, K, n_vis)
     # array per layer, rows summing to 1
     cross_attention: list = field(default_factory=list)
+
+
+@dataclass
+class FusionPrefix:
+    """The part of one fusion layer that reads a single stream: the
+    stream after its self-attention residual (g), its cross-attention
+    query (q), and the cross-attention keys and values the other stream
+    reads from it (k, v), all (B, L, D). With no fusion layer only g,
+    the stream itself, is set."""
+    g: Tensor
+    q: Tensor | None = None
+    k: Tensor | None = None
+    v: Tensor | None = None
+
+    def _fields(self):
+        return (self.g, self.q, self.k, self.v)
+
+    def take(self, idx) -> FusionPrefix:
+        """The prefix of the samples idx picks, outside any graph."""
+        return FusionPrefix(*(None if t is None else Tensor(t.data[idx])
+                              for t in self._fields()))
+
+    @staticmethod
+    def concat(parts: list) -> FusionPrefix:
+        """Batches of prefixes joined along the sample axis, outside
+        any graph."""
+        return FusionPrefix(*(
+            None if ts[0] is None
+            else Tensor(np.concatenate([t.data for t in ts]))
+            for ts in zip(*(p._fields() for p in parts))))
 
 
 class FusionEncoder:
     """Two streams per layer: modality self-attention, then symmetric
     cross-attention (vision queries text and text queries vision, both
     reading the post-self-attention state of the other stream), then FFN.
+
+    A pass runs in two steps. prefix() does the work of layer 0 that
+    reads one stream only; finish() runs both cross-attentions and
+    everything after them. Re-ranking builds each corpus item's prefix
+    once and calls finish() per candidate pair; every other caller goes
+    through __call__, which is finish(prefix(v), prefix(t)).
+
+    finish() can finish only some rows, (vision rows, text rows) along
+    the token axis, for a caller that reads no other row: the last
+    layer's cross-attention still runs every query row, since its
+    weights are kept, but its output projection, residuals, FFN and the
+    final norms run on the picked rows alone. A stream whose pick comes
+    to one row in all (batch 1, one row per sample) finishes every row
+    and is picked at the end: numpy computes a one-row product through
+    gemv, which rounds differently from the gemm of the other paths. Dropout masks are
+    drawn at the full shape either way, so the generator's stream does
+    not depend on the pick.
     """
 
     def __init__(self, reg: ParamRegistry, cfg: TrainConfig):
@@ -333,35 +388,74 @@ class FusionEncoder:
         ln_params(reg, "fusion.t_ln_f", d)
 
     def __call__(self, gv: Tensor, gt: Tensor, text_mask: np.ndarray,
-                 train: bool = False, rng=None) -> FusionOut:
+                 train: bool = False, rng=None, rows=None) -> FusionOut:
+        pv = self.prefix(gv, "v", train=train, rng=rng)
+        pt = self.prefix(gt, "t", text_mask, train=train, rng=rng)
+        return self.finish(pv, pt, text_mask, rows=rows, train=train,
+                           rng=rng)
+
+    def prefix(self, g: Tensor, side: str, text_mask=None,
+               train: bool = False, rng=None) -> FusionPrefix:
+        """Layer-0 prefix of the vision ("v") or text ("t") stream; the
+        text stream's self-attention reads text_mask."""
+        if self.cfg.layers_f == 0:
+            return FusionPrefix(g)
+        return self._prefix(g, side, 0, text_mask, train, rng)
+
+    def _prefix(self, g: Tensor, side: str, l: int, text_mask, train,
+                rng) -> FusionPrefix:
         reg, cfg = self.reg, self.cfg
-        h = cfg.heads
-        dp = cfg.dropout
+        own = f"fusion.l{l}.{side}"
+        other = f"fusion.l{l}.{'t' if side == 'v' else 'v'}"
+        x = ln(reg, f"{own}.ln1", g)
+        g1 = g + _drop(attention(reg, f"{own}.self", x, x, cfg.heads,
+                                 mask=text_mask if side == "t" else None),
+                       cfg.dropout, train, rng)
+        q = linear(reg, f"{own}.cross.q", ln(reg, f"{own}.ln2", g1))
+        kv = ln(reg, f"{other}.lnkv", g1)
+        return FusionPrefix(g1, q, linear(reg, f"{other}.cross.k", kv),
+                            linear(reg, f"{other}.cross.v", kv))
+
+    def finish(self, pv: FusionPrefix, pt: FusionPrefix,
+               text_mask: np.ndarray, rows=None, train: bool = False,
+               rng=None) -> FusionOut:
+        """The rest of the pass after both layer-0 prefixes. rows, if
+        given, is (vision row indices, text row indices): the rows to
+        finish, returned folded to (B * rows, D)."""
+        reg, cfg = self.reg, self.cfg
+        h, dp = cfg.heads, cfg.dropout
+        b = pv.g.shape[0]
+        # the last layer's picks; None finishes every row
+        last = (None, None)
+        if rows is not None:
+            last = tuple(idx if b * len(idx) > 1 else None for idx in rows)
         weights = []
+        gv, gt = pv.g, pt.g
         for l in range(cfg.layers_f):
-            pv, pt = f"fusion.l{l}.v", f"fusion.l{l}.t"
-            xv = ln(reg, f"{pv}.ln1", gv)
-            gv1 = gv + _drop(attention(reg, f"{pv}.self", xv, xv, h),
-                             dp, train, rng)
-            xt = ln(reg, f"{pt}.ln1", gt)
-            gt1 = gt + _drop(attention(reg, f"{pt}.self", xt, xt, h,
-                                       mask=text_mask), dp, train, rng)
-
-            qv = ln(reg, f"{pv}.ln2", gv1)
-            kvt = ln(reg, f"{pv}.lnkv", gt1)
-            cv = attention(reg, f"{pv}.cross", qv, kvt, h, mask=text_mask)
-            qt = ln(reg, f"{pt}.ln2", gt1)
-            kvv = ln(reg, f"{pt}.lnkv", gv1)
-            ct, w = attention(reg, f"{pt}.cross", qt, kvv, h,
-                              return_weights=True)
-            gv2 = gv1 + _drop(cv, dp, train, rng)
-            gt2 = gt1 + _drop(ct, dp, train, rng)
+            if l > 0:
+                pv = self._prefix(gv, "v", l, None, train, rng)
+                pt = self._prefix(gt, "t", l, text_mask, train, rng)
+            cv, _ = T.mha(pv.q, pt.k, pt.v, h, mask=text_mask)
+            ct, w = T.mha(pt.q, pv.k, pv.v, h)
             weights.append(w)
-
-            gv = gv2 + _drop(ffn(reg, f"{pv}.ffn", ln(reg, f"{pv}.ln3", gv2)),
-                             dp, train, rng)
-            gt = gt2 + _drop(ffn(reg, f"{pt}.ffn", ln(reg, f"{pt}.ln3", gt2)),
-                             dp, train, rng)
-        return FusionOut(vision_tokens=ln(reg, "fusion.v_ln_f", gv),
-                         text_tokens=ln(reg, "fusion.t_ln_f", gt),
+            rv, rt = last if l == cfg.layers_f - 1 else (None, None)
+            lv, lt = f"fusion.l{l}.v", f"fusion.l{l}.t"
+            gv = _take(pv.g, rv) + _drop(
+                linear(reg, f"{lv}.cross.o", _take(cv, rv)), dp, train,
+                rng, cv.shape, rv)
+            gt = _take(pt.g, rt) + _drop(
+                linear(reg, f"{lt}.cross.o", _take(ct, rt)), dp, train,
+                rng, ct.shape, rt)
+            gv = gv + _drop(ffn(reg, f"{lv}.ffn", ln(reg, f"{lv}.ln3", gv)),
+                            dp, train, rng, cv.shape, rv)
+            gt = gt + _drop(ffn(reg, f"{lt}.ffn", ln(reg, f"{lt}.ln3", gt)),
+                            dp, train, rng, ct.shape, rt)
+        out_v = ln(reg, "fusion.v_ln_f", gv)
+        out_t = ln(reg, "fusion.t_ln_f", gt)
+        if rows is not None:
+            # a stream not picked above (a single row, or no layer) is
+            # still (B, L, D)
+            out_v, out_t = (T.take_rows(x, idx) if x.ndim == 3 else x
+                            for x, idx in zip((out_v, out_t), rows))
+        return FusionOut(vision_tokens=out_v, text_tokens=out_t,
                          cross_attention=weights)

@@ -2,7 +2,11 @@
 
 Retrieval runs in two stages: a cosine shortlist over the projected
 uni-modal globals, then an optional re-ranking of the top k candidates
-by the match head's positive-class logit. k=0 skips re-ranking.
+by the match head's positive-class logit. k=0 skips re-ranking and
+runs no fusion work. For k > 0 the layer-0 fusion prefix of every
+vision stream and every caption (FusionEncoder.prefix) is built once;
+each re-ranking call gathers its pairs' prefixes and finishes only the
+rows the match head reads.
 
 Heatmaps come from the text-[CLS] query row of the text-to-vision
 cross-attention in the last fusion layer: per-head weights are kept
@@ -15,12 +19,14 @@ A flat map (max equals min) normalizes to all zeros by convention.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .encoders import FusionPrefix
 from .errors import InputError
 from .model import PretrainModel
 from .synthdata import PAD_ID
@@ -54,6 +60,9 @@ class EncodedCorpus:
     t_tokens: np.ndarray  # (n, K, D)
     text_mask: np.ndarray
     frames_m: int
+    # layer-0 fusion prefixes of every item, once with_prefixes built them
+    v_prefix: FusionPrefix | None = None
+    t_prefix: FusionPrefix | None = None
 
 
 def encode_corpus(model: PretrainModel, corpus,
@@ -89,15 +98,40 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return an @ bn.T
 
 
+def _prefixes(model: PretrainModel, v_flat: np.ndarray,
+              t_tokens: np.ndarray, text_mask: np.ndarray):
+    with no_grad():
+        return (model.fusion.prefix(Tensor(v_flat), "v"),
+                model.fusion.prefix(Tensor(t_tokens), "t", text_mask))
+
+
+def with_prefixes(model: PretrainModel, enc: EncodedCorpus,
+                  batch_size: int = 16) -> EncodedCorpus:
+    """enc with the layer-0 fusion prefix of every vision stream and
+    every caption, built batch by batch."""
+    parts = [_prefixes(model, enc.v_flat[lo:lo + batch_size],
+                       enc.t_tokens[lo:lo + batch_size],
+                       enc.text_mask[lo:lo + batch_size])
+             for lo in range(0, enc.v_flat.shape[0], batch_size)]
+    v_parts, t_parts = zip(*parts)
+    return dataclasses.replace(enc, v_prefix=FusionPrefix.concat(v_parts),
+                               t_prefix=FusionPrefix.concat(t_parts))
+
+
 def match_scores(model: PretrainModel, enc: EncodedCorpus,
                  text_idx: np.ndarray, vis_idx: np.ndarray) -> np.ndarray:
     """Positive-class match logit for each (text_idx[j], vis_idx[j])
-    pair, fused in one batch."""
+    pair, fused in one batch. The pairs' layer-0 prefixes come from
+    enc's tables when with_prefixes built them, and are built for the
+    picked streams otherwise; the scores are the same to the bit."""
+    if enc.v_prefix is None:
+        pv, pt = _prefixes(model, enc.v_flat[vis_idx],
+                           enc.t_tokens[text_idx], enc.text_mask[text_idx])
+    else:
+        pv, pt = enc.v_prefix.take(vis_idx), enc.t_prefix.take(text_idx)
     with no_grad():
-        _, v_g, t_g = model.fuse_pair(Tensor(enc.v_flat[vis_idx]),
-                                      Tensor(enc.t_tokens[text_idx]),
-                                      enc.text_mask[text_idx],
-                                      enc.frames_m, train=False)
+        v_g, t_g = model.fuse_prefixes(pv, pt, enc.text_mask[text_idx],
+                                       enc.frames_m)
         return model.vtm_logits(v_g, t_g).data[:, 1]
 
 
@@ -140,6 +174,8 @@ def retrieve(model: PretrainModel, corpus, k: int = 0,
     if k < 0 or k > n:
         raise InputError(f"re-rank depth {k} outside [0, {n}]")
     enc = encode_corpus(model, corpus, batch_size=batch_size)
+    if k > 0:
+        enc = with_prefixes(model, enc, batch_size=batch_size)
     sims = cosine_matrix(enc.t_proj, enc.v_proj)  # rows: text queries
     ir = _recalls(_query_ranks(model, enc, sims, k, text_queries=True))
     tr = _recalls(_query_ranks(model, enc, sims.T, k, text_queries=False))

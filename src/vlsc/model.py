@@ -11,8 +11,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
-from .encoders import (FusionEncoder, FusionOut, TextEncoder, VisionEncoder,
-                       linear, linear_params)
+from .encoders import (FusionEncoder, FusionOut, FusionPrefix, TextEncoder,
+                       VisionEncoder, linear, linear_params)
 from .tensor import ParamRegistry, Tensor
 
 if TYPE_CHECKING:
@@ -39,10 +39,12 @@ class ForwardOut:
 
 class PretrainModel:
     """forward() encodes vision, then text, then fuses them through
-    fuse_pair(), the one fusion path. Callers that reuse an encoding
-    (the objectives, retrieval) call self.vision and self.text directly
-    and fuse through fuse_pair(). forward_count counts fused passes:
-    every fuse_pair() call, inside forward() or not."""
+    fuse_pair(). Callers that reuse an encoding (the objectives) call
+    self.vision and self.text directly and fuse through fuse_pair();
+    re-ranking, which reuses each item's layer-0 fusion prefix too,
+    fuses through fuse_prefixes(). Both run the one FusionEncoder.
+    forward_count counts fused passes: every fuse_pair() or
+    fuse_prefixes() call, inside forward() or not."""
 
     def __init__(self, config: TrainConfig):
         self.config = config
@@ -85,18 +87,50 @@ class PretrainModel:
 
     def fuse_pair(self, v_flat: Tensor, t_tokens: Tensor,
                   text_mask: np.ndarray, frames_m: int,
-                  train: bool = False, rng=None):
+                  train: bool = False, rng=None, globals_only: bool = False):
         """Fusion + both fused globals for already-encoded streams.
-        Returns (FusionOut, v_global, t_global)."""
+        Returns (FusionOut, v_global, t_global). With globals_only the
+        last fusion layer finishes only the rows the globals read, and
+        the FusionOut holds those rows alone (see global_rows)."""
         self.forward_count += 1
-        fused = self.fusion(v_flat, t_tokens, text_mask, train=train, rng=rng)
-        v_global = self.fused_vision_global(fused.vision_tokens, frames_m)
-        t_global = fused.text_tokens[:, 0, :]
-        return fused, v_global, t_global
+        rows = self.global_rows(frames_m) if globals_only else None
+        fused = self.fusion(v_flat, t_tokens, text_mask, train=train,
+                            rng=rng, rows=rows)
+        return (fused,) + self._globals(fused, frames_m)
+
+    def fuse_prefixes(self, pv: FusionPrefix, pt: FusionPrefix,
+                      text_mask: np.ndarray, frames_m: int):
+        """(v_global, t_global) of streams whose layer-0 fusion prefixes
+        are already built, finishing only the rows the globals read;
+        one fused pass, like a fuse_pair call."""
+        self.forward_count += 1
+        fused = self.fusion.finish(pv, pt, text_mask,
+                                   rows=self.global_rows(frames_m))
+        return self._globals(fused, frames_m)
+
+    def global_rows(self, m: int):
+        """(vision rows, text rows) of the fusion output that the fused
+        globals read: every frame [CLS], or the global token, and the
+        text [CLS]."""
+        np1 = self.config.n_patches + 1
+        if self.config.variant == "GlobalCLS":
+            return np.array([m * np1]), np.array([0])
+        return np.arange(m) * np1, np.array([0])
+
+    def _globals(self, fused: FusionOut, m: int):
+        t = fused.text_tokens
+        return (self.fused_vision_global(fused.vision_tokens, m),
+                t if t.ndim == 2 else t[:, 0, :])
 
     def fused_vision_global(self, vision_tokens: Tensor, m: int) -> Tensor:
+        """From every row, (B, n_vis, D), or from the global_rows alone,
+        folded to (B * rows, D)."""
         cfg = self.config
         np1 = cfg.n_patches + 1
+        if vision_tokens.ndim == 2:
+            if cfg.variant == "GlobalCLS":
+                return vision_tokens
+            return vision_tokens.reshape(-1, m, cfg.embed_dim).mean(axis=1)
         if cfg.variant == "GlobalCLS":
             return vision_tokens[:, m * np1, :]
         b = vision_tokens.shape[0]

@@ -100,7 +100,7 @@ def vtm_loss(model: PretrainModel, vis: VisionOut, txt: TextOut, rng,
     for v_flat in (vis.flat, vis.flat[neg]):
         _, v_global, t_global = model.fuse_pair(
             v_flat, txt.tokens, txt.additive_mask, vis.grid.shape[1],
-            train=train, rng=rng)
+            train=train, rng=rng, globals_only=True)
         logits.append(model.vtm_logits(v_global, t_global))
     labels = np.concatenate([np.ones(n, dtype=np.int64),
                              np.zeros(n, dtype=np.int64)])
@@ -168,10 +168,12 @@ def scl_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
     txt_masked = model.text(masked_caps, train=train, rng=rng)
     _, i_re, t_co_live = model.fuse_pair(vis_masked.flat, txt.tokens,
                                          txt.additive_mask, m,
-                                         train=train, rng=rng)
+                                         train=train, rng=rng,
+                                         globals_only=True)
     _, i_co_live, t_re = model.fuse_pair(vis.flat, txt_masked.tokens,
                                          txt_masked.additive_mask, m,
-                                         train=train, rng=rng)
+                                         train=train, rng=rng,
+                                         globals_only=True)
 
     if frozen_targets is None:
         i_co = i_co_live.detach()

@@ -204,6 +204,8 @@ def generate_corpus(n: int, frames_m: int = 1, seed: int = 0,
     """n unique-caption samples; pure function of (n, frames_m, seed)."""
     if n <= 0:
         raise InputError("corpus size must be positive")
+    if seed < 0:
+        raise InputError(f"seed {seed} is negative")
     if vocab is None:
         vocab = default_vocab()
     master = np.random.default_rng(seed)

@@ -5,11 +5,11 @@ parents and a backward closure; ``Tensor.backward()`` runs a topological
 sweep and accumulates gradients into every reachable tensor that has
 ``requires_grad`` set. Inside ``no_grad()`` ops record nothing. The op
 set is deliberately small: matmul, reshape, transpose, concat,
-slicing/gather, elementwise arithmetic, sum/mean, log-softmax, GELU,
-clip, dropout, embedding lookup, cosine similarity and cross-entropy,
-plus three fused single-node kernels with closed-form backward: linear
-(x @ W + b), layer norm and multi-head attention. Everything else in the
-package is composed from these.
+slicing/gather, row picking, elementwise arithmetic, sum/mean,
+log-softmax, GELU, clip, dropout, embedding lookup, cosine similarity
+and cross-entropy, plus three fused single-node kernels with
+closed-form backward: linear (x @ W + b), layer norm and multi-head
+attention. Everything else in the package is composed from these.
 
 Each fused forward runs the numpy operations of its composed equivalent
 in the same order, so forward values are bit-identical to composing the
@@ -345,11 +345,20 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return Tensor._from_op(out, (x,), back)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; caller decides whether training is active."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator,
+            shape: tuple | None = None, rows=None) -> Tensor:
+    """Inverted dropout; caller decides whether training is active.
+
+    When x is ``take_rows`` of a tensor of ``shape`` at ``rows``, the
+    mask is drawn at ``shape`` and its rows taken the same way, so the
+    generator advances exactly as it would for the whole tensor.
+    """
     if p <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
+    keep = (rng.random(x.shape if rows is None else shape) >= p) \
+        / (1.0 - p)
+    if rows is not None:
+        keep = keep[:, rows].reshape(x.shape)
     return Tensor._from_op(x.data * keep, (x,), lambda g: (g * keep,))
 
 
@@ -378,6 +387,19 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return Tensor._from_op(out, tuple(tensors), back)
+
+
+def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """The distinct positions ``rows`` along axis 1 of x (B, L, D),
+    folded to (B * len(rows), D)."""
+    out = x.data[:, rows].reshape(-1, x.shape[-1])
+
+    def back(g):
+        gx = np.zeros(x.shape)
+        gx[:, rows] = g.reshape(x.shape[0], len(rows), x.shape[-1])
+        return (gx,)
+
+    return Tensor._from_op(out, (x,), back)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:

@@ -22,10 +22,14 @@ File formats owned by this module:
   ``step cl vtm mlm scl total lr`` with %.17g floats, ``nan`` for
   disabled objectives. A ``#``-prefixed header line is written when
   the file is created.
+
+Checkpoints and config files are written atomically (write_atomic): a
+failed or interrupted save never leaves a partial file at the target.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -203,13 +207,33 @@ def load_config(path) -> TrainConfig:
     return TrainConfig(**parse_config_file(path))
 
 
+def write_atomic(path, chunks) -> None:
+    """Write the byte strings chunks yields to a temporary file in
+    path's directory, then rename it over path. On any failure the
+    temporary file is removed and a file already at path is left as it
+    was."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_config(config: TrainConfig, path) -> None:
-    with open(path, "w") as f:
+    def lines():
         for fld in dataclasses.fields(config):
             val = getattr(config, fld.name)
             if isinstance(val, bool):
                 val = "true" if val else "false"
-            f.write(f"{fld.name} = {val}\n")
+            yield f"{fld.name} = {val}\n".encode()
+    write_atomic(path, lines())
 
 
 # schedule
@@ -340,26 +364,23 @@ def build_model(ckpt: Checkpoint):
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     if not (set(ckpt.params) == set(ckpt.m) == set(ckpt.v)):
         raise ShapeError("parameter / moment name sets differ")
-    directory = []
-    blobs = []
-    for kind, table in (("param", ckpt.params), ("m", ckpt.m),
-                        ("v", ckpt.v)):
-        for name in sorted(table):
-            arr = np.ascontiguousarray(table[name], dtype=np.float64)
-            directory.append({"kind": kind, "name": name,
-                              "shape": list(arr.shape)})
-            blobs.append(arr.tobytes())
+    arrays = [(kind, name, table[name])
+              for kind, table in (("param", ckpt.params), ("m", ckpt.m),
+                                  ("v", ckpt.v))
+              for name in sorted(table)]
     header = {"format": 1, "step": ckpt.step, "t": ckpt.t,
               "config": dataclasses.asdict(ckpt.config),
-              "arrays": directory}
+              "arrays": [{"kind": kind, "name": name,
+                          "shape": list(np.shape(arr))}
+                         for kind, name, arr in arrays]}
     raw = json.dumps(header, sort_keys=True,
                      separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<Q", len(raw)))
-        f.write(raw)
-        for b in blobs:
-            f.write(b)
+
+    def chunks():
+        yield CKPT_MAGIC + struct.pack("<Q", len(raw)) + raw
+        for _, _, arr in arrays:
+            yield np.ascontiguousarray(arr, dtype=np.float64).tobytes()
+    write_atomic(path, chunks())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -461,10 +482,11 @@ def _validate_corpus(config: TrainConfig, corpus) -> None:
 
 def _abort(model: PretrainModel, opt: AdamW, step: int,
            config: TrainConfig, out_dir, message: str):
-    """Save the state the failing step started from as
-    ckpt_diagnostic.vlsc in out_dir, if given, then raise NumericError."""
+    """Save the state the failing step started from, that after step - 1,
+    as ckpt_diagnostic.vlsc in out_dir, if given, then raise
+    NumericError. A resume from it replays the failing step."""
     if out_dir is not None:
-        save_checkpoint(snapshot(model, opt, step, config),
+        save_checkpoint(snapshot(model, opt, step - 1, config),
                         os.path.join(out_dir, "ckpt_diagnostic.vlsc"))
     raise NumericError(message)
 

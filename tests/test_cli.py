@@ -56,6 +56,11 @@ class TestGenData:
         assert run("gen-data", "--out", str(tmp_path / "c.tsv"),
                    "--n", "0") == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert run("gen-data", "--out", str(tmp_path / "c.tsv"),
+                   "--seed", "-1") == 2
+        assert "seed -1" in capsys.readouterr().err
+
     def test_multiframe(self, tmp_path):
         path = tmp_path / "c.tsv"
         assert run("gen-data", "--out", str(path), "--n", "2",
@@ -262,3 +267,55 @@ class TestSeedEnv:
         monkeypatch.setenv("SCL_SEED", "77")
         args = cli.build_parser().parse_args(["gradcheck", "--seed", "3"])
         assert args.seed == 3
+
+    def test_non_integer_scl_seed_is_usage_error(self, monkeypatch, capsys,
+                                                 tmp_path):
+        monkeypatch.setenv("SCL_SEED", "abc")
+        assert run("gen-data", "--out", str(tmp_path / "c.tsv"),
+                   "--n", "2") == 2
+        err = capsys.readouterr().err
+        assert "SCL_SEED" in err and "'abc'" in err
+        assert not (tmp_path / "c.tsv").exists()
+
+    def test_non_integer_ablate_seed_is_usage_error(self, capsys, tmp_path):
+        csv = tmp_path / "ablate.csv"
+        assert run("ablate", "--grid", "objectives", "--out", str(csv),
+                   "--steps", "1", "--pairs", "2", "--seeds", "1,x") == 2
+        assert "'x'" in capsys.readouterr().err
+        assert not csv.exists()
+        # a negative seed is refused before any grid point trains
+        assert run("ablate", "--grid", "objectives", "--out", str(csv),
+                   "--steps", "1", "--pairs", "2", "--seeds", "0,-1") == 2
+        assert "'-1'" in capsys.readouterr().err
+        assert not csv.exists()
+
+
+class TestRetrievePinned:
+    # eval-retrieval CSV rows of a 2-step-trained checkpoint, recorded
+    # before re-ranking read cached fusion prefixes
+    PINNED = {
+        1: ["16,0,0.0625,0.3125,0.625,0.0625,0.3125,0.625",
+            "16,8,0.0625,0.3125,0.625,0.0625,0.3125,0.625"],
+        2: ["16,0,0.0625,0.3125,0.625,0.0625,0.3125,0.625",
+            "16,8,0.125,0.3125,0.625,0.0625,0.3125,0.625"],
+    }
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rows_pinned(self, tmp_path, m):
+        cfg = tr.TrainConfig(total_steps=2, batch=4, seed=3, embed_dim=8,
+                             heads=2, layers_v=1, layers_t=1, layers_f=2,
+                             frames_m=m, phase="video" if m > 1 else "image")
+        tr.save_config(cfg, tmp_path / "run.cfg")
+        both = sd.generate_corpus(28, frames_m=m, seed=3)
+        sd.save_corpus(tmp_path / "train.tsv", both[:12])
+        sd.save_corpus(tmp_path / "heldout.tsv", both[12:])
+        assert run("pretrain", "--config", str(tmp_path / "run.cfg"),
+                   "--corpus", str(tmp_path / "train.tsv"),
+                   "--out", str(tmp_path / "run")) == 0
+        csv = tmp_path / "r.csv"
+        for k in ("0", "8"):
+            assert run("eval-retrieval", "--ckpt",
+                       str(tmp_path / "run" / "ckpt_final.vlsc"),
+                       "--corpus", str(tmp_path / "heldout.tsv"),
+                       "--k", k, "--out", str(csv)) == 0
+        assert csv.read_text().splitlines()[1:] == self.PINNED[m]

@@ -3,6 +3,7 @@ import pytest
 
 from vlsc import evalviz as ev
 from vlsc import synthdata as sd
+from vlsc.encoders import FusionEncoder
 from vlsc.errors import InputError
 from vlsc.model import PretrainModel
 from vlsc.tensor import Tensor
@@ -90,12 +91,61 @@ class TestRetrieve:
         assert np.array_equal(ev.match_scores(model, enc, t_idx, v_idx),
                               live.data[:, 1])
 
+    def test_k0_builds_no_prefix(self, monkeypatch):
+        calls = []
+        real = FusionEncoder.prefix
+
+        def counted(self, *args, **kw):
+            calls.append(None)
+            return real(self, *args, **kw)
+        monkeypatch.setattr(FusionEncoder, "prefix", counted)
+        model = small_model(seed=12)
+        c = corpus(5)
+        ev.retrieve(model, c, k=0, batch_size=2)
+        assert calls == [] and model.forward_count == 0
+        # k > 0: one vision and one text prefix per batch, one fused
+        # pass per query and direction
+        ev.retrieve(model, c, k=2, batch_size=2)
+        assert len(calls) == 2 * 3 and model.forward_count == 2 * 5
+
     def test_csv_row_shape(self):
         model = small_model()
         r = ev.retrieve(model, corpus(3), k=2)
         row = r.csv_row()
         assert len(row.split(",")) == len(r.CSV_HEADER.split(","))
         assert row.startswith("3,2,")
+
+
+def reference_scores(model, enc, text_idx, vis_idx):
+    """Every fusion row finished, then the match head."""
+    _, v_g, t_g = model.fuse_pair(Tensor(enc.v_flat[vis_idx]),
+                                  Tensor(enc.t_tokens[text_idx]),
+                                  enc.text_mask[text_idx], enc.frames_m)
+    return model.vtm_logits(v_g, t_g).data[:, 1]
+
+
+class TestMatchScoresExact:
+    # the prefix tables and the last layer's row picking must not move
+    # a score by one bit; at D=32 a one-row product (k=1, M=1) rounds
+    # differently when numpy sends it through gemv
+    @pytest.mark.parametrize("variant", ["FrameCLS", "MeanPooling",
+                                         "GlobalCLS"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("layers_f", [0, 1, 2])
+    def test_equals_full_fusion(self, variant, m, layers_f):
+        n = 5
+        model = small_model(seed=13, variant=variant, layers_f=layers_f,
+                            embed_dim=32, heads=4)
+        enc = ev.encode_corpus(model, corpus(n, frames_m=m), batch_size=2)
+        tables = ev.with_prefixes(model, enc, batch_size=2)
+        for k in (1, n):
+            query = np.full(k, 3)
+            cands = np.arange(n)[::-1][:k]
+            for t_idx, v_idx in ((query, cands), (cands, query)):
+                want = reference_scores(model, enc, t_idx, v_idx)
+                for e in (enc, tables):
+                    got = ev.match_scores(model, e, t_idx, v_idx)
+                    assert np.array_equal(got, want)
 
 
 class TestRerankHelper:

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import resource
+import signal
 import struct
 
 import numpy as np
@@ -119,7 +121,25 @@ class TestConfigValidation:
         tr.TrainConfig(base_lr=1)  # an int is a valid float value
 
 
+class _Unformattable:
+    def __format__(self, spec):
+        raise RuntimeError("cannot format")
+
+
 class TestConfigFile:
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        # variant is late in the field order: the earlier lines are
+        # written before its value fails to format
+        path = tmp_path / "c.cfg"
+        tr.save_config(tr.TrainConfig(), path)
+        old = path.read_bytes()
+        cfg = tr.TrainConfig(seed=9)
+        cfg.variant = _Unformattable()
+        with pytest.raises(RuntimeError):
+            tr.save_config(cfg, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]
+
     def test_roundtrip(self, tmp_path):
         cfg = tiny_train_config(base_lr=2.5e-3, scl=False,
                                 image_mask_ratio=0.7, variant="GlobalCLS")
@@ -258,6 +278,25 @@ class TestCheckpointIO:
         tr.save_checkpoint(ckpt, p1)
         tr.save_checkpoint(tr.load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        # a file-size limit of half the checkpoint makes the write fail
+        # part-way, as a full disk would
+        path = tmp_path / "c.vlsc"
+        ckpt = tr.init_checkpoint(tiny_train_config())
+        tr.save_checkpoint(ckpt, path)
+        old = path.read_bytes()
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (len(old) // 2, hard))
+        try:
+            with pytest.raises(OSError):
+                tr.save_checkpoint(dataclasses.replace(ckpt, step=1), path)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+            signal.signal(signal.SIGXFSZ, handler)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["c.vlsc"]
 
     def test_roundtrip_restores_everything(self, tmp_path):
         cfg = tiny_train_config(scl=False, base_lr=7e-4)
@@ -439,10 +478,18 @@ class TestTrainLoop:
         diag = tr.load_checkpoint(tmp_path / "ckpt_diagnostic.vlsc")
         prev = tr.load_checkpoint(tmp_path / "ckpt_step1.vlsc")
         assert diag.t == prev.t == 1
+        assert diag.step == 1
         for table in ("params", "m", "v"):
             for name, arr in getattr(diag, table).items():
                 assert np.all(np.isfinite(arr))
                 assert np.array_equal(arr, getattr(prev, table)[name])
+        # without the poison, a resume from the diagnostic replays the
+        # failing step as a clean run takes it
+        monkeypatch.undo()
+        _, clean = tr.train(cfg, small_corpus())
+        _, resumed = tr.train(cfg, small_corpus(), resume=diag)
+        assert resumed[0].split()[0] == "2"
+        assert resumed[0] == clean[1]
 
     def test_loss_moves(self):
         # two steps with a generous rate must change the parameters
