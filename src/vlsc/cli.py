@@ -176,11 +176,12 @@ def cmd_eval_retrieval(args) -> int:
     print(f"TR  r@1 {r.tr_r1:.4f}  r@5 {r.tr_r5:.4f}  "
           f"r@10 {r.tr_r10:.4f}")
     if args.out:
-        fresh = not os.path.exists(args.out)
-        with open(args.out, "a") as f:
-            if fresh:
-                f.write(r.CSV_HEADER + "\n")
-            f.write(r.csv_row() + "\n")
+        try:
+            with open(args.out, "rb") as f:
+                old = f.read()
+        except FileNotFoundError:
+            old = (r.CSV_HEADER + "\n").encode()
+        tr.write_atomic(args.out, [old, (r.csv_row() + "\n").encode()])
     return 0
 
 
@@ -285,19 +286,18 @@ def _last_losses(metrics) -> list:
     return [float(v) for v in metrics[-1].split()[1:6]]
 
 
-def ablate_point(name: str, overrides: dict, train_split, eval_split,
-                 steps: int, batch: int, seed: int, k: int):
+def ablate_point(name: str, config: tr.TrainConfig, train_split,
+                 eval_split, k: int):
     """Train one grid point from scratch and evaluate both retrieval
     stages on the held-out split. Returns the CSV cell values."""
-    config = tr.TrainConfig(total_steps=steps, batch=batch, seed=seed,
-                            **overrides)
     final, metrics = tr.train(config, train_split)
     model, _ = tr.build_model(final)
     depth = min(k, len(eval_split))
     r0 = ev.retrieve(model, eval_split, k=0)
     rk = ev.retrieve(model, eval_split, k=depth)
     losses = _last_losses(metrics)
-    return ([name, seed, steps, len(train_split)] + losses
+    return ([name, config.seed, config.total_steps, len(train_split)]
+            + losses
             + [r0.ir_r1, r0.ir_r5, r0.ir_r10, r0.tr_r1, r0.tr_r5,
                r0.tr_r10, rk.ir_r1, rk.ir_r5, rk.ir_r10, rk.tr_r1,
                rk.tr_r5, rk.tr_r10])
@@ -312,21 +312,25 @@ def split_corpus(pairs: int, frames_m: int, seed: int):
 def cmd_ablate(args) -> int:
     seeds = ([_seed(s, "--seeds") for s in args.seeds.split(",")]
              if args.seeds else [args.seed])
-    rows = grid_rows(args.grid)
-    with open(args.out, "w") as f:
-        f.write(ABLATE_HEADER + "\n")
-        for seed in seeds:
-            train_split, eval_split = split_corpus(args.pairs, 1, seed)
-            for name, overrides in rows:
-                cells = ablate_point(name, overrides, train_split,
-                                     eval_split, args.steps,
-                                     args.batch, seed, args.k)
-                line = ",".join(
-                    [args.grid] + [str(c) if not isinstance(c, float)
-                                   else f"{c:.17g}" for c in cells])
-                f.write(line + "\n")
-                f.flush()
-                print(f"done: {name} seed {seed}")
+    # every grid point's config is built, and so checked, before any
+    # training or write: a rejected grid leaves --out as it was
+    points = [(seed, [(name, tr.TrainConfig(total_steps=args.steps,
+                                            batch=args.batch, seed=seed,
+                                            **overrides))
+                      for name, overrides in grid_rows(args.grid)])
+              for seed in seeds]
+    lines = [ABLATE_HEADER + "\n"]
+    for seed, configs in points:
+        train_split, eval_split = split_corpus(args.pairs, 1, seed)
+        for name, config in configs:
+            cells = ablate_point(name, config, train_split, eval_split,
+                                 args.k)
+            lines.append(",".join(
+                [args.grid] + [str(c) if not isinstance(c, float)
+                               else f"{c:.17g}" for c in cells]) + "\n")
+            # the whole file so far, replaced at once
+            tr.write_atomic(args.out, [ln.encode() for ln in lines])
+            print(f"done: {name} seed {seed}")
     print(f"wrote {args.out}")
     return 0
 

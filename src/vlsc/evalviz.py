@@ -4,9 +4,15 @@ Retrieval runs in two stages: a cosine shortlist over the projected
 uni-modal globals, then an optional re-ranking of the top k candidates
 by the match head's positive-class logit. k=0 skips re-ranking and
 runs no fusion work. For k > 0 the layer-0 fusion prefix of every
-vision stream and every caption (FusionEncoder.prefix) is built once;
-each re-ranking call gathers its pairs' prefixes and finishes only the
-rows the match head reads.
+vision stream and every caption (FusionEncoder.prefix) is built once.
+Then the (text, vision) candidate pairs of every query in both
+directions are collected, and each distinct pair is scored once:
+match_scores calls of up to RERANK_ROW_BUDGET vision-token rows each
+gather their pairs' prefixes and finish only the rows the match head
+reads, dealt round-robin to one thread per usable core. Each query is
+then re-ranked from the table of scores. Every call holds a multiple of
+8 pairs, so each score equals, to the bit, the one an 8-pair call
+gives, as re-ranking one query at k=8 did.
 
 Heatmaps come from the text-[CLS] query row of the text-to-vision
 cross-attention in the last fusion layer: per-head weights are kept
@@ -22,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +38,18 @@ from .errors import InputError
 from .model import PretrainModel
 from .synthdata import PAD_ID
 from .tensor import Tensor, no_grad
+from .trainer import write_atomic
+
+# Re-ranking fuses its candidate pairs in match_scores calls of at most
+# RERANK_ROW_BUDGET vision-token rows: past that a bigger call costs
+# more per pair, not less. Each call holds a whole number of groups of
+# RERANK_PAIR_GROUP pairs, so every product in it is a stack of 8-pair
+# blocks of rows, and a pair's score equals the one an 8-pair call
+# gives. A call with a ragged tail does not: with OpenBLAS on x86-64, a
+# 30-pair call rounds the scores of its last pairs differently from
+# 8-pair calls, while calls of any multiple of 4 pairs agree with them.
+RERANK_ROW_BUDGET = 512
+RERANK_PAIR_GROUP = 8
 
 
 @dataclass
@@ -144,26 +163,74 @@ def rerank(order: np.ndarray, k: int, scores: np.ndarray) -> np.ndarray:
     return np.concatenate([reord, else_part])
 
 
-def _recalls(ranks: np.ndarray) -> tuple:
+def _recalls(orders: np.ndarray) -> tuple:
+    """Recall at 1, 5 and 10, where row q of orders ranks query q's
+    candidates and q is its own pair."""
+    ranks = np.nonzero(orders == np.arange(len(orders))[:, None])[1]
     return tuple(float(np.mean(ranks < kk)) for kk in (1, 5, 10))
 
 
-def _query_ranks(model: PretrainModel, enc: EncodedCorpus,
-                 sims: np.ndarray, k: int, text_queries: bool) -> np.ndarray:
-    """Rank of each query's own pair in its candidate ordering; row q
-    of sims scores query q against every candidate."""
-    n = sims.shape[0]
-    ranks = np.empty(n, dtype=np.int64)
-    for q in range(n):
-        order = np.argsort(-sims[q], kind="stable")
-        if k > 0:
-            query = np.full(k, q, dtype=np.int64)
-            text_idx, vis_idx = ((query, order[:k]) if text_queries
-                                 else (order[:k], query))
-            order = rerank(order, k,
-                           match_scores(model, enc, text_idx, vis_idx))
-        ranks[q] = int(np.nonzero(order == q)[0][0])
-    return ranks
+def chunk_pairs(n_vis: int) -> int:
+    """Pairs per re-ranking match_scores call, for n_vis vision tokens
+    per sample: whole RERANK_PAIR_GROUP groups within RERANK_ROW_BUDGET
+    vision-token rows, and one group at least."""
+    group = RERANK_PAIR_GROUP
+    return group * max(1, RERANK_ROW_BUDGET // (group * n_vis))
+
+
+def score_pairs(model: PretrainModel, enc: EncodedCorpus,
+                text_idx: np.ndarray, vis_idx: np.ndarray) -> np.ndarray:
+    """match_scores of every (text_idx[j], vis_idx[j]) pair, in calls of
+    chunk_pairs pairs (the last call filled up to a whole group with
+    copies of the last pair), dealt round-robin to one thread per usable
+    core. The calling thread scores its own share, so a 1-core host
+    starts no helper, and every helper has ended when this returns.
+    Scores come back by call, so the scheduling cannot move a bit of
+    them."""
+    size = chunk_pairs(enc.v_flat.shape[1])
+    keep = len(text_idx)
+    filled = np.minimum(np.arange(keep + -keep % RERANK_PAIR_GROUP),
+                        keep - 1)
+    text_idx, vis_idx = text_idx[filled], vis_idx[filled]
+    starts = range(0, len(text_idx), size)
+    scores = [None] * len(starts)
+    workers = min(len(os.sched_getaffinity(0)), len(starts))
+
+    def share(w: int) -> None:
+        for c in range(w, len(starts), workers):
+            lo = starts[c]
+            scores[c] = match_scores(model, enc, text_idx[lo:lo + size],
+                                     vis_idx[lo:lo + size])
+
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        helpers = [pool.submit(share, w) for w in range(1, workers)]
+        share(0)
+        for h in helpers:
+            h.result()
+    return np.concatenate(scores)[:keep]
+
+
+def _candidate_scores(model: PretrainModel, enc: EncodedCorpus,
+                      t_top: np.ndarray, v_top: np.ndarray) -> np.ndarray:
+    """(n, n) match scores, rows text and columns vision, set at every
+    pair a query's shortlist holds: row q of t_top lists text query q's
+    vision candidates, row q of v_top vision query q's text candidates.
+    Each distinct pair is scored once; the other entries are NaN."""
+    n, k = t_top.shape
+    queries = np.repeat(np.arange(n), k)
+    pairs = np.unique(np.concatenate([queries * n + t_top.ravel(),
+                                      v_top.ravel() * n + queries]))
+    text_idx, vis_idx = np.divmod(pairs, n)
+    table = np.full((n, n), np.nan)
+    table[text_idx, vis_idx] = score_pairs(model, enc, text_idx, vis_idx)
+    return table
+
+
+def _reranked(orders: np.ndarray, k: int, scores: np.ndarray) -> np.ndarray:
+    """Row q of orders, query q's stage-1 ordering, with its first k
+    re-ranked by row q of scores."""
+    return np.stack([rerank(order, k, row[order[:k]])
+                     for order, row in zip(orders, scores)])
 
 
 def retrieve(model: PretrainModel, corpus, k: int = 0,
@@ -174,11 +241,17 @@ def retrieve(model: PretrainModel, corpus, k: int = 0,
     if k < 0 or k > n:
         raise InputError(f"re-rank depth {k} outside [0, {n}]")
     enc = encode_corpus(model, corpus, batch_size=batch_size)
+    sims = cosine_matrix(enc.t_proj, enc.v_proj)  # rows: text queries
+    t_orders = np.argsort(-sims, axis=1, kind="stable")
+    v_orders = np.argsort(-sims.T, axis=1, kind="stable")
     if k > 0:
         enc = with_prefixes(model, enc, batch_size=batch_size)
-    sims = cosine_matrix(enc.t_proj, enc.v_proj)  # rows: text queries
-    ir = _recalls(_query_ranks(model, enc, sims, k, text_queries=True))
-    tr = _recalls(_query_ranks(model, enc, sims.T, k, text_queries=False))
+        scores = _candidate_scores(model, enc, t_orders[:, :k],
+                                   v_orders[:, :k])
+        t_orders = _reranked(t_orders, k, scores)
+        v_orders = _reranked(v_orders, k, scores.T)
+    ir = _recalls(t_orders)
+    tr = _recalls(v_orders)
     return RetrievalResult(n=n, k=k, ir_r1=ir[0], ir_r5=ir[1],
                            ir_r10=ir[2], tr_r1=tr[0], tr_r5=tr[1],
                            tr_r10=tr[2])
@@ -256,16 +329,15 @@ def csv_bytes(hm: Heatmap) -> bytes:
 
 def export_attention(model: PretrainModel, sample, out_dir,
                      prefix: str = "attn"):
-    """Write one .pgm and one .csv per frame; returns (heatmaps,
-    paths). Output is a pure function of checkpoint and sample."""
+    """Write one .pgm and one .csv per frame, each atomically; returns
+    (heatmaps, paths). Output is a pure function of checkpoint and
+    sample."""
     maps = sample_heatmaps(model, sample)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for hm in maps:
         stem = os.path.join(out_dir, f"{prefix}_frame{hm.frame}")
-        with open(stem + ".pgm", "wb") as f:
-            f.write(pgm_bytes(hm.grid))
-        with open(stem + ".csv", "wb") as f:
-            f.write(csv_bytes(hm))
+        write_atomic(stem + ".pgm", [pgm_bytes(hm.grid)])
+        write_atomic(stem + ".csv", [csv_bytes(hm)])
         paths.extend([stem + ".pgm", stem + ".csv"])
     return maps, paths

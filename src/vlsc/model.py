@@ -5,6 +5,7 @@ initialization."""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,7 +45,9 @@ class PretrainModel:
     re-ranking, which reuses each item's layer-0 fusion prefix too,
     fuses through fuse_prefixes(). Both run the one FusionEncoder.
     forward_count counts fused passes: every fuse_pair() or
-    fuse_prefixes() call, inside forward() or not."""
+    fuse_prefixes() call, inside forward() or not. Re-ranking makes one
+    fuse_prefixes() call per chunk of candidate pairs, from several
+    threads at once, so the count is kept under a lock."""
 
     def __init__(self, config: TrainConfig):
         self.config = config
@@ -58,6 +61,7 @@ class PretrainModel:
         self.fusion.build(rng)
         self._build_heads(rng)
         self.forward_count = 0
+        self._count_lock = threading.Lock()
 
     def _build_heads(self, rng) -> None:
         d = self.config.embed_dim
@@ -92,7 +96,7 @@ class PretrainModel:
         Returns (FusionOut, v_global, t_global). With globals_only the
         last fusion layer finishes only the rows the globals read, and
         the FusionOut holds those rows alone (see global_rows)."""
-        self.forward_count += 1
+        self._count_pass()
         rows = self.global_rows(frames_m) if globals_only else None
         fused = self.fusion(v_flat, t_tokens, text_mask, train=train,
                             rng=rng, rows=rows)
@@ -103,10 +107,14 @@ class PretrainModel:
         """(v_global, t_global) of streams whose layer-0 fusion prefixes
         are already built, finishing only the rows the globals read;
         one fused pass, like a fuse_pair call."""
-        self.forward_count += 1
+        self._count_pass()
         fused = self.fusion.finish(pv, pt, text_mask,
                                    rows=self.global_rows(frames_m))
         return self._globals(fused, frames_m)
+
+    def _count_pass(self) -> None:
+        with self._count_lock:
+            self.forward_count += 1
 
     def global_rows(self, m: int):
         """(vision rows, text rows) of the fusion output that the fused

@@ -3,13 +3,14 @@
 Every value is a dense numpy array in row-major order. Ops record their
 parents and a backward closure; ``Tensor.backward()`` runs a topological
 sweep and accumulates gradients into every reachable tensor that has
-``requires_grad`` set. Inside ``no_grad()`` ops record nothing. The op
-set is deliberately small: matmul, reshape, transpose, concat,
-slicing/gather, row picking, elementwise arithmetic, sum/mean,
-log-softmax, GELU, clip, dropout, embedding lookup, cosine similarity
-and cross-entropy, plus three fused single-node kernels with
-closed-form backward: linear (x @ W + b), layer norm and multi-head
-attention. Everything else in the package is composed from these.
+``requires_grad`` set. Inside ``no_grad()`` ops record nothing; the
+mode is kept per thread. The op set is deliberately small: matmul,
+reshape, transpose, concat, slicing/gather, row picking, elementwise
+arithmetic, sum/mean, log-softmax, GELU, clip, dropout, embedding
+lookup, cosine similarity and cross-entropy, plus three fused
+single-node kernels with closed-form backward: linear (x @ W + b),
+layer norm and multi-head attention. Everything else in the package is
+composed from these.
 
 Each fused forward runs the numpy operations of its composed equivalent
 in the same order, so forward values are bit-identical to composing the
@@ -19,6 +20,7 @@ smaller ops; only the backward rounds differently.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -29,23 +31,29 @@ from .errors import NumericError, ShapeError
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# False inside no_grad(); read by Tensor._from_op
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    # enabled is False inside no_grad(); read by Tensor._from_op. Each
+    # thread starts with the class default, True.
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextmanager
 def no_grad():
     """Ops run inside the block build no graph: every result has
     ``requires_grad`` False and keeps no parents or backward closure.
-    Forward values are unchanged. Nests, and restores the previous mode
-    on exit, also when the block raises."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    Forward values are unchanged. The mode belongs to the calling
+    thread alone. Nests, and restores the previous mode on exit, also
+    when the block raises."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 def _as_array(x) -> np.ndarray:
@@ -82,7 +90,7 @@ class Tensor:
 
     @staticmethod
     def _from_op(data: np.ndarray, parents: tuple, backward_fn) -> "Tensor":
-        out = Tensor(data, requires_grad=_grad_enabled
+        out = Tensor(data, requires_grad=_grad_mode.enabled
                      and any(p.requires_grad for p in parents))
         if out.requires_grad:
             out._parents = parents

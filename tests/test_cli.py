@@ -156,6 +156,22 @@ class TestEvalRetrieval:
         assert lines[1] == lines[2]  # deterministic evaluation
         assert "IR " in capsys.readouterr().out
 
+    def test_failed_append_keeps_old_file(self, tmp_path, corpus_file,
+                                          file_size_limit):
+        # the appended row fails part-way past the old file's end
+        _, out = quick_pretrain(tmp_path, corpus_file)
+        csv = tmp_path / "r" / "r.csv"
+        csv.parent.mkdir()
+        csv.write_text("n,k\n" + "4,0\n" * 2000)
+        old = csv.read_bytes()
+        with file_size_limit(len(old) + 8):
+            assert run("eval-retrieval", "--ckpt",
+                       str(out / "ckpt_final.vlsc"), "--corpus",
+                       str(corpus_file), "--k", "2", "--out",
+                       str(csv)) == 2
+        assert csv.read_bytes() == old
+        assert [p.name for p in csv.parent.iterdir()] == ["r.csv"]
+
     def test_k_too_deep(self, tmp_path, corpus_file):
         _, out = quick_pretrain(tmp_path, corpus_file)
         assert run("eval-retrieval", "--ckpt",
@@ -234,6 +250,16 @@ class TestAblate:
             assert len(cells) == width
             names.append(cells[1])
         assert names == list(cli.VARIANTS)
+
+    def test_rejected_grid_keeps_old_results(self, tmp_path, capsys):
+        csv = tmp_path / "ablate.csv"
+        csv.write_text(cli.ABLATE_HEADER + "\nearlier,results\n")
+        old = csv.read_bytes()
+        assert run("ablate", "--grid", "objectives", "--out", str(csv),
+                   "--steps", "1", "--pairs", "2", "--batch", "1") == 2
+        assert "batch" in capsys.readouterr().err
+        assert csv.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["ablate.csv"]
 
     def test_mask_ratio_grid_has_five_rows(self, tmp_path):
         csv = tmp_path / "ablate.csv"

@@ -1,3 +1,7 @@
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,9 +108,33 @@ class TestRetrieve:
         ev.retrieve(model, c, k=0, batch_size=2)
         assert calls == [] and model.forward_count == 0
         # k > 0: one vision and one text prefix per batch, one fused
-        # pass per query and direction
+        # pass per match_scores call; the at most 2 * 5 * 2 distinct
+        # candidate pairs fit in one call of 24
         ev.retrieve(model, c, k=2, batch_size=2)
-        assert len(calls) == 2 * 3 and model.forward_count == 2 * 5
+        assert len(calls) == 2 * 3 and model.forward_count == 1
+
+    def test_forward_count_exact_across_threads(self):
+        # more threads than cores, switching as often as the interpreter
+        # allows: no fused pass may go uncounted
+        model = small_model(seed=16)
+        enc = ev.with_prefixes(model, ev.encode_corpus(model, corpus(4)))
+        t_idx, v_idx = np.array([0, 1]), np.array([2, 3])
+
+        def score():
+            for _ in range(25):
+                ev.match_scores(model, enc, t_idx, v_idx)
+        threads = [threading.Thread(target=score) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert model.forward_count == 4 * 25
 
     def test_csv_row_shape(self):
         model = small_model()
@@ -146,6 +174,114 @@ class TestMatchScoresExact:
                 for e in (enc, tables):
                     got = ev.match_scores(model, e, t_idx, v_idx)
                     assert np.array_equal(got, want)
+
+
+def serial_retrieve(model, c, k):
+    """retrieve as one match_scores call per query and direction."""
+    enc = ev.with_prefixes(model, ev.encode_corpus(model, c))
+    sims = ev.cosine_matrix(enc.t_proj, enc.v_proj)
+    recalls = []
+    for text_queries, rows in ((True, sims), (False, sims.T)):
+        ranks = []
+        for q, row in enumerate(rows):
+            order = np.argsort(-row, kind="stable")
+            query = np.full(k, q)
+            t_idx, v_idx = ((query, order[:k]) if text_queries
+                            else (order[:k], query))
+            order = ev.rerank(order, k,
+                              ev.match_scores(model, enc, t_idx, v_idx))
+            ranks.append(np.nonzero(order == q)[0][0])
+        recalls += [float(np.mean(np.array(ranks) < kk))
+                    for kk in (1, 5, 10)]
+    return ev.RetrievalResult(len(c), k, *recalls)
+
+
+def recorded_reranks(monkeypatch):
+    """Every (order, scores) pair ev.rerank is called with, in order."""
+    seen = []
+    real = ev.rerank
+
+    def recording(order, k, scores):
+        seen.append((order.copy(), scores.copy()))
+        return real(order, k, scores)
+    monkeypatch.setattr(ev, "rerank", recording)
+    return seen
+
+
+def one_pair_tail_size(model, m):
+    """Corpus size n >= 9 whose n * n pairs at k=n leave one pair for
+    the last re-ranking call."""
+    n_vis = ev.encode_corpus(model, corpus(1, frames_m=m)).v_flat.shape[1]
+    size = ev.chunk_pairs(n_vis)
+    return next(n for n in range(9, 40) if n * n % size == 1)
+
+
+class TestRetrieveMatchesSerial:
+    # collecting the distinct pairs, scoring them in row-budgeted calls
+    # spread over threads and reading the scores back must give the
+    # result of one match_scores call per query and direction; at k=8,
+    # where those are 8-pair calls, every score must be the same to the
+    # bit
+    @pytest.mark.parametrize("variant", ["FrameCLS", "MeanPooling",
+                                         "GlobalCLS"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_same_result(self, variant, m, monkeypatch):
+        model = small_model(seed=14, variant=variant, embed_dim=32, heads=4)
+        n = one_pair_tail_size(model, m)
+        c = corpus(n, frames_m=m, seed=3)
+        seen = recorded_reranks(monkeypatch)
+        for k in (1, 3, 8, n):
+            want = serial_retrieve(model, c, k)
+            serial = seen[:]
+            seen.clear()
+            assert ev.retrieve(model, c, k=k) == want
+            assert len(seen) == len(serial) == 2 * n
+            for (o1, s1), (o2, s2) in zip(seen, serial):
+                assert np.array_equal(o1, o2)
+                assert k != 8 or np.array_equal(s1, s2)
+            seen.clear()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_scores_equal_eight_pair_calls(self, m):
+        # whatever the pair count, every score is the one an 8-pair
+        # call gives, also in a last call with one pair of its own
+        model = small_model(seed=17, embed_dim=32, heads=4)
+        n = 7
+        enc = ev.with_prefixes(model, ev.encode_corpus(
+            model, corpus(n, frames_m=m)))
+        count = 2 * ev.chunk_pairs(enc.v_flat.shape[1]) + 1
+        rng = np.random.default_rng(m)
+        t_idx, v_idx = rng.integers(0, n, count), rng.integers(0, n, count)
+        cyclic = np.arange(count + 7) % count
+        want = np.concatenate([
+            ev.match_scores(model, enc, t_idx[cyclic[lo:lo + 8]],
+                            v_idx[cyclic[lo:lo + 8]])
+            for lo in range(0, count, 8)])[:count]
+        assert np.array_equal(ev.score_pairs(model, enc, t_idx, v_idx),
+                              want)
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_core_count_moves_nothing(self, cores, monkeypatch):
+        model = small_model(seed=15, frames_m=1)
+        # at k=n, 121 pairs filled up to 128 make 6 calls of up to 24
+        # pairs, the last with one pair of its own
+        n = 11
+        c = corpus(n)
+        want = serial_retrieve(model, c, n)
+        started = []
+        real_start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            real_start(thread)
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        monkeypatch.setattr(ev.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)))
+        threads = threading.active_count()
+        assert ev.retrieve(model, c, k=n) == want
+        assert model.forward_count == 2 * n + 6
+        assert len(started) == cores - 1
+        assert threading.active_count() == threads
 
 
 class TestRerankHelper:
@@ -220,6 +356,21 @@ class TestHeatmapExport:
         assert len(pa) == len(pb) == 4  # 2 frames x (pgm + csv)
         for x, y in zip(pa, pb):
             assert open(x, "rb").read() == open(y, "rb").read()
+
+    def test_failed_write_keeps_old_file(self, tmp_path, file_size_limit):
+        # the .pgm fits under the limit, the .csv fails part-way
+        model = small_model(seed=7)
+        s = corpus(1)[0]
+        _, paths = ev.export_attention(model, s, tmp_path)
+        old = {p: Path(p).read_bytes() for p in paths}
+        pgm, csv = paths
+        assert len(old[pgm]) < 200 < len(old[csv])
+        with file_size_limit(200):
+            with pytest.raises(OSError):
+                ev.export_attention(model, s, tmp_path)
+        assert {p: Path(p).read_bytes() for p in paths} == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            Path(p).name for p in paths)
 
     def test_csv_heads_plus_pooled(self, tmp_path):
         model = small_model(seed=8)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -453,6 +454,32 @@ class TestNoGrad:
         assert out.requires_grad
         out.backward()
         np.testing.assert_array_equal(w.grad, [2.0, 2.0])
+
+    def test_mode_is_per_thread(self):
+        # a no_grad block in one thread neither stops graph building in
+        # another nor outlives its own exit there
+        w = Tensor(np.ones(2), requires_grad=True)
+        inside, leave = threading.Event(), threading.Event()
+        seen = {}
+
+        def other():
+            with T.no_grad():
+                seen["inside"] = (w * 2.0).requires_grad
+                inside.set()
+                leave.wait(10)
+            seen["after"] = (w * 2.0).requires_grad
+
+        t = threading.Thread(target=other)
+        t.start()
+        assert inside.wait(10)
+        assert (w * 2.0).requires_grad
+        with T.no_grad():
+            leave.set()
+            t.join(10)
+            assert not t.is_alive()
+            assert not (w * 2.0).requires_grad
+        assert (w * 2.0).requires_grad
+        assert seen == {"inside": False, "after": True}
 
     def test_same_forward_values(self):
         rng = np.random.default_rng(17)
