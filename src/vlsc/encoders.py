@@ -305,8 +305,9 @@ class TextEncoder:
 
 @dataclass
 class FusionOut:
-    # (B, n_vis, D) and (B, K, D) after the final norms; when the rows
-    # to finish were picked, those rows alone, folded to (B * rows, D)
+    # (B, n_vis, D) and (B, K, D) after the final norms; a stream the
+    # last layer finished on picked rows alone holds those rows, folded
+    # to (B * rows, D)
     vision_tokens: Tensor
     text_tokens: Tensor
     # text-query -> vision-key attention weights, one (B, h, K, n_vis)
@@ -361,10 +362,11 @@ class FusionEncoder:
     weights are kept, but its output projection, residuals, FFN and the
     final norms run on the picked rows alone. A stream whose pick comes
     to one row in all (batch 1, one row per sample) finishes every row
-    and is picked at the end: numpy computes a one-row product through
-    gemv, which rounds differently from the gemm of the other paths. Dropout masks are
-    drawn at the full shape either way, so the generator's stream does
-    not depend on the pick.
+    and is returned whole, for model.fused_globals to pick: numpy
+    computes a one-row product through gemv, which rounds differently
+    from the gemm of the other paths. Dropout masks are drawn at the
+    full shape either way, so the generator's stream does not depend on
+    the pick.
     """
 
     def __init__(self, reg: ParamRegistry, cfg: TrainConfig):
@@ -421,7 +423,8 @@ class FusionEncoder:
                rng=None) -> FusionOut:
         """The rest of the pass after both layer-0 prefixes. rows, if
         given, is (vision row indices, text row indices): the rows to
-        finish, returned folded to (B * rows, D)."""
+        finish, returned folded to (B * rows, D); a stream left unpicked
+        (one row in all, or no fusion layer) comes back whole."""
         reg, cfg = self.reg, self.cfg
         h, dp = cfg.heads, cfg.dropout
         b = pv.g.shape[0]
@@ -450,12 +453,6 @@ class FusionEncoder:
                             dp, train, rng, cv.shape, rv)
             gt = gt + _drop(ffn(reg, f"{lt}.ffn", ln(reg, f"{lt}.ln3", gt)),
                             dp, train, rng, ct.shape, rt)
-        out_v = ln(reg, "fusion.v_ln_f", gv)
-        out_t = ln(reg, "fusion.t_ln_f", gt)
-        if rows is not None:
-            # a stream not picked above (a single row, or no layer) is
-            # still (B, L, D)
-            out_v, out_t = (T.take_rows(x, idx) if x.ndim == 3 else x
-                            for x, idx in zip((out_v, out_t), rows))
-        return FusionOut(vision_tokens=out_v, text_tokens=out_t,
+        return FusionOut(vision_tokens=ln(reg, "fusion.v_ln_f", gv),
+                         text_tokens=ln(reg, "fusion.t_ln_f", gt),
                          cross_attention=weights)

@@ -78,7 +78,6 @@ class EncodedCorpus:
     v_flat: np.ndarray    # (n, n_vis, D) fusion-ready vision streams
     t_tokens: np.ndarray  # (n, K, D)
     text_mask: np.ndarray
-    frames_m: int
     # layer-0 fusion prefixes of every item, once with_prefixes built them
     v_prefix: FusionPrefix | None = None
     t_prefix: FusionPrefix | None = None
@@ -107,8 +106,7 @@ def encode_corpus(model: PretrainModel, corpus,
                          t_proj=np.concatenate(tp),
                          v_flat=np.concatenate(vf),
                          t_tokens=np.concatenate(tt),
-                         text_mask=np.concatenate(tm),
-                         frames_m=corpus[0].frames.shape[0])
+                         text_mask=np.concatenate(tm))
 
 
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,22 +115,18 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return an @ bn.T
 
 
-def _prefixes(model: PretrainModel, v_flat: np.ndarray,
-              t_tokens: np.ndarray, text_mask: np.ndarray):
-    with no_grad():
-        return (model.fusion.prefix(Tensor(v_flat), "v"),
-                model.fusion.prefix(Tensor(t_tokens), "t", text_mask))
-
-
 def with_prefixes(model: PretrainModel, enc: EncodedCorpus,
                   batch_size: int = 16) -> EncodedCorpus:
-    """enc with the layer-0 fusion prefix of every vision stream and
-    every caption, built batch by batch."""
-    parts = [_prefixes(model, enc.v_flat[lo:lo + batch_size],
-                       enc.t_tokens[lo:lo + batch_size],
-                       enc.text_mask[lo:lo + batch_size])
-             for lo in range(0, enc.v_flat.shape[0], batch_size)]
-    v_parts, t_parts = zip(*parts)
+    """enc with the tables match_scores reads: the layer-0 fusion prefix
+    of every vision stream and every caption, built batch by batch."""
+    v_parts, t_parts = [], []
+    with no_grad():
+        for lo in range(0, enc.v_flat.shape[0], batch_size):
+            hi = lo + batch_size
+            v_parts.append(model.fusion.prefix(Tensor(enc.v_flat[lo:hi]),
+                                               "v"))
+            t_parts.append(model.fusion.prefix(
+                Tensor(enc.t_tokens[lo:hi]), "t", enc.text_mask[lo:hi]))
     return dataclasses.replace(enc, v_prefix=FusionPrefix.concat(v_parts),
                                t_prefix=FusionPrefix.concat(t_parts))
 
@@ -140,17 +134,12 @@ def with_prefixes(model: PretrainModel, enc: EncodedCorpus,
 def match_scores(model: PretrainModel, enc: EncodedCorpus,
                  text_idx: np.ndarray, vis_idx: np.ndarray) -> np.ndarray:
     """Positive-class match logit for each (text_idx[j], vis_idx[j])
-    pair, fused in one batch. The pairs' layer-0 prefixes come from
-    enc's tables when with_prefixes built them, and are built for the
-    picked streams otherwise; the scores are the same to the bit."""
-    if enc.v_prefix is None:
-        pv, pt = _prefixes(model, enc.v_flat[vis_idx],
-                           enc.t_tokens[text_idx], enc.text_mask[text_idx])
-    else:
-        pv, pt = enc.v_prefix.take(vis_idx), enc.t_prefix.take(text_idx)
+    pair, fused in one batch from the pairs' layer-0 prefixes, gathered
+    from the tables with_prefixes put in enc."""
     with no_grad():
-        v_g, t_g = model.fuse_prefixes(pv, pt, enc.text_mask[text_idx],
-                                       enc.frames_m)
+        v_g, t_g = model.fuse_prefixes(enc.v_prefix.take(vis_idx),
+                                       enc.t_prefix.take(text_idx),
+                                       enc.text_mask[text_idx])
         return model.vtm_logits(v_g, t_g).data[:, 1]
 
 

@@ -43,7 +43,9 @@ class PretrainModel:
     fuse_pair(). Callers that reuse an encoding (the objectives) call
     self.vision and self.text directly and fuse through fuse_pair();
     re-ranking, which reuses each item's layer-0 fusion prefix too,
-    fuses through fuse_prefixes(). Both run the one FusionEncoder.
+    fuses through fuse_prefixes(). Both run the one FusionEncoder and
+    read the fused globals through fused_globals(), at the rows
+    global_rows() works out from the vision stream's width.
     forward_count counts fused passes: every fuse_pair() or
     fuse_prefixes() call, inside forward() or not. Re-ranking makes one
     fuse_prefixes() call per chunk of candidate pairs, from several
@@ -79,8 +81,7 @@ class PretrainModel:
                           rng=rng)
         txt = self.text(captions, train=train, rng=rng)
         fused, v_global, t_global = self.fuse_pair(
-            vis.flat, txt.tokens, txt.additive_mask, frames.shape[1],
-            train=train, rng=rng)
+            vis.flat, txt.tokens, txt.additive_mask, train=train, rng=rng)
         return ForwardOut(v_enc_global=vis.enc_global,
                           t_enc_global=txt.enc_global,
                           v_flat=vis.flat, t_tokens=txt.tokens,
@@ -90,60 +91,40 @@ class PretrainModel:
                           token_patches=vis.token_patches)
 
     def fuse_pair(self, v_flat: Tensor, t_tokens: Tensor,
-                  text_mask: np.ndarray, frames_m: int,
-                  train: bool = False, rng=None, globals_only: bool = False):
+                  text_mask: np.ndarray, train: bool = False, rng=None,
+                  globals_only: bool = False):
         """Fusion + both fused globals for already-encoded streams.
         Returns (FusionOut, v_global, t_global). With globals_only the
-        last fusion layer finishes only the rows the globals read, and
-        the FusionOut holds those rows alone (see global_rows)."""
+        last fusion layer finishes only the rows the globals read (see
+        global_rows), and the FusionOut holds those rows alone, or a
+        stream whole where FusionEncoder.finish did not pick it."""
         self._count_pass()
-        rows = self.global_rows(frames_m) if globals_only else None
+        rows = self.global_rows(v_flat.shape[1])
         fused = self.fusion(v_flat, t_tokens, text_mask, train=train,
-                            rng=rng, rows=rows)
-        return (fused,) + self._globals(fused, frames_m)
+                            rng=rng, rows=rows if globals_only else None)
+        return (fused,) + fused_globals(fused, rows)
 
     def fuse_prefixes(self, pv: FusionPrefix, pt: FusionPrefix,
-                      text_mask: np.ndarray, frames_m: int):
+                      text_mask: np.ndarray):
         """(v_global, t_global) of streams whose layer-0 fusion prefixes
         are already built, finishing only the rows the globals read;
         one fused pass, like a fuse_pair call."""
         self._count_pass()
-        fused = self.fusion.finish(pv, pt, text_mask,
-                                   rows=self.global_rows(frames_m))
-        return self._globals(fused, frames_m)
+        rows = self.global_rows(pv.g.shape[1])
+        return fused_globals(self.fusion.finish(pv, pt, text_mask,
+                                                rows=rows), rows)
 
     def _count_pass(self) -> None:
         with self._count_lock:
             self.forward_count += 1
 
-    def global_rows(self, m: int):
-        """(vision rows, text rows) of the fusion output that the fused
-        globals read: every frame [CLS], or the global token, and the
-        text [CLS]."""
-        np1 = self.config.n_patches + 1
+    def global_rows(self, n_vis: int):
+        """(vision rows, text rows) that the fused globals read from a
+        fusion output with n_vis vision tokens: every frame [CLS], or
+        the global token, which comes last, and the text [CLS]."""
         if self.config.variant == "GlobalCLS":
-            return np.array([m * np1]), np.array([0])
-        return np.arange(m) * np1, np.array([0])
-
-    def _globals(self, fused: FusionOut, m: int):
-        t = fused.text_tokens
-        return (self.fused_vision_global(fused.vision_tokens, m),
-                t if t.ndim == 2 else t[:, 0, :])
-
-    def fused_vision_global(self, vision_tokens: Tensor, m: int) -> Tensor:
-        """From every row, (B, n_vis, D), or from the global_rows alone,
-        folded to (B * rows, D)."""
-        cfg = self.config
-        np1 = cfg.n_patches + 1
-        if vision_tokens.ndim == 2:
-            if cfg.variant == "GlobalCLS":
-                return vision_tokens
-            return vision_tokens.reshape(-1, m, cfg.embed_dim).mean(axis=1)
-        if cfg.variant == "GlobalCLS":
-            return vision_tokens[:, m * np1, :]
-        b = vision_tokens.shape[0]
-        grid = vision_tokens.reshape(b, m, np1, cfg.embed_dim)
-        return grid[:, :, 0, :].mean(axis=1)
+            return np.array([n_vis - 1]), np.array([0])
+        return np.arange(0, n_vis, self.config.n_patches + 1), np.array([0])
 
     # objective heads
 
@@ -165,3 +146,14 @@ class PretrainModel:
 
     def zero_grad(self) -> None:
         self.params.zero_grad()
+
+
+def fused_globals(fused: FusionOut, rows) -> tuple:
+    """(v_global, t_global), each (B, D): the mean of the vision rows and
+    the text row that rows, as PretrainModel.global_rows gives them,
+    pick from fused. A stream still (B, L, D) is picked here; one that
+    finished those rows alone comes folded to (B * rows, D)."""
+    v, t = (T.take_rows(x, idx) if x.ndim == 3 else x
+            for x, idx in zip((fused.vision_tokens, fused.text_tokens),
+                              rows))
+    return v.reshape(-1, len(rows[0]), v.shape[-1]).mean(axis=1), t

@@ -99,8 +99,8 @@ def vtm_loss(model: PretrainModel, vis: VisionOut, txt: TextOut, rng,
     logits = []
     for v_flat in (vis.flat, vis.flat[neg]):
         _, v_global, t_global = model.fuse_pair(
-            v_flat, txt.tokens, txt.additive_mask, vis.grid.shape[1],
-            train=train, rng=rng, globals_only=True)
+            v_flat, txt.tokens, txt.additive_mask, train=train, rng=rng,
+            globals_only=True)
         logits.append(model.vtm_logits(v_global, t_global))
     labels = np.concatenate([np.ones(n, dtype=np.int64),
                              np.zeros(n, dtype=np.int64)])
@@ -125,7 +125,7 @@ def mlm_loss(model: PretrainModel, vis: VisionOut, captions: np.ndarray,
             labels.append(plan.original_ids[pos])
     txt = model.text(masked, train=train, rng=rng)
     fused, _, _ = model.fuse_pair(vis.flat, txt.tokens, txt.additive_mask,
-                                  vis.grid.shape[1], train=train, rng=rng)
+                                  train=train, rng=rng)
     picked = fused.text_tokens[np.asarray(rows), np.asarray(cols)]
     logits = model.mlm_logits(picked)
     return T.cross_entropy(logits, np.asarray(labels)), len(rows)
@@ -167,11 +167,10 @@ def scl_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
                               rng=rng)
     txt_masked = model.text(masked_caps, train=train, rng=rng)
     _, i_re, t_co_live = model.fuse_pair(vis_masked.flat, txt.tokens,
-                                         txt.additive_mask, m,
-                                         train=train, rng=rng,
-                                         globals_only=True)
+                                         txt.additive_mask, train=train,
+                                         rng=rng, globals_only=True)
     _, i_co_live, t_re = model.fuse_pair(vis.flat, txt_masked.tokens,
-                                         txt_masked.additive_mask, m,
+                                         txt_masked.additive_mask,
                                          train=train, rng=rng,
                                          globals_only=True)
 

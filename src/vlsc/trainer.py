@@ -18,10 +18,13 @@ File formats owned by this module:
   in directory order. Saving a loaded checkpoint reproduces the file
   byte for byte.
 
-* Metrics log: append-only text, one line per optimizer step:
+* Metrics log: text, one line per optimizer step:
   ``step cl vtm mlm scl total lr`` with %.17g floats, ``nan`` for
-  disabled objectives. A ``#``-prefixed header line is written when
-  the file is created.
+  disabled objectives, after a ``#``-prefixed header line.
+
+A run directory holds one run: train() writes its config.txt, then its
+metrics.txt and checkpoints, and refuses a directory that already holds
+any of them.
 
 Checkpoints and config files are written atomically (write_atomic): a
 failed or interrupted save never leaves a partial file at the target.
@@ -491,10 +494,22 @@ def _abort(model: PretrainModel, opt: AdamW, step: int,
     raise NumericError(message)
 
 
+def _check_unused(out_dir) -> None:
+    """Raise InputError if out_dir already holds a run's files."""
+    if not os.path.isdir(out_dir):
+        return
+    for name in sorted(os.listdir(out_dir)):
+        if name in ("config.txt", "metrics.txt") or (
+                name.startswith("ckpt_") and name.endswith(".vlsc")):
+            raise InputError(f"run directory {out_dir} already holds "
+                             f"{name} from an earlier run")
+
+
 def train(config: TrainConfig, corpus, out_dir=None, resume=None):
     """Run the loop; returns (final Checkpoint, metrics lines).
 
-    out_dir, when given, receives metrics.txt (append-only),
+    out_dir, when given, must hold no earlier run. It receives
+    config.txt (the config, as load_config reads it), metrics.txt,
     ckpt_final.vlsc, interval checkpoints, and on a non-finite loss or
     gradient norm a diagnostic checkpoint of the state before the failing
     step next to the NumericError, which is raised before the optimizer
@@ -502,6 +517,8 @@ def train(config: TrainConfig, corpus, out_dir=None, resume=None):
     step counter under the *passed* config, so an interval checkpoint
     replays the rest of its own run bit-exactly."""
     _validate_corpus(config, corpus)
+    if out_dir is not None:
+        _check_unused(out_dir)
     if resume is None:
         model = PretrainModel(config)
         opt = AdamW(model.params, weight_decay=config.weight_decay)
@@ -521,12 +538,10 @@ def train(config: TrainConfig, corpus, out_dir=None, resume=None):
     log = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        log_path = os.path.join(out_dir, "metrics.txt")
-        fresh = not os.path.exists(log_path)
-        log = open(log_path, "a")
-        if fresh:
-            log.write(METRICS_HEADER)
-            log.flush()
+        save_config(config, os.path.join(out_dir, "config.txt"))
+        log = open(os.path.join(out_dir, "metrics.txt"), "w")
+        log.write(METRICS_HEADER)
+        log.flush()
     try:
         for step in range(start + 1, config.total_steps + 1):
             idx = batch_indices(len(corpus), config.batch,

@@ -140,6 +140,39 @@ class TestPretrain:
         ckpt = tr.load_checkpoint(out / "ckpt_final.vlsc")
         assert ckpt.params["vision.pos_temporal"].shape[0] == 2
 
+    @pytest.mark.parametrize("earlier", ["run", "config.txt",
+                                         "metrics.txt", "ckpt_step3.vlsc"])
+    def test_used_run_directory_refused(self, tmp_path, corpus_file,
+                                        capsys, earlier):
+        out = tmp_path / "run"
+        if earlier == "run":
+            code, _ = quick_pretrain(tmp_path, corpus_file,
+                                     "--checkpoint-interval", "1")
+            assert code == 0
+        else:
+            out.mkdir()
+            (out / earlier).write_text("left from an earlier run\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        code, _ = quick_pretrain(tmp_path, corpus_file, "--steps", "1")
+        assert code == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        err = capsys.readouterr().err
+        assert str(out) in err and any(name in err for name in before)
+
+    def test_config_txt_reproduces_run(self, tmp_path, corpus_file):
+        first = tmp_path / "run"
+        assert run("pretrain", "--corpus", str(corpus_file), "--out",
+                   str(first), "--steps", "2", "--batch", "2", "--seed",
+                   "4", "--no-mlm", "--variant", "GlobalCLS") == 0
+        again = tmp_path / "again"
+        assert run("pretrain", "--corpus", str(corpus_file), "--out",
+                   str(again), "--config", str(first / "config.txt")) == 0
+        for name in ("config.txt", "metrics.txt", "ckpt_final.vlsc"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+        assert tr.load_config(first / "config.txt") == tr.load_checkpoint(
+            first / "ckpt_final.vlsc").config
+
 
 class TestEvalRetrieval:
     def test_prints_and_appends_csv(self, tmp_path, corpus_file, capsys):
@@ -320,17 +353,21 @@ class TestRetrievePinned:
     # eval-retrieval CSV rows of a 2-step-trained checkpoint, recorded
     # before re-ranking read cached fusion prefixes
     PINNED = {
-        1: ["16,0,0.0625,0.3125,0.625,0.0625,0.3125,0.625",
-            "16,8,0.0625,0.3125,0.625,0.0625,0.3125,0.625"],
-        2: ["16,0,0.0625,0.3125,0.625,0.0625,0.3125,0.625",
-            "16,8,0.125,0.3125,0.625,0.0625,0.3125,0.625"],
+        ("FrameCLS", 1): ["16,0,0.0625,0.3125,0.625,0.0625,0.3125,0.625",
+                          "16,8,0.0625,0.3125,0.625,0.0625,0.3125,0.625"],
+        ("FrameCLS", 2): ["16,0,0.0625,0.3125,0.625,0.0625,0.3125,0.625",
+                          "16,8,0.125,0.3125,0.625,0.0625,0.3125,0.625"],
+        ("GlobalCLS", 2): ["16,0,0.0625,0.3125,0.625,0.0625,0.3125,0.625",
+                           "16,8,0.0625,0.3125,0.625,0.0625,0.3125,0.625"],
     }
 
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_rows_pinned(self, tmp_path, m):
+    @pytest.mark.parametrize("variant, m", list(PINNED),
+                             ids=["1", "2", "GlobalCLS-2"])
+    def test_rows_pinned(self, tmp_path, variant, m):
         cfg = tr.TrainConfig(total_steps=2, batch=4, seed=3, embed_dim=8,
                              heads=2, layers_v=1, layers_t=1, layers_f=2,
-                             frames_m=m, phase="video" if m > 1 else "image")
+                             frames_m=m, phase="video" if m > 1 else "image",
+                             variant=variant)
         tr.save_config(cfg, tmp_path / "run.cfg")
         both = sd.generate_corpus(28, frames_m=m, seed=3)
         sd.save_corpus(tmp_path / "train.tsv", both[:12])
@@ -344,4 +381,4 @@ class TestRetrievePinned:
                        str(tmp_path / "run" / "ckpt_final.vlsc"),
                        "--corpus", str(tmp_path / "heldout.tsv"),
                        "--k", k, "--out", str(csv)) == 0
-        assert csv.read_text().splitlines()[1:] == self.PINNED[m]
+        assert csv.read_text().splitlines()[1:] == self.PINNED[variant, m]

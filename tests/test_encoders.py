@@ -3,9 +3,10 @@ import pytest
 
 from vlsc import synthdata as sd
 from vlsc import tensor as T
+from vlsc.encoders import VARIANTS, FusionOut
 from vlsc.errors import ConfigError, InputError, ShapeError
 from vlsc.gradcheck import grad_check
-from vlsc.model import PretrainModel
+from vlsc.model import PretrainModel, fused_globals
 from vlsc.tensor import Tensor
 from vlsc.trainer import TrainConfig
 
@@ -229,6 +230,13 @@ class TestFusion:
         np.testing.assert_array_equal(a.t_global.data, b.t_global.data)
 
 
+def vision_global(model, tokens):
+    """The fused vision global read from a (B, n_vis, D) stream."""
+    text = Tensor(np.zeros((tokens.shape[0], 1, tokens.shape[-1])))
+    return fused_globals(FusionOut(Tensor(tokens), text),
+                         model.global_rows(tokens.shape[1]))[0]
+
+
 class TestGlobals:
     def test_mean_of_identical_cls_is_that_vector(self):
         cfg = tiny_config()
@@ -238,7 +246,7 @@ class TestGlobals:
         tokens = np.zeros((1, 2 * np1, d))
         tokens[0, 0] = vec
         tokens[0, np1] = vec
-        out = model.fused_vision_global(Tensor(tokens), 2)
+        out = vision_global(model, tokens)
         np.testing.assert_allclose(out.data[0], vec)
 
     def test_global_changes_with_any_frame_cls(self):
@@ -246,12 +254,42 @@ class TestGlobals:
         model = PretrainModel(cfg)
         d, np1 = cfg.embed_dim, cfg.n_patches + 1
         tokens = np.random.default_rng(3).normal(size=(1, 2 * np1, d))
-        base = model.fused_vision_global(Tensor(tokens), 2).data.copy()
+        base = vision_global(model, tokens).data.copy()
         for frame in range(2):
             bumped = tokens.copy()
             bumped[0, frame * np1] += 1.0
-            out = model.fused_vision_global(Tensor(bumped), 2).data
+            out = vision_global(model, bumped).data
             assert np.abs(out - base).max() > 1e-9
+
+    # globals_only finishes the last fusion layer on the rows the globals
+    # read alone; the globals must equal the full pass's to the bit, in
+    # eval mode and with dropout drawn from generators seeded alike
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("layers_f", [0, 1, 2])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_globals_only_equals_full_pass(self, variant, m, layers_f, b):
+        cfg = tiny_config(variant=variant, frames_m=m, layers_f=layers_f,
+                          embed_dim=32, heads=4, dropout=0.1, seed=22)
+        model = PretrainModel(cfg)
+        frames, caps = batch(b, m, cfg, seed=22)
+        vis, txt = model.vision(frames), model.text(caps)
+        n_vis = vis.flat.shape[1]
+        # the frame [CLS] rows, or the global token, which has no frame
+        if variant == "GlobalCLS":
+            want = np.flatnonzero(vis.token_frames == -1)
+        else:
+            want = np.flatnonzero(vis.token_patches == -1)
+        v_rows, t_rows = model.global_rows(n_vis)
+        assert v_rows.tolist() == want.tolist() and t_rows.tolist() == [0]
+        for train in (False, True):
+            full, only = (model.fuse_pair(
+                vis.flat, txt.tokens, txt.additive_mask, train=train,
+                rng=np.random.default_rng(5), globals_only=g)[1:]
+                for g in (False, True))
+            for a, c in zip(full, only):
+                assert a.shape == (b, cfg.embed_dim)
+                assert np.array_equal(a.data, c.data)
 
     def test_m1_framecls_equals_meanpooling_with_copied_weights(self):
         mp = PretrainModel(tiny_config(variant="MeanPooling", frames_m=1,

@@ -85,11 +85,12 @@ class TestRetrieve:
         # match_scores runs under no_grad; the same fusion with a graph
         # built gives the same logits to the bit
         model = small_model(seed=6)
-        enc = ev.encode_corpus(model, corpus(4, frames_m=2), batch_size=3)
+        enc = ev.with_prefixes(model, ev.encode_corpus(
+            model, corpus(4, frames_m=2), batch_size=3))
         t_idx, v_idx = np.array([0, 1, 2, 3]), np.array([2, 0, 3, 3])
         _, v_g, t_g = model.fuse_pair(Tensor(enc.v_flat[v_idx]),
                                       Tensor(enc.t_tokens[t_idx]),
-                                      enc.text_mask[t_idx], enc.frames_m)
+                                      enc.text_mask[t_idx])
         live = model.vtm_logits(v_g, t_g)
         assert live.requires_grad
         assert np.array_equal(ev.match_scores(model, enc, t_idx, v_idx),
@@ -148,7 +149,7 @@ def reference_scores(model, enc, text_idx, vis_idx):
     """Every fusion row finished, then the match head."""
     _, v_g, t_g = model.fuse_pair(Tensor(enc.v_flat[vis_idx]),
                                   Tensor(enc.t_tokens[text_idx]),
-                                  enc.text_mask[text_idx], enc.frames_m)
+                                  enc.text_mask[text_idx])
     return model.vtm_logits(v_g, t_g).data[:, 1]
 
 
@@ -164,16 +165,15 @@ class TestMatchScoresExact:
         n = 5
         model = small_model(seed=13, variant=variant, layers_f=layers_f,
                             embed_dim=32, heads=4)
-        enc = ev.encode_corpus(model, corpus(n, frames_m=m), batch_size=2)
-        tables = ev.with_prefixes(model, enc, batch_size=2)
+        enc = ev.with_prefixes(model, ev.encode_corpus(
+            model, corpus(n, frames_m=m), batch_size=2), batch_size=2)
         for k in (1, n):
             query = np.full(k, 3)
             cands = np.arange(n)[::-1][:k]
             for t_idx, v_idx in ((query, cands), (cands, query)):
                 want = reference_scores(model, enc, t_idx, v_idx)
-                for e in (enc, tables):
-                    got = ev.match_scores(model, e, t_idx, v_idx)
-                    assert np.array_equal(got, want)
+                got = ev.match_scores(model, enc, t_idx, v_idx)
+                assert np.array_equal(got, want)
 
 
 def serial_retrieve(model, c, k):

@@ -363,23 +363,28 @@ class TestTotal:
         assert calls == {VisionEncoder: vision, TextEncoder: text}
         assert model.forward_count == fused
 
-    # exact (cl, vtm, mlm, scl) of a fixed eval-mode batch: any change to
-    # the arithmetic of the four losses shows here
+    # exact (cl, vtm, mlm, scl) of a fixed eval-mode batch, per (variant,
+    # M): any change to the arithmetic of the four losses shows here
     PINNED = {
-        1: (2.789259351477725, 0.6939344177165006, 4.180417806267129,
-            2.755858390505778),
-        2: (2.794171931523625, 0.6941948287271851, 4.180414171466472,
-            2.738337537050106),
+        ("FrameCLS", 1): (2.789259351477725, 0.6939344177165006,
+                          4.180417806267129, 2.755858390505778),
+        ("FrameCLS", 2): (2.794171931523625, 0.6941948287271851,
+                          4.180414171466472, 2.738337537050106),
+        ("MeanPooling", 2): (3.1343899243351174, 0.6936228851590314,
+                             4.138104592022714, 2.7408399667771),
+        ("GlobalCLS", 2): (2.846627688034359, 0.6933189368187367,
+                           4.131555895132802, 2.7547143331969255),
     }
 
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_eval_values_pinned(self, m):
-        cfg = tiny_config(dropout=0.0, seed=21)
+    @pytest.mark.parametrize("variant, m", list(PINNED), ids=[
+        "1", "2", "MeanPooling-2", "GlobalCLS-2"])
+    def test_eval_values_pinned(self, variant, m):
+        cfg = tiny_config(dropout=0.0, seed=21, variant=variant)
         model = PretrainModel(cfg)
         frames, caps = make_batch(4, m=m, cfg=cfg, seed=21)
         report, _ = obj.total_loss(model, frames, caps, cfg, rngs(5, 2))
         assert (report.cl, report.vtm, report.mlm,
-                report.scl) == self.PINNED[m]
+                report.scl) == self.PINNED[variant, m]
 
     def test_all_disabled_rejected(self):
         # the config itself refuses, before any model or loss runs
