@@ -148,13 +148,21 @@ def _pretrain_config(args) -> tr.TrainConfig:
 
 def cmd_pretrain(args) -> int:
     config = _pretrain_config(args)
+    if args.config and not args.init_from:
+        # a run directory's config.txt names the checkpoint its run was
+        # transferred from; without it the replay would start fresh
+        source = tr.recorded_init_from(args.config)
+        if source is not None:
+            raise ConfigError(f"{args.config} records a run started from "
+                              f"{source}; replay it with --init-from "
+                              f"{source}")
     corpus = sd.load_corpus(args.corpus)
     resume = None
     if args.init_from:
         image_ckpt = tr.load_checkpoint(args.init_from)
         resume = tr.curriculum_transfer(image_ckpt, config)
     final, metrics = tr.train(config, corpus, out_dir=args.out,
-                              resume=resume)
+                              resume=resume, init_from=args.init_from)
     last = metrics[-1] if metrics else "(no steps)"
     print(f"finished at step {final.step}; last: {last}")
     print(f"checkpoint: {os.path.join(args.out, 'ckpt_final.vlsc')}")

@@ -9,6 +9,10 @@ class ShapeError(VlscError):
     """Operand shapes do not conform."""
 
 
+class GraphError(VlscError):
+    """A backward sweep reached a node an earlier sweep consumed."""
+
+
 class NumericError(VlscError):
     """Non-finite or degenerate numeric state (zero-norm rows, NaN losses)."""
 

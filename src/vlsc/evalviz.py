@@ -183,7 +183,11 @@ def score_pairs(model: PretrainModel, enc: EncodedCorpus,
     text_idx, vis_idx = text_idx[filled], vis_idx[filled]
     starts = range(0, len(text_idx), size)
     scores = [None] * len(starts)
-    workers = min(len(os.sched_getaffinity(0)), len(starts))
+    # the cores this process may run on, where the host reports them
+    # (not on macOS or Windows)
+    cores = (len(os.sched_getaffinity(0))
+             if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    workers = min(cores, len(starts))
 
     def share(w: int) -> None:
         for c in range(w, len(starts), workers):

@@ -3,14 +3,21 @@
 Every value is a dense numpy array in row-major order. Ops record their
 parents and a backward closure; ``Tensor.backward()`` runs a topological
 sweep and accumulates gradients into every reachable tensor that has
-``requires_grad`` set. Inside ``no_grad()`` ops record nothing; the
-mode is kept per thread. The op set is deliberately small: matmul,
-reshape, transpose, concat, slicing/gather, row picking, elementwise
-arithmetic, sum/mean, log-softmax, GELU, clip, dropout, embedding
-lookup, cosine similarity and cross-entropy, plus three fused
-single-node kernels with closed-form backward: linear (x @ W + b),
-layer norm and multi-head attention. Everything else in the package is
-composed from these.
+``requires_grad`` set. The sweep consumes the graph as it goes: once a
+node's backward has run, the node drops its parents and closure, so an
+intermediate array lives only while the rest of the sweep needs it or
+the caller holds its Tensor. A held Tensor keeps its ``.data`` and
+``.grad``; a second sweep that reaches a consumed node raises
+``GraphError``. Leaves are never consumed, so gradients of two graphs
+built on the same parameters add up. Inside ``no_grad()`` ops record
+nothing; the mode is kept per thread.
+
+The op set is deliberately small: matmul, reshape, transpose, concat,
+slicing/gather, row picking, elementwise arithmetic, sum/mean,
+log-softmax, GELU, clip, dropout, embedding lookup, cosine similarity
+and cross-entropy, plus three fused single-node kernels with
+closed-form backward: linear (x @ W + b), layer norm and multi-head
+attention. Everything else in the package is composed from these.
 
 Each fused forward runs the numpy operations of its composed equivalent
 in the same order, so forward values are bit-identical to composing the
@@ -26,7 +33,7 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.special import erf
 
-from .errors import NumericError, ShapeError
+from .errors import GraphError, NumericError, ShapeError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -39,6 +46,9 @@ class _GradMode(threading.local):
 
 
 _grad_mode = _GradMode()
+
+# the _backward_fn of a node whose backward a sweep has run
+_CONSUMED = object()
 
 
 @contextmanager
@@ -77,7 +87,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """Dense multi-dimensional float64 array participating in autodiff."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
@@ -129,6 +140,18 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad: np.ndarray | None = None) -> None:
+        """Accumulate d(self)/d(t) into ``t.grad`` for every tensor t
+        reachable from self that has ``requires_grad`` set.
+
+        The sweep consumes the graph: each node drops its parents and
+        backward closure once its backward has run, so the graph's
+        intermediate arrays are freed as the sweep goes, unless the
+        caller still holds their Tensors. A held Tensor keeps its
+        ``.data`` and gets its ``.grad``. Leaves are left as they were.
+        A later sweep that reaches a consumed node raises GraphError
+        before it changes any ``.grad``; build the graph again instead.
+        Without ``grad``, self must be a scalar (ShapeError otherwise).
+        """
         if grad is None:
             if self.size != 1:
                 raise ShapeError("backward() without an explicit gradient "
@@ -151,14 +174,20 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward_fn is _CONSUMED:
+                raise GraphError("backward() reached a node whose graph an "
+                                 "earlier backward() consumed")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
 
+        # keyed by nodes topo still holds, so no key is the id of a node
+        # already freed
         pending: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = pending.pop(id(node), None)
             if g is None:
                 continue
@@ -173,6 +202,8 @@ class Tensor:
                     pending[id(p)] = pending[id(p)] + pg
                 else:
                     pending[id(p)] = pg
+            node._parents = ()
+            node._backward_fn = _CONSUMED
 
     # -- elementwise arithmetic -------------------------------------------
 

@@ -10,6 +10,8 @@ File formats owned by this module:
 * Config file: plain text, one ``key = value`` per line, ``#`` comments
   and blank lines ignored. Keys are TrainConfig field names; unknown
   keys are rejected. Booleans accept true/false, 1/0, yes/no, on/off.
+  The config.txt of a run started from a transferred checkpoint begins
+  with ``# init-from <path> sha256 <hex>``, naming that checkpoint file.
 
 * Checkpoint container: magic ``VLSC-CKPT-1\\n``, an 8-byte little
   endian header length, a JSON header (sorted keys, no whitespace)
@@ -34,9 +36,11 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -229,14 +233,35 @@ def write_atomic(path, chunks) -> None:
         raise
 
 
-def save_config(config: TrainConfig, path) -> None:
+def save_config(config: TrainConfig, path, init_from=None) -> None:
+    """Write config as load_config reads it. init_from is the path of the
+    checkpoint the run was transferred from, if any; the file then
+    begins with a comment naming it and its sha256."""
+    if init_from:
+        with open(init_from, "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()
+
     def lines():
+        if init_from:
+            yield (f"# init-from {os.fspath(init_from)} sha256 {digest}\n"
+                   .encode())
         for fld in dataclasses.fields(config):
             val = getattr(config, fld.name)
             if isinstance(val, bool):
                 val = "true" if val else "false"
             yield f"{fld.name} = {val}\n".encode()
     write_atomic(path, lines())
+
+
+_INIT_FROM_LINE = re.compile(r"# init-from (.*) sha256 [0-9a-f]{64}")
+
+
+def recorded_init_from(path) -> str | None:
+    """The checkpoint path a config file's first line records as the
+    run's transfer source, or None when it records none."""
+    with open(path, encoding="utf-8") as f:
+        m = _INIT_FROM_LINE.fullmatch(f.readline().rstrip("\n"))
+    return m and m.group(1)
 
 
 # schedule
@@ -505,17 +530,20 @@ def _check_unused(out_dir) -> None:
                              f"{name} from an earlier run")
 
 
-def train(config: TrainConfig, corpus, out_dir=None, resume=None):
+def train(config: TrainConfig, corpus, out_dir=None, resume=None,
+          init_from=None):
     """Run the loop; returns (final Checkpoint, metrics lines).
 
     out_dir, when given, must hold no earlier run. It receives
-    config.txt (the config, as load_config reads it), metrics.txt,
+    config.txt (the config, as load_config reads it, after a first line
+    naming init_from and its sha256 when given), metrics.txt,
     ckpt_final.vlsc, interval checkpoints, and on a non-finite loss or
     gradient norm a diagnostic checkpoint of the state before the failing
     step next to the NumericError, which is raised before the optimizer
     moves. resume continues from a checkpoint's parameters, moments and
     step counter under the *passed* config, so an interval checkpoint
-    replays the rest of its own run bit-exactly."""
+    replays the rest of its own run bit-exactly. init_from is the path
+    of the checkpoint resume was transferred from, if any."""
     _validate_corpus(config, corpus)
     if out_dir is not None:
         _check_unused(out_dir)
@@ -538,7 +566,7 @@ def train(config: TrainConfig, corpus, out_dir=None, resume=None):
     log = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        save_config(config, os.path.join(out_dir, "config.txt"))
+        save_config(config, os.path.join(out_dir, "config.txt"), init_from)
         log = open(os.path.join(out_dir, "metrics.txt"), "w")
         log.write(METRICS_HEADER)
         log.flush()

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -139,6 +140,51 @@ class TestPretrain:
                    "--init-from", str(image_out / "ckpt_final.vlsc")) == 0
         ckpt = tr.load_checkpoint(out / "ckpt_final.vlsc")
         assert ckpt.params["vision.pos_temporal"].shape[0] == 2
+
+    def curriculum_run(self, tmp_path, corpus_file):
+        """A 2-step M=2 FrameCLS run transferred from a 2-step image
+        run; returns (video corpus, run directory, source checkpoint)."""
+        code, image_out = quick_pretrain(tmp_path, corpus_file)
+        assert code == 0
+        video_corpus = tmp_path / "video.tsv"
+        assert run("gen-data", "--out", str(video_corpus), "--n", "4",
+                   "--frames", "2", "--seed", "3") == 0
+        out, source = tmp_path / "video_run", image_out / "ckpt_final.vlsc"
+        assert run("pretrain", "--corpus", str(video_corpus), "--out",
+                   str(out), "--steps", "2", "--batch", "2",
+                   "--phase", "video", "--frames", "2", "--variant",
+                   "FrameCLS", "--init-from", str(source)) == 0
+        return video_corpus, out, source
+
+    def test_config_txt_records_init_from(self, tmp_path, corpus_file):
+        _, out, source = self.curriculum_run(tmp_path, corpus_file)
+        digest = hashlib.sha256(source.read_bytes()).hexdigest()
+        first = (out / "config.txt").read_text().splitlines()[0]
+        assert first == f"# init-from {source} sha256 {digest}"
+        assert tr.load_config(out / "config.txt") == tr.load_checkpoint(
+            out / "ckpt_final.vlsc").config
+
+    def test_curriculum_config_txt_reproduces_run(self, tmp_path,
+                                                  corpus_file):
+        video_corpus, first, _ = self.curriculum_run(tmp_path, corpus_file)
+        source = tr.recorded_init_from(first / "config.txt")
+        again = tmp_path / "again"
+        assert run("pretrain", "--corpus", str(video_corpus), "--out",
+                   str(again), "--config", str(first / "config.txt"),
+                   "--init-from", source) == 0
+        for name in ("config.txt", "metrics.txt", "ckpt_final.vlsc"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
+    def test_replay_without_init_from_refused(self, tmp_path, corpus_file,
+                                              capsys):
+        video_corpus, first, source = self.curriculum_run(tmp_path,
+                                                          corpus_file)
+        capsys.readouterr()
+        again = tmp_path / "again"
+        assert run("pretrain", "--corpus", str(video_corpus), "--out",
+                   str(again), "--config", str(first / "config.txt")) == 2
+        assert not again.exists()
+        assert str(source) in capsys.readouterr().err
 
     @pytest.mark.parametrize("earlier", ["run", "config.txt",
                                          "metrics.txt", "ckpt_step3.vlsc"])

@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 from pathlib import Path
@@ -5,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vlsc import cli
 from vlsc import evalviz as ev
 from vlsc import synthdata as sd
+from vlsc import trainer as tr
 from vlsc.encoders import FusionEncoder
 from vlsc.errors import InputError
 from vlsc.model import PretrainModel
@@ -284,6 +287,21 @@ class TestRetrieveMatchesSerial:
         assert threading.active_count() == threads
 
 
+    def test_host_without_affinity(self, monkeypatch, tmp_path):
+        # macOS and Windows have no os.sched_getaffinity; re-ranking
+        # then spreads over os.cpu_count() cores
+        model = small_model(seed=15, frames_m=1)
+        c = corpus(11)
+        want = serial_retrieve(model, c, 8)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert ev.retrieve(model, c, k=8) == want
+        ckpt, corpus_path = tmp_path / "m.vlsc", tmp_path / "c.tsv"
+        tr.save_checkpoint(tr.init_checkpoint(model.config), ckpt)
+        sd.save_corpus(corpus_path, c)
+        assert cli.main(["eval-retrieval", "--ckpt", str(ckpt), "--corpus",
+                         str(corpus_path), "--k", "8"]) == 0
+
+
 class TestRerankHelper:
     def test_reorders_head_only(self):
         order = np.array([2, 0, 1, 3])
@@ -339,7 +357,7 @@ class TestHeatmapExport:
         _, paths = ev.export_attention(model, s, tmp_path)
         pgm = [p for p in paths if p.endswith(".pgm")]
         assert len(pgm) == 1
-        raw = open(pgm[0], "rb").read()
+        raw = Path(pgm[0]).read_bytes()
         assert raw.startswith(b"P2\n4 4\n255\n")
         body = raw.decode().splitlines()[3:]
         assert len(body) == 4
@@ -355,7 +373,7 @@ class TestHeatmapExport:
         _, pb = ev.export_attention(model, s, tmp_path / "b")
         assert len(pa) == len(pb) == 4  # 2 frames x (pgm + csv)
         for x, y in zip(pa, pb):
-            assert open(x, "rb").read() == open(y, "rb").read()
+            assert Path(x).read_bytes() == Path(y).read_bytes()
 
     def test_failed_write_keeps_old_file(self, tmp_path, file_size_limit):
         # the .pgm fits under the limit, the .csv fails part-way
@@ -377,7 +395,7 @@ class TestHeatmapExport:
         s = corpus(1)[0]
         maps, paths = ev.export_attention(model, s, tmp_path)
         csv = [p for p in paths if p.endswith(".csv")][0]
-        lines = open(csv).read().splitlines()
+        lines = Path(csv).read_text().splitlines()
         assert len(lines) == model.config.heads + 1
         heads = np.array([[float(v) for v in ln.split(",")[1:]]
                           for ln in lines[:-1]])

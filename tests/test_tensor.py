@@ -1,5 +1,6 @@
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlsc import tensor as T
-from vlsc.errors import NumericError, ShapeError
+from vlsc.errors import GraphError, NumericError, ShapeError
 from vlsc.tensor import Tensor
 
 
@@ -218,6 +219,43 @@ class TestTensorBasics:
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ShapeError):
             (a * 2.0).backward()
+
+
+class TestGraphConsumed:
+    def test_sweep_frees_dropped_intermediates(self):
+        a = Tensor(np.random.default_rng(20).normal(size=(3, 4)),
+                   requires_grad=True)
+        b = a * 3.0
+        held = T.gelu(b)
+        loss = (held * b).sum()
+        dropped = weakref.ref(b), weakref.ref(b.data)
+        del b
+        assert all(r() is not None for r in dropped)  # the graph holds b
+        loss.backward()
+        assert all(r() is None for r in dropped)
+        # a held Tensor keeps its data and gets its gradient
+        assert held.grad is not None and held.grad.shape == held.shape
+        assert held._parents == () and loss._parents == ()
+        assert a.grad is not None and a.grad.shape == a.shape
+
+    def test_second_sweep_through_consumed_node_raises(self):
+        x = Tensor(np.random.default_rng(21).normal(size=(2, 3)),
+                   requires_grad=True)
+        y = T.gelu(x)
+        y.sum().backward()
+        before = x.grad.copy()
+        with pytest.raises(GraphError):
+            (y * y).sum().backward()
+        # raised before the sweep touched any gradient
+        assert np.array_equal(x.grad, before)
+
+    def test_second_sweep_from_consumed_root_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        loss = (x * 2.0).sum()
+        loss.backward()
+        with pytest.raises(GraphError):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
 class TestNumericContracts:

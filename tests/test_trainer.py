@@ -5,6 +5,7 @@ import math
 import resource
 import signal
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from vlsc import trainer as tr
 from vlsc.errors import (ConfigError, InputError, NumericError, ShapeError,
                          VlscError)
 from vlsc.model import PretrainModel
+from vlsc.objectives import total_loss
 from vlsc.tensor import ParamRegistry, Tensor
 
 
@@ -553,6 +555,76 @@ class TestTrainPinned:
         digest = hashlib.sha256(
             (tmp_path / "ckpt_final.vlsc").read_bytes()).hexdigest()
         assert (lines, digest) == self.PINNED[m]
+
+
+def keeping_backward(root: Tensor) -> None:
+    """Tensor.backward as it was before the sweep consumed the graph:
+    the same topological order and arithmetic, every node kept."""
+    topo, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in visited:
+                stack.append((p, False))
+    pending = {id(root): np.ones_like(root.data)}
+    for node in reversed(topo):
+        g = pending.pop(id(node), None)
+        if g is None:
+            continue
+        node.grad = g if node.grad is None else node.grad + g
+        if node._backward_fn is None:
+            continue
+        for p, pg in zip(node._parents, node._backward_fn(g)):
+            if pg is None or not p.requires_grad:
+                continue
+            pending[id(p)] = pending[id(p)] + pg if id(p) in pending else pg
+
+
+class TestBackwardFreesGraph:
+    def test_peak_memory_flat_across_steps(self):
+        # a step's graph is freed by its own backward, not by the next
+        # step's forward, so a 3-step run peaks where a 1-step run does
+        corpus = small_corpus(8)
+        peaks = []
+        for steps in (1, 3):
+            cfg = tiny_train_config(total_steps=steps, batch=4,
+                                    embed_dim=16)
+            tracemalloc.start()
+            try:
+                tr.train(cfg, corpus)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("variant", ["FrameCLS", "MeanPooling",
+                                         "GlobalCLS"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_gradients_match_graph_keeping_sweep(self, variant, m):
+        cfg = tiny_train_config(variant=variant, frames_m=m,
+                                phase="image" if m == 1 else "video",
+                                embed_dim=16, layers_v=2, layers_t=2,
+                                layers_f=2, batch=4, dropout=0.1)
+        frames, captions = tr.stack_batch(small_corpus(4, frames_m=m),
+                                          np.arange(4))
+        grads = []
+        for sweep in (keeping_backward, Tensor.backward):
+            model = PretrainModel(cfg)
+            _, total = total_loss(model, frames, captions, cfg,
+                                  tr.step_rngs(cfg.seed, 1), train=True)
+            sweep(total)
+            grads.append({n: p.grad for n, p in model.params.items()})
+        kept, consumed = grads
+        assert all(g is not None for g in consumed.values())
+        for name, g in kept.items():
+            assert np.array_equal(consumed[name], g), name
 
 
 class TestBatching:
