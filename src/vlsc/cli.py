@@ -320,8 +320,10 @@ def split_corpus(pairs: int, frames_m: int, seed: int):
 def cmd_ablate(args) -> int:
     seeds = ([_seed(s, "--seeds") for s in args.seeds.split(",")]
              if args.seeds else [args.seed])
-    # every grid point's config is built, and so checked, before any
+    # the depth and every grid point's config are checked before any
     # training or write: a rejected grid leaves --out as it was
+    if args.k < 0:
+        raise ConfigError(f"--k {args.k} is negative")
     points = [(seed, [(name, tr.TrainConfig(total_steps=args.steps,
                                             batch=args.batch, seed=seed,
                                             **overrides))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,9 +173,9 @@ def score_pairs(model: PretrainModel, enc: EncodedCorpus,
     chunk_pairs pairs (the last call filled up to a whole group with
     copies of the last pair), dealt round-robin to one thread per usable
     core. The calling thread scores its own share, so a 1-core host
-    starts no helper, and every helper has ended when this returns.
-    Scores come back by call, so the scheduling cannot move a bit of
-    them."""
+    starts no helper, and every helper has ended when this returns or
+    raises the first error a share met. Scores come back by call, so
+    the scheduling cannot move a bit of them."""
     size = chunk_pairs(enc.v_flat.shape[1])
     keep = len(text_idx)
     filled = np.minimum(np.arange(keep + -keep % RERANK_PAIR_GROUP),
@@ -189,17 +189,29 @@ def score_pairs(model: PretrainModel, enc: EncodedCorpus,
              if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     workers = min(cores, len(starts))
 
-    def share(w: int) -> None:
-        for c in range(w, len(starts), workers):
-            lo = starts[c]
-            scores[c] = match_scores(model, enc, text_idx[lo:lo + size],
-                                     vis_idx[lo:lo + size])
+    errors = []
 
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        helpers = [pool.submit(share, w) for w in range(1, workers)]
-        share(0)
-        for h in helpers:
-            h.result()
+    def share(w: int) -> None:
+        try:
+            for c in range(w, len(starts), workers):
+                lo = starts[c]
+                scores[c] = match_scores(model, enc,
+                                         text_idx[lo:lo + size],
+                                         vis_idx[lo:lo + size])
+        except BaseException as e:  # raised again by the calling thread
+            errors.append(e)
+
+    # one thread per helper share: a pool could hand two shares to one
+    # thread that finished its first before the second was submitted
+    helpers = [threading.Thread(target=share, args=(w,))
+               for w in range(1, workers)]
+    for h in helpers:
+        h.start()
+    share(0)
+    for h in helpers:
+        h.join()
+    if errors:
+        raise errors[0]
     return np.concatenate(scores)[:keep]
 
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .tensor import ParamRegistry, Tensor, no_grad
 
 
@@ -31,9 +31,14 @@ def grad_check(loss_fn, params: ParamRegistry, eps: float = 1e-4,
     their limit is cancellation noise ~|loss|*ulp/eps instead. Both
     refinements sharpen the derivative estimate; neither can pull it
     toward a wrong analytic value.
+
+    An eps that is not finite and positive, or a max_elements below 1,
+    raises ConfigError.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"eps must be finite and positive, got {eps}")
+    if max_elements is not None and max_elements < 1:
+        raise ConfigError(f"max_elements must be >= 1, got {max_elements}")
 
     def evaluate() -> float:
         with no_grad():

@@ -109,26 +109,21 @@ def vtm_loss(model: PretrainModel, vis: VisionOut, txt: TextOut, rng,
 
 def mlm_loss(model: PretrainModel, vis: VisionOut, captions: np.ndarray,
              rng, train: bool = False):
-    """Vocabulary cross-entropy at the planned masked positions of the
-    masked captions fused with the given vision encoding. Returns
+    """Vocabulary cross-entropy at the MLM-masked positions.
+
+    Each caption is masked by masking.plan_mlm_mask, the masked captions
+    are fused with the given vision encoding, and the fused text tokens
+    at the masked positions predict the original ids there. Returns
     (loss, n_predicted)."""
-    n = captions.shape[0]
-    masked = np.empty_like(captions)
-    rows, cols, labels = [], [], []
-    for i in range(n):
-        plan = mk.plan_mlm_mask(captions[i], rng,
-                                vocab_size=model.config.vocab_size)
-        masked[i] = mk.apply_text_plan(captions[i], plan)
-        for pos in sorted(plan.text_actions):
-            rows.append(i)
-            cols.append(pos)
-            labels.append(plan.original_ids[pos])
-    txt = model.text(masked, train=train, rng=rng)
+    masked, picks = zip(*(mk.plan_mlm_mask(
+        c, rng, vocab_size=model.config.vocab_size) for c in captions))
+    rows = np.repeat(np.arange(len(picks)), [p.size for p in picks])
+    cols = np.concatenate(picks)
+    txt = model.text(np.stack(masked), train=train, rng=rng)
     fused, _, _ = model.fuse_pair(vis.flat, txt.tokens, txt.additive_mask,
                                   train=train, rng=rng)
-    picked = fused.text_tokens[np.asarray(rows), np.asarray(cols)]
-    logits = model.mlm_logits(picked)
-    return T.cross_entropy(logits, np.asarray(labels)), len(rows)
+    logits = model.mlm_logits(fused.text_tokens[rows, cols])
+    return T.cross_entropy(logits, captions[rows, cols]), rows.size
 
 
 def scl_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
@@ -138,10 +133,13 @@ def scl_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
     """Semantic completion: exactly two fused passes.
 
     vis and txt are the encodings of the complete frames and captions.
-    Pass 1 fuses the masked image with the complete text; pass 2 fuses
-    the complete image with the masked text. Each recovered global is
-    matched against the *detached* complete global from the other pass,
-    with the rest of the batch as negatives. Returns (loss, GlobalPair).
+    Per sample, masking.plan_image_mask gives the (M, N) patch mask at
+    image_ratio and masking.plan_scl_text_mask the masked caption at
+    text_ratio. Pass 1 fuses the masked image with the complete text;
+    pass 2 fuses the complete image with the masked text. Each recovered
+    global is matched against the *detached* complete global from the
+    other pass, with the rest of the batch as negatives. Returns (loss,
+    GlobalPair).
 
     frozen_targets, if given as (i_co_array, t_co_array), replaces the
     detached complete globals with fixed constants. Finite-difference
@@ -152,16 +150,11 @@ def scl_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
     if not (mvsc or mlsc):
         raise ConfigError("semantic completion needs at least one side on")
     n, m = frames.shape[0], frames.shape[1]
-    n_patches = model.config.n_patches
-
-    visual_mask = np.zeros((n, m, n_patches), dtype=bool)
-    for i in range(n):
-        for f, p in mk.plan_image_mask(m, n_patches, image_ratio, rng):
-            visual_mask[i, f, p] = True
-    masked_caps = np.empty_like(captions)
-    for i in range(n):
-        plan = mk.plan_scl_text_mask(captions[i], text_ratio, rng)
-        masked_caps[i] = mk.apply_text_plan(captions[i], plan)
+    visual_mask = np.stack([
+        mk.plan_image_mask(m, model.config.n_patches, image_ratio, rng)
+        for _ in range(n)])
+    masked_caps = np.stack([mk.plan_scl_text_mask(c, text_ratio, rng)
+                            for c in captions])
 
     vis_masked = model.vision(frames, visual_mask=visual_mask, train=train,
                               rng=rng)

@@ -10,6 +10,8 @@ are reproducible and captions double as retrieval ground truth.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,15 +230,38 @@ def generate_corpus(n: int, frames_m: int = 1, seed: int = 0,
     return out
 
 
+def write_atomic(path, chunks) -> None:
+    """Write the byte strings chunks yields to a temporary file in
+    path's directory, then rename it over path. On any failure the
+    temporary file is removed and a file already at path is left as it
+    was."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_corpus(path, corpus, vocab: Vocab | None = None) -> None:
-    """One sample per line: scene_id TAB M TAB caption TAB pixels."""
+    """One sample per line: scene_id TAB M TAB caption TAB pixels,
+    written atomically."""
     if vocab is None:
         vocab = default_vocab()
-    with open(path, "w") as f:
+
+    def lines():
         for s in corpus:
             text = detokenize(s.caption, vocab)
             pixels = " ".join("%.17g" % v for v in s.frames.ravel())
-            f.write(f"{s.scene_id}\t{s.frames.shape[0]}\t{text}\t{pixels}\n")
+            yield (f"{s.scene_id}\t{s.frames.shape[0]}\t{text}\t"
+                   f"{pixels}\n").encode()
+    write_atomic(path, lines())
 
 
 def load_corpus(path, vocab: Vocab | None = None,

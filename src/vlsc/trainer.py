@@ -34,7 +34,6 @@ failed or interrupted save never leaves a partial file at the target.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -50,7 +49,7 @@ from .encoders import VARIANTS
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .model import PretrainModel
 from .objectives import total_loss
-from .synthdata import CHANNELS
+from .synthdata import CHANNELS, write_atomic
 from .tensor import ParamRegistry
 
 CKPT_MAGIC = b"VLSC-CKPT-1\n"
@@ -212,25 +211,6 @@ def parse_config_file(path) -> dict:
 
 def load_config(path) -> TrainConfig:
     return TrainConfig(**parse_config_file(path))
-
-
-def write_atomic(path, chunks) -> None:
-    """Write the byte strings chunks yields to a temporary file in
-    path's directory, then rename it over path. On any failure the
-    temporary file is removed and a file already at path is left as it
-    was."""
-    path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(path),
-                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            for chunk in chunks:
-                f.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def save_config(config: TrainConfig, path, init_from=None) -> None:
@@ -506,6 +486,10 @@ def _validate_corpus(config: TrainConfig, corpus) -> None:
         raise ShapeError(f"corpus caption length "
                          f"{corpus[0].caption.shape[0]} != k_max "
                          f"{config.k_max}")
+    top = max(int(s.caption.max()) for s in corpus)
+    if top >= config.vocab_size:
+        raise InputError(f"corpus token id {top} is outside vocab_size "
+                         f"{config.vocab_size}")
 
 
 def _abort(model: PretrainModel, opt: AdamW, step: int,

@@ -62,6 +62,15 @@ class TestGenData:
                    "--seed", "-1") == 2
         assert "seed -1" in capsys.readouterr().err
 
+    def test_failed_write_keeps_old_corpus(self, tmp_path, file_size_limit):
+        path = tmp_path / "c.tsv"
+        assert run("gen-data", "--out", str(path), "--n", "2") == 0
+        old = path.read_bytes()
+        with file_size_limit(len(old) + 8):
+            assert run("gen-data", "--out", str(path), "--n", "4") == 2
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["c.tsv"]
+
     def test_multiframe(self, tmp_path):
         path = tmp_path / "c.tsv"
         assert run("gen-data", "--out", str(path), "--n", "2",
@@ -119,6 +128,26 @@ class TestPretrain:
         out = tmp_path / "run"
         assert run("pretrain", "--corpus", str(corpus_file), "--out",
                    str(out), "--config", str(cfg), *flags) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("vocab_size, flags", [
+        (3, ("--no-cl", "--no-vtm", "--no-scl")),
+        (10, ()),
+    ], ids=["mlm-vocab-3", "vocab-10"])
+    def test_token_id_outside_vocab_writes_nothing(self, tmp_path,
+                                                  corpus_file, capsys,
+                                                  vocab_size, flags):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"vocab_size = {vocab_size}\n")
+        top = max(int(s.caption.max()) for s in sd.load_corpus(corpus_file))
+        out = tmp_path / "run"
+        assert run("pretrain", "--corpus", str(corpus_file), "--out",
+                   str(out), "--config", str(cfg), "--steps", "1",
+                   "--batch", "2", *flags) == 2
+        err = capsys.readouterr().err
+        assert f"token id {top} " in err
+        assert f"vocab_size {vocab_size}" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_bad_config_value(self, tmp_path, corpus_file):
@@ -313,6 +342,17 @@ class TestGradcheckCommand:
         assert run("gradcheck", "--seed", "1", "--eps", "10.0") == 1
 
 
+    @pytest.mark.parametrize("flags", [
+        ("--eps", "0"), ("--eps", "-1"), ("--eps", "nan"), ("--eps", "inf"),
+        ("--max-elements", "0"),
+    ], ids=["eps-0", "eps-neg", "eps-nan", "eps-inf", "max-elements-0"])
+    def test_bad_setting_is_usage_error(self, flags, capsys):
+        assert run("gradcheck", "--seed", "1", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestAblate:
     def test_variants_grid_csv(self, tmp_path):
         csv = tmp_path / "ablate.csv"
@@ -339,6 +379,20 @@ class TestAblate:
         assert "batch" in capsys.readouterr().err
         assert csv.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["ablate.csv"]
+
+    def test_negative_depth_rejected_before_training(self, tmp_path,
+                                                     capsys, monkeypatch):
+        def no_training(*args, **kw):
+            raise AssertionError("ablate trained before checking --k")
+        monkeypatch.setattr(tr, "train", no_training)
+        csv = tmp_path / "ablate.csv"
+        assert run("ablate", "--grid", "variants", "--out", str(csv),
+                   "--steps", "1", "--pairs", "2", "--batch", "2",
+                   "--k", "-1") == 2
+        err = capsys.readouterr().err
+        assert "--k -1" in err
+        assert "Traceback" not in err
+        assert not csv.exists()
 
     def test_mask_ratio_grid_has_five_rows(self, tmp_path):
         csv = tmp_path / "ablate.csv"

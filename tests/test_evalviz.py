@@ -286,6 +286,23 @@ class TestRetrieveMatchesSerial:
         assert len(started) == cores - 1
         assert threading.active_count() == threads
 
+    def test_helper_error_reaches_caller(self, monkeypatch):
+        # an error in a helper thread's share is raised by retrieve, and
+        # no helper outlives the call
+        model = small_model(seed=15, frames_m=1)
+        real = ev.match_scores
+
+        def failing_in_helpers(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise InputError("helper failed")
+            return real(*args)
+        monkeypatch.setattr(ev, "match_scores", failing_in_helpers)
+        monkeypatch.setattr(ev.os, "sched_getaffinity",
+                            lambda pid: set(range(3)))
+        threads = threading.active_count()
+        with pytest.raises(InputError, match="helper failed"):
+            ev.retrieve(model, corpus(11), k=11)
+        assert threading.active_count() == threads
 
     def test_host_without_affinity(self, monkeypatch, tmp_path):
         # macOS and Windows have no os.sched_getaffinity; re-ranking

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vlsc import tensor as T
-from vlsc.errors import NumericError
+from vlsc.errors import ConfigError, NumericError
 from vlsc.gradcheck import grad_check
 from vlsc.tensor import ParamRegistry, Tensor
 
@@ -52,6 +52,19 @@ def test_nonfinite_loss_raises():
 
     with np.errstate(divide="ignore"), pytest.raises(NumericError):
         grad_check(loss, reg)
+
+
+@pytest.mark.parametrize("kw", [dict(eps=0.0), dict(eps=-1.0),
+                                dict(eps=float("nan")),
+                                dict(eps=float("inf")),
+                                dict(max_elements=0)],
+                         ids=["eps-0", "eps-neg", "eps-nan", "eps-inf",
+                              "max-elements-0"])
+def test_bad_settings_are_config_errors(kw):
+    reg = ParamRegistry()
+    reg.register("x", np.array([1.0]))
+    with pytest.raises(ConfigError):
+        grad_check(lambda: (reg["x"] * reg["x"]).sum(), reg, **kw)
 
 
 def test_sampling_respects_floor_and_seed():

@@ -24,15 +24,17 @@ class TestCounts:
 
     def test_image_count_16_at_08(self):
         rng = np.random.default_rng(0)
-        assert len(mk.plan_image_mask(1, 16, 0.8, rng)) == 13
+        assert mk.plan_image_mask(1, 16, 0.8, rng).sum() == 13
 
     def test_zero_ratio_empty(self):
         rng = np.random.default_rng(0)
-        assert mk.plan_image_mask(2, 16, 0.0, rng) == frozenset()
+        mask = mk.plan_image_mask(2, 16, 0.0, rng)
+        assert mask.shape == (2, 16)
+        assert not mask.any()
 
     def test_floor_at_one(self):
         rng = np.random.default_rng(0)
-        assert len(mk.plan_image_mask(1, 16, 0.01, rng)) == 1
+        assert mk.plan_image_mask(1, 16, 0.01, rng).sum() == 1
 
     def test_ratio_out_of_range(self):
         rng = np.random.default_rng(0)
@@ -46,7 +48,7 @@ class TestCounts:
     @settings(max_examples=60, deadline=None)
     def test_count_formula_always_holds(self, m, n, ratio):
         rng = np.random.default_rng(1)
-        got = len(mk.plan_image_mask(m, n, ratio, rng))
+        got = mk.plan_image_mask(m, n, ratio, rng).sum()
         if ratio == 0.0:
             assert got == 0
         else:
@@ -57,66 +59,95 @@ class TestImageMask:
     def test_indices_in_range(self):
         rng = np.random.default_rng(2)
         masked = mk.plan_image_mask(4, 16, 0.8, rng)
-        assert len(masked) == mk.round_half_up(0.8 * 64)
-        for f, p in masked:
-            assert 0 <= f < 4 and 0 <= p < 16
+        assert masked.shape == (4, 16) and masked.dtype == bool
+        assert masked.sum() == mk.round_half_up(0.8 * 64)
 
     def test_uniformity_monte_carlo(self):
         rng = np.random.default_rng(3)
         hits = np.zeros(16)
         draws = 10_000
         for _ in range(draws):
-            for f, p in mk.plan_image_mask(1, 16, 0.5, rng):
-                hits[p] += 1
+            hits += mk.plan_image_mask(1, 16, 0.5, rng)[0]
         freq = hits / draws
         assert np.all(np.abs(freq - 0.5) <= 0.02)
+
+
+def changed_outside(ids, masked, picks):
+    """True where masked differs from ids off the picked positions."""
+    off = np.ones(len(ids), dtype=bool)
+    off[picks] = False
+    return np.any(masked[off] != ids[off])
+
+
+def random_replacements(ids, vocab_size):
+    """Count the random ids 2000 MLM draws put in, checking each lies in
+    [3, vocab_size)."""
+    rng = np.random.default_rng(6)
+    seen = 0
+    for _ in range(2000):
+        masked, picks = mk.plan_mlm_mask(ids, rng, vocab_size=vocab_size)
+        got, orig = masked[picks], ids[picks]
+        rid = got[(got != sd.MASK_ID) & (got != orig)]
+        assert np.all((rid >= 3) & (rid < vocab_size))
+        seen += rid.size
+    return seen
 
 
 class TestMlmPlan:
     def test_count_20_content(self):
         ids = caption(20, k_max=24)
         rng = np.random.default_rng(0)
-        plan = mk.plan_mlm_mask(ids, rng)
-        assert len(plan.text_actions) == 3
+        _, picks = mk.plan_mlm_mask(ids, rng)
+        assert len(picks) == 3
 
     def test_floor_at_one_small_caption(self):
         ids = caption(2)
         rng = np.random.default_rng(0)
-        plan = mk.plan_mlm_mask(ids, rng)
-        assert len(plan.text_actions) == 1
+        _, picks = mk.plan_mlm_mask(ids, rng)
+        assert len(picks) == 1
 
     def test_reserved_positions_never_selected(self):
         ids = caption(6)
         rng = np.random.default_rng(4)
         for _ in range(500):
-            plan = mk.plan_mlm_mask(ids, rng)
-            for pos in plan.text_actions:
-                assert ids[pos] >= 3
+            masked, picks = mk.plan_mlm_mask(ids, rng)
+            assert np.all(ids[picks] >= 3)
+            assert np.all(np.diff(picks) > 0)   # sorted and unique
+            assert not changed_outside(ids, masked, picks)
 
     def test_action_frequencies_30k(self):
+        # a random content id equals the original 1 time in 61, and then
+        # reads as kept
         ids = caption(20, k_max=24)
         rng = np.random.default_rng(5)
-        counts = {mk.MASK_TOKEN: 0, mk.RANDOM_TOKEN: 0, mk.KEEP: 0}
-        total = 0
+        n_mask = n_kept = n_random = 0
         for _ in range(30_000):
-            plan = mk.plan_mlm_mask(ids, rng)
-            for action in plan.text_actions.values():
-                counts[action] += 1
-                total += 1
-        assert abs(counts[mk.MASK_TOKEN] / total - 0.80) <= 0.01
-        assert abs(counts[mk.RANDOM_TOKEN] / total - 0.10) <= 0.01
-        assert abs(counts[mk.KEEP] / total - 0.10) <= 0.01
+            masked, picks = mk.plan_mlm_mask(ids, rng)
+            got, orig = masked[picks], ids[picks]
+            n_mask += np.sum(got == sd.MASK_ID)
+            n_kept += np.sum(got == orig)
+            n_random += np.sum((got != sd.MASK_ID) & (got != orig))
+        total = n_mask + n_kept + n_random
+        assert total == 90_000
+        assert abs(n_mask / total - 0.80) <= 0.01
+        assert abs(n_kept / total - (0.10 + 0.10 / 61)) <= 0.01
+        assert abs(n_random / total - (0.10 - 0.10 / 61)) <= 0.01
 
     def test_random_replacements_not_reserved(self):
+        assert random_replacements(caption(14), 64) > 100
+
+    def test_random_replacements_below_vocab_size(self):
         ids = caption(14)
-        rng = np.random.default_rng(6)
-        seen = 0
-        for _ in range(2000):
-            plan = mk.plan_mlm_mask(ids, rng)
-            for rid in plan.random_ids.values():
-                assert 3 <= rid < 64
-                seen += 1
-        assert seen > 100
+        ids[ids >= 10] = 3
+        assert random_replacements(ids, 10) > 100
+
+    def test_masked_ids_follow_the_rule(self):
+        ids = caption(10)
+        masked, picks = mk.plan_mlm_mask(ids, np.random.default_rng(11))
+        for pos in picks:
+            assert (masked[pos] in (sd.MASK_ID, ids[pos])
+                    or 3 <= masked[pos] < 64)
+        assert not changed_outside(ids, masked, picks)
 
     def test_all_pad_raises(self):
         ids = np.zeros(8, dtype=np.int64)
@@ -124,58 +155,55 @@ class TestMlmPlan:
             mk.plan_mlm_mask(ids, np.random.default_rng(0))
 
     def test_labels_recorded(self):
+        # the caller reads the labels as ids[picks], so the planner must
+        # leave its input as it was
         ids = caption(10)
-        plan = mk.plan_mlm_mask(ids, np.random.default_rng(7))
-        for pos, orig in plan.original_ids.items():
-            assert orig == ids[pos]
-        assert set(plan.original_ids) == set(plan.text_actions)
+        before = ids.copy()
+        masked, picks = mk.plan_mlm_mask(ids, np.random.default_rng(7))
+        np.testing.assert_array_equal(ids, before)
+        assert masked is not ids
+        assert picks.dtype.kind == "i" and len(picks) == 2
+
+    def test_determinism(self):
+        ids = caption(12)
+        m1, p1 = mk.plan_mlm_mask(ids, np.random.default_rng(9))
+        m2, p2 = mk.plan_mlm_mask(ids, np.random.default_rng(9))
+        np.testing.assert_array_equal(m1, m2)
+        np.testing.assert_array_equal(p1, p2)
 
 
 class TestSclPlan:
     def test_ten_content_04(self):
         ids = caption(10)
-        plan = mk.plan_scl_text_mask(ids, 0.4, np.random.default_rng(0))
-        assert len(plan.text_actions) == 4
-        assert all(a == mk.SCL_MASK for a in plan.text_actions.values())
+        masked = mk.plan_scl_text_mask(ids, 0.4, np.random.default_rng(0))
+        changed = masked != ids
+        assert changed.sum() == 4
+        assert np.all(masked[changed] == sd.MASK_ID)
+        assert np.all(ids[changed] >= 3)
 
     def test_full_ratio_masks_all_content(self):
         ids = caption(7)
-        plan = mk.plan_scl_text_mask(ids, 1.0, np.random.default_rng(1))
-        masked = mk.apply_text_plan(ids, plan)
+        masked = mk.plan_scl_text_mask(ids, 1.0, np.random.default_rng(1))
         assert masked[0] == sd.CLS_ID
         content = ids >= 3
         assert np.all(masked[content] == sd.MASK_ID)
 
+    def test_untouched_positions_stable(self):
+        ids = caption(10)
+        before = ids.copy()
+        masked = mk.plan_scl_text_mask(ids, 0.4, np.random.default_rng(3))
+        np.testing.assert_array_equal(ids, before)
+        untouched = masked != sd.MASK_ID
+        np.testing.assert_array_equal(masked[untouched], ids[untouched])
+        assert untouched.sum() == len(ids) - 4
+
     def test_determinism(self):
         ids = caption(12)
-        p1 = mk.plan_scl_text_mask(ids, 0.4, np.random.default_rng(9))
-        p2 = mk.plan_scl_text_mask(ids, 0.4, np.random.default_rng(9))
-        assert p1.text_actions == p2.text_actions
+        m1 = mk.plan_scl_text_mask(ids, 0.4, np.random.default_rng(9))
+        m2 = mk.plan_scl_text_mask(ids, 0.4, np.random.default_rng(9))
+        np.testing.assert_array_equal(m1, m2)
 
     def test_zero_ratio(self):
         ids = caption(5)
-        plan = mk.plan_scl_text_mask(ids, 0.0, np.random.default_rng(0))
-        assert plan.text_actions == {}
-
-
-class TestApplyRevert:
-    def test_apply_respects_actions(self):
-        ids = caption(10)
-        rng = np.random.default_rng(11)
-        plan = mk.plan_mlm_mask(ids, rng)
-        masked = mk.apply_text_plan(ids, plan)
-        for pos, action in plan.text_actions.items():
-            if action == mk.MASK_TOKEN:
-                assert masked[pos] == sd.MASK_ID
-            elif action == mk.RANDOM_TOKEN:
-                assert masked[pos] == plan.random_ids[pos]
-            else:
-                assert masked[pos] == ids[pos]
-
-    def test_untouched_positions_stable(self):
-        ids = caption(10)
-        plan = mk.plan_scl_text_mask(ids, 0.4, np.random.default_rng(3))
-        masked = mk.apply_text_plan(ids, plan)
-        untouched = [i for i in range(len(ids))
-                     if i not in plan.text_actions]
-        np.testing.assert_array_equal(masked[untouched], ids[untouched])
+        masked = mk.plan_scl_text_mask(ids, 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(masked, ids)

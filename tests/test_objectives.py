@@ -182,18 +182,12 @@ class TestMlm:
         model = PretrainModel(cfg)
         frames, caps = make_batch(2, seed=8)
         rng = np.random.default_rng(3)
-        masked = np.empty_like(caps)
-        rows, cols, labels = [], [], []
-        for i in range(2):
-            plan = mk.plan_mlm_mask(caps[i], rng)
-            masked[i] = mk.apply_text_plan(caps[i], plan)
-            for pos in sorted(plan.text_actions):
-                rows.append(i)
-                cols.append(pos)
-                labels.append(plan.original_ids[pos])
-        out = model.forward(frames, masked)
-        picked = out.fusion.text_tokens[np.asarray(rows), np.asarray(cols)]
-        loss = T.cross_entropy(model.mlm_logits(picked), np.asarray(labels))
+        masked, picks = zip(*(mk.plan_mlm_mask(c, rng) for c in caps))
+        rows = np.repeat(np.arange(2), [p.size for p in picks])
+        cols = np.concatenate(picks)
+        out = model.forward(frames, np.stack(masked))
+        picked = out.fusion.text_tokens[rows, cols]
+        loss = T.cross_entropy(model.mlm_logits(picked), caps[rows, cols])
         model.zero_grad()
         loss.backward()
         g = out.fusion.text_tokens.grad
