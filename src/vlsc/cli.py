@@ -21,7 +21,7 @@ from . import objectives as obj
 from . import synthdata as sd
 from . import trainer as tr
 from .encoders import VARIANTS
-from .errors import ConfigError, NumericError, VlscError
+from .errors import ConfigError, InputError, NumericError, VlscError
 from .gradcheck import grad_check
 from .model import PretrainModel
 
@@ -189,7 +189,7 @@ def cmd_eval_retrieval(args) -> int:
                 old = f.read()
         except FileNotFoundError:
             old = (r.CSV_HEADER + "\n").encode()
-        tr.write_atomic(args.out, [old, (r.csv_row() + "\n").encode()])
+        sd.write_atomic(args.out, [old, (r.csv_row() + "\n").encode()])
     return 0
 
 
@@ -197,8 +197,8 @@ def cmd_export_attention(args) -> int:
     model = _model_from(args.ckpt)
     corpus = sd.load_corpus(args.corpus)
     if not (0 <= args.index < len(corpus)):
-        raise tr.InputError(f"--index {args.index} outside corpus of "
-                            f"{len(corpus)}")
+        raise InputError(f"--index {args.index} outside corpus of "
+                         f"{len(corpus)}")
     _, paths = ev.export_attention(model, corpus[args.index],
                                    args.out_dir, prefix=args.prefix)
     for p in paths:
@@ -280,7 +280,7 @@ def grid_rows(grid: str):
                      for im, tx in MASK_RATIO_GRID)
     if grid == "variants":
         return tuple((v, dict(variant=v)) for v in VARIANTS)
-    raise tr.InputError(f"unknown grid {grid!r}")
+    raise InputError(f"unknown grid {grid!r}")
 
 
 ABLATE_HEADER = ("grid,name,seed,steps,pairs,cl,vtm,mlm,scl,total,"
@@ -339,7 +339,7 @@ def cmd_ablate(args) -> int:
                 [args.grid] + [str(c) if not isinstance(c, float)
                                else f"{c:.17g}" for c in cells]) + "\n")
             # the whole file so far, replaced at once
-            tr.write_atomic(args.out, [ln.encode() for ln in lines])
+            sd.write_atomic(args.out, [ln.encode() for ln in lines])
             print(f"done: {name} seed {seed}")
     print(f"wrote {args.out}")
     return 0

@@ -1,7 +1,10 @@
 """Transformer encoders: vision (frame-token grid), text, and two-stream
 fusion.
 
-All blocks are pre-norm residual. The vision encoder keeps a fixed
+All blocks are pre-norm residual: every sublayer ends in the add that
+residual() builds once per public call, dropout on the sublayer's output
+(train mode only) then the sum. Masks come off the pass's generator in
+sublayer order, fusion stream v before t. The vision encoder keeps a fixed
 (M, N+1, D) token grid per sample, frame [CLS] at index 0 of each frame;
 masked patches are substituted with a learned mask embedding before the
 positional sums so geometry never changes. The fusion encoder runs
@@ -67,8 +70,11 @@ def ffn_params(reg, rng, name: str, d: int):
     linear_params(reg, rng, f"{name}.2", 4 * d, d)
 
 
-def ffn(reg, name: str, x: Tensor) -> Tensor:
-    return linear(reg, f"{name}.2", T.gelu(linear(reg, f"{name}.1", x)))
+def ffn_sublayer(reg, p: str, norm: str, g: Tensor, res, shape=None,
+                 rows=None) -> Tensor:
+    """res(g, FFN(LN(g))) of block p, whose FFN reads the norm p.norm."""
+    f = linear(reg, f"{p}.ffn.1", ln(reg, f"{p}.{norm}", g))
+    return res(g, linear(reg, f"{p}.ffn.2", T.gelu(f)), shape, rows)
 
 
 def attention(reg, name: str, q_in: Tensor, kv_in: Tensor, heads: int,
@@ -80,14 +86,16 @@ def attention(reg, name: str, q_in: Tensor, kv_in: Tensor, heads: int,
     return linear(reg, f"{name}.o", out)
 
 
-def _drop(x: Tensor, p: float, train: bool, rng, shape=None,
-          rows=None) -> Tensor:
-    """Dropout in train mode only; shape and rows as in T.dropout."""
-    if train and p > 0.0:
-        if rng is None:
-            raise ConfigError("training forward needs an rng for dropout")
-        return T.dropout(x, p, rng, shape=shape, rows=rows)
-    return x
+def residual(p: float, train: bool, rng):
+    """The residual add of one pass, res(g, out, shape, rows) =
+    g + dropout(out), with shape and rows as in T.dropout. Dropout runs
+    in train mode only, so an eval pass needs no generator."""
+    if not (train and p > 0.0):
+        return lambda g, out, shape=None, rows=None: g + out
+    if rng is None:
+        raise ConfigError("training forward needs an rng for dropout")
+    return lambda g, out, shape=None, rows=None: \
+        g + T.dropout(out, p, rng, shape=shape, rows=rows)
 
 
 def _take(x: Tensor, rows) -> Tensor:
@@ -185,6 +193,7 @@ class VisionEncoder:
         d = cfg.embed_dim
         n = cfg.n_patches
         g = self.embed(frames, visual_mask=visual_mask)
+        res = residual(cfg.dropout, train, rng)
 
         glob = None
         if cfg.variant == "GlobalCLS":
@@ -192,7 +201,7 @@ class VisionEncoder:
                 + Tensor(np.zeros((b, d)))
 
         for l in range(cfg.layers_v):
-            g, glob = self._block(g, glob, l, train, rng)
+            g, glob = self._block(g, glob, l, res)
 
         grid = ln(reg, "vision.ln_f", g)
         flat = grid.reshape(b, m * (n + 1), d)
@@ -210,7 +219,7 @@ class VisionEncoder:
                          token_frames=token_frames,
                          token_patches=token_patches)
 
-    def _block(self, g: Tensor, glob, l: int, train: bool, rng):
+    def _block(self, g: Tensor, glob, l: int, res):
         reg, cfg = self.reg, self.cfg
         b, m, np1, d = g.shape
         h = cfg.heads
@@ -225,26 +234,22 @@ class VisionEncoder:
             all_tok = x.reshape(b, m * np1, d)
             t_out = attention(reg, f"{p}.temporal", q_cls, all_tok, h)
             s_out = attention(reg, f"{p}.spatial", x[:, :, 1:, :], x, h)
-            cls_new = g[:, :, 0, :] + _drop(t_out, cfg.dropout, train, rng)
-            patch_new = g[:, :, 1:, :] + _drop(s_out, cfg.dropout, train, rng)
+            cls_new = res(g[:, :, 0, :], t_out)
+            patch_new = res(g[:, :, 1:, :], s_out)
             g = T.concat([cls_new.reshape(b, m, 1, d), patch_new], axis=2)
         else:
             # MeanPooling / GlobalCLS: frames never exchange information
             # through the grid; each frame is self-attended in isolation
             s_out = attention(reg, f"{p}.spatial", x, x, h)
-            g = g + _drop(s_out, cfg.dropout, train, rng)
+            g = res(g, s_out)
 
         if cfg.variant == "GlobalCLS":
             xg = ln(reg, f"{p}.ln1", glob).reshape(b, 1, d)
             keys = T.concat([xg, x.reshape(b, m * np1, d)], axis=1)
             g_out = attention(reg, f"{p}.global", xg, keys, h)
-            glob = glob + _drop(g_out.reshape(b, d), cfg.dropout, train, rng)
-            fg = ffn(reg, f"{p}.ffn", ln(reg, f"{p}.ln2", glob))
-            glob = glob + _drop(fg, cfg.dropout, train, rng)
-
-        f = ffn(reg, f"{p}.ffn", ln(reg, f"{p}.ln2", g))
-        g = g + _drop(f, cfg.dropout, train, rng)
-        return g, glob
+            glob = res(glob, g_out.reshape(b, d))
+            glob = ffn_sublayer(reg, p, "ln2", glob, res)
+        return ffn_sublayer(reg, p, "ln2", g, res), glob
 
 
 @dataclass
@@ -291,13 +296,12 @@ class TextEncoder:
         g = T.embedding(reg["text.tok_emb"], ids) \
             + reg["text.pos_emb"][:k].reshape(1, k, d)
         mask = text_additive_mask(ids)
+        res = residual(cfg.dropout, train, rng)
         for l in range(cfg.layers_t):
             p = f"text.l{l}"
             x = ln(reg, f"{p}.ln1", g)
-            a = attention(reg, f"{p}.attn", x, x, h, mask=mask)
-            g = g + _drop(a, cfg.dropout, train, rng)
-            f = ffn(reg, f"{p}.ffn", ln(reg, f"{p}.ln2", g))
-            g = g + _drop(f, cfg.dropout, train, rng)
+            g = res(g, attention(reg, f"{p}.attn", x, x, h, mask=mask))
+            g = ffn_sublayer(reg, p, "ln2", g, res)
         out = ln(reg, "text.ln_f", g)
         return TextOut(tokens=out, enc_global=out[:, 0, :],
                        additive_mask=mask)
@@ -400,19 +404,19 @@ class FusionEncoder:
                train: bool = False, rng=None) -> FusionPrefix:
         """Layer-0 prefix of the vision ("v") or text ("t") stream; the
         text stream's self-attention reads text_mask."""
+        res = residual(self.cfg.dropout, train, rng)
         if self.cfg.layers_f == 0:
             return FusionPrefix(g)
-        return self._prefix(g, side, 0, text_mask, train, rng)
+        return self._prefix(g, side, 0, text_mask, res)
 
-    def _prefix(self, g: Tensor, side: str, l: int, text_mask, train,
-                rng) -> FusionPrefix:
+    def _prefix(self, g: Tensor, side: str, l: int, text_mask,
+                res) -> FusionPrefix:
         reg, cfg = self.reg, self.cfg
         own = f"fusion.l{l}.{side}"
         other = f"fusion.l{l}.{'t' if side == 'v' else 'v'}"
         x = ln(reg, f"{own}.ln1", g)
-        g1 = g + _drop(attention(reg, f"{own}.self", x, x, cfg.heads,
-                                 mask=text_mask if side == "t" else None),
-                       cfg.dropout, train, rng)
+        g1 = res(g, attention(reg, f"{own}.self", x, x, cfg.heads,
+                              mask=text_mask if side == "t" else None))
         q = linear(reg, f"{own}.cross.q", ln(reg, f"{own}.ln2", g1))
         kv = ln(reg, f"{other}.lnkv", g1)
         return FusionPrefix(g1, q, linear(reg, f"{other}.cross.k", kv),
@@ -426,7 +430,7 @@ class FusionEncoder:
         finish, returned folded to (B * rows, D); a stream left unpicked
         (one row in all, or no fusion layer) comes back whole."""
         reg, cfg = self.reg, self.cfg
-        h, dp = cfg.heads, cfg.dropout
+        res = residual(cfg.dropout, train, rng)
         b = pv.g.shape[0]
         # the last layer's picks; None finishes every row
         last = (None, None)
@@ -436,23 +440,19 @@ class FusionEncoder:
         gv, gt = pv.g, pt.g
         for l in range(cfg.layers_f):
             if l > 0:
-                pv = self._prefix(gv, "v", l, None, train, rng)
-                pt = self._prefix(gt, "t", l, text_mask, train, rng)
-            cv, _ = T.mha(pv.q, pt.k, pt.v, h, mask=text_mask)
-            ct, w = T.mha(pt.q, pv.k, pv.v, h)
+                pv = self._prefix(gv, "v", l, None, res)
+                pt = self._prefix(gt, "t", l, text_mask, res)
+            cv, _ = T.mha(pv.q, pt.k, pt.v, cfg.heads, mask=text_mask)
+            ct, w = T.mha(pt.q, pv.k, pv.v, cfg.heads)
             weights.append(w)
             rv, rt = last if l == cfg.layers_f - 1 else (None, None)
             lv, lt = f"fusion.l{l}.v", f"fusion.l{l}.t"
-            gv = _take(pv.g, rv) + _drop(
-                linear(reg, f"{lv}.cross.o", _take(cv, rv)), dp, train,
-                rng, cv.shape, rv)
-            gt = _take(pt.g, rt) + _drop(
-                linear(reg, f"{lt}.cross.o", _take(ct, rt)), dp, train,
-                rng, ct.shape, rt)
-            gv = gv + _drop(ffn(reg, f"{lv}.ffn", ln(reg, f"{lv}.ln3", gv)),
-                            dp, train, rng, cv.shape, rv)
-            gt = gt + _drop(ffn(reg, f"{lt}.ffn", ln(reg, f"{lt}.ln3", gt)),
-                            dp, train, rng, ct.shape, rt)
+            gv = res(_take(pv.g, rv), linear(
+                reg, f"{lv}.cross.o", _take(cv, rv)), cv.shape, rv)
+            gt = res(_take(pt.g, rt), linear(
+                reg, f"{lt}.cross.o", _take(ct, rt)), ct.shape, rt)
+            gv = ffn_sublayer(reg, lv, "ln3", gv, res, cv.shape, rv)
+            gt = ffn_sublayer(reg, lt, "ln3", gt, res, ct.shape, rt)
         return FusionOut(vision_tokens=ln(reg, "fusion.v_ln_f", gv),
                          text_tokens=ln(reg, "fusion.t_ln_f", gt),
                          cross_attention=weights)

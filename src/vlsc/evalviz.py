@@ -36,9 +36,8 @@ import numpy as np
 from .encoders import FusionPrefix
 from .errors import InputError
 from .model import PretrainModel
-from .synthdata import PAD_ID
+from .synthdata import PAD_ID, write_atomic
 from .tensor import Tensor, no_grad
-from .trainer import write_atomic
 
 # Re-ranking fuses its candidate pairs in match_scores calls of at most
 # RERANK_ROW_BUDGET vision-token rows: past that a bigger call costs

@@ -16,7 +16,7 @@ from .synthdata import MASK_ID, V_VOCAB
 
 MLM_RATIO = 0.15
 
-_FIRST_CONTENT_ID = 3  # ids below this are [PAD], [CLS], [MASK]
+FIRST_CONTENT_ID = 3  # ids below this are [PAD], [CLS], [MASK]
 
 
 def round_half_up(x: float) -> int:
@@ -47,7 +47,7 @@ def plan_image_mask(m: int, n: int, ratio: float, rng) -> np.ndarray:
 
 def _choose_content(ids: np.ndarray, ratio: float, rng) -> np.ndarray:
     """mask_count(n_content) content positions, in draw order."""
-    content = np.flatnonzero(ids >= _FIRST_CONTENT_ID)
+    content = np.flatnonzero(ids >= FIRST_CONTENT_ID)
     if content.size == 0:
         raise InputError("caption has no content tokens to mask")
     return rng.choice(content, size=mask_count(content.size, ratio),
@@ -65,7 +65,7 @@ def plan_mlm_mask(ids, rng, vocab_size: int = V_VOCAB):
         if u < 0.8:
             masked[pos] = MASK_ID
         elif u < 0.9:
-            masked[pos] = rng.integers(_FIRST_CONTENT_ID, vocab_size)
+            masked[pos] = rng.integers(FIRST_CONTENT_ID, vocab_size)
     return masked, picks
 
 

@@ -267,9 +267,9 @@ def save_corpus(path, corpus, vocab: Vocab | None = None) -> None:
 def load_corpus(path, vocab: Vocab | None = None,
                 k_max: int = K_MAX) -> list[PairedSample]:
     """Every line is checked, so all samples share one frame count,
-    hold finite pixels in [0, 1] and caption only vocabulary words; a bad
-    line raises InputError, or VocabError for an unknown word, naming
-    path:line."""
+    hold finite pixels in [0, 1] and caption at least one word, all of
+    them in the vocabulary; a bad line raises InputError, or VocabError
+    for an unknown word, naming path:line."""
     if vocab is None:
         vocab = default_vocab()
     out = []
@@ -287,6 +287,8 @@ def load_corpus(path, vocab: Vocab | None = None,
                 raise InputError(f"{where}: expected 4 tab-separated "
                                  f"fields, got {len(fields)}")
             scene_str, m_str, text, pixel_str = fields
+            if not text.split():
+                raise InputError(f"{where}: empty caption")
             try:
                 scene_id, m = int(scene_str), int(m_str)
                 flat = np.array(pixel_str.split(), dtype=np.float64)

@@ -47,6 +47,7 @@ import numpy as np
 
 from .encoders import VARIANTS
 from .errors import ConfigError, InputError, NumericError, ShapeError
+from .masking import FIRST_CONTENT_ID
 from .model import PretrainModel
 from .objectives import total_loss
 from .synthdata import CHANNELS, write_atomic
@@ -490,6 +491,12 @@ def _validate_corpus(config: TrainConfig, corpus) -> None:
     if top >= config.vocab_size:
         raise InputError(f"corpus token id {top} is outside vocab_size "
                          f"{config.vocab_size}")
+    if config.mlm or config.scl:
+        # both mask content tokens of every caption
+        for i, s in enumerate(corpus):
+            if not np.any(s.caption >= FIRST_CONTENT_ID):
+                raise InputError(f"corpus sample {i} (scene {s.scene_id}) "
+                                 f"has no content token to mask")
 
 
 def _abort(model: PretrainModel, opt: AdamW, step: int,

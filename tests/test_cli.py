@@ -36,7 +36,18 @@ BAD_CORPORA = {
     "not-utf8": (GOOD_LINE + "2\t1\tred cr\udcffoss\t0.5\n", 2),
     "nan-pixel": (f"1\t1\tred square\t{PX} nan\n", 1),
     "unknown-word": (GOOD_LINE + f"2\t1\tpurple square\t{PX} 0.5\n", 2),
+    "empty-caption": (GOOD_LINE + f"2\t1\t\t{PX} 0.5\n", 2),
+    "blank-caption": (GOOD_LINE + f"2\t1\t  \t{PX} 0.5\n", 2),
 }
+
+
+def set_caption(corpus_file, index, caption):
+    """Replace the caption field of the corpus line at index."""
+    lines = corpus_file.read_text().splitlines(keepends=True)
+    fields = lines[index].split("\t")
+    fields[2] = caption
+    lines[index] = "\t".join(fields)
+    corpus_file.write_text("".join(lines))
 
 
 def quick_pretrain(tmp_path, corpus_file, *extra):
@@ -149,6 +160,37 @@ class TestPretrain:
         assert f"vocab_size {vocab_size}" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_empty_caption_writes_nothing(self, tmp_path, corpus_file,
+                                          capsys):
+        set_caption(corpus_file, 2, "")
+        out = tmp_path / "run"
+        assert run("pretrain", "--corpus", str(corpus_file), "--out",
+                   str(out), "--steps", "1", "--batch", "2") == 2
+        err = capsys.readouterr().err
+        assert f"{corpus_file}:3: empty caption" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, code", [
+        (("--no-scl",), 2),
+        (("--no-mlm",), 2),
+        (("--no-mlm", "--no-scl"), 0),
+    ], ids=["mlm", "scl", "neither"])
+    def test_contentless_caption_refused_when_masked(self, tmp_path,
+                                                     corpus_file, capsys,
+                                                     flags, code):
+        # "[MASK]" is a vocabulary word, so the line loads, but the
+        # caption holds no content token for MLM or SCL to mask
+        set_caption(corpus_file, 1, "[MASK]")
+        out = tmp_path / "run"
+        assert run("pretrain", "--corpus", str(corpus_file), "--out",
+                   str(out), "--steps", "1", "--batch", "2", *flags) == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert "corpus sample 1 " in err and "no content token" in err
+            assert "Traceback" not in err
+            assert not out.exists()
 
     def test_bad_config_value(self, tmp_path, corpus_file):
         cfg = tmp_path / "train.cfg"

@@ -230,6 +230,41 @@ class TestFusion:
         np.testing.assert_array_equal(a.t_global.data, b.t_global.data)
 
 
+class TestDropoutRng:
+    # a train-mode pass with dropout on must be handed its generator; an
+    # eval-mode pass draws nothing and needs none
+    def passes(self, train):
+        cfg = tiny_config(dropout=0.1, seed=14)
+        model = PretrainModel(cfg)
+        frames, caps = batch(2, 2, cfg)
+        vis = model.vision(frames)
+        txt = model.text(caps)
+        pv = model.fusion.prefix(vis.flat, "v")
+        pt = model.fusion.prefix(txt.tokens, "t", txt.additive_mask)
+        fusion, mask = model.fusion, txt.additive_mask
+        return {
+            "vision": lambda: model.vision(frames, train=train, rng=None),
+            "text": lambda: model.text(caps, train=train, rng=None),
+            "prefix-v": lambda: fusion.prefix(vis.flat, "v", train=train,
+                                              rng=None),
+            "prefix-t": lambda: fusion.prefix(txt.tokens, "t", mask,
+                                              train=train, rng=None),
+            "finish": lambda: fusion.finish(pv, pt, mask, train=train,
+                                            rng=None),
+        }
+
+    SITES = ["vision", "text", "prefix-v", "prefix-t", "finish"]
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_train_without_rng_rejected(self, site):
+        with pytest.raises(ConfigError, match="needs an rng for dropout"):
+            self.passes(train=True)[site]()
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_eval_without_rng_runs(self, site):
+        self.passes(train=False)[site]()
+
+
 def vision_global(model, tokens):
     """The fused vision global read from a (B, n_vis, D) stream."""
     text = Tensor(np.zeros((tokens.shape[0], 1, tokens.shape[-1])))

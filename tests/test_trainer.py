@@ -527,34 +527,54 @@ class TestTrainLoop:
 
 class TestTrainPinned:
     # metrics lines and checkpoint sha256 of a 2-step train-mode run
-    # (dropout 0.1), recorded before TrainConfig became the one config:
-    # any change to the draws, the arithmetic or the file bytes shows here.
-    # The step-2 lines and the digests were re-recorded when the fused
-    # kernels' closed-form backward changed the gradients' rounding
+    # (dropout 0.1) per (variant, M), recorded before TrainConfig became
+    # the one config: any change to the draws, the arithmetic or the file
+    # bytes shows here. The FrameCLS step-2 lines and digests were
+    # re-recorded when the fused kernels' closed-form backward changed the
+    # gradients' rounding; MeanPooling and GlobalCLS were recorded before
+    # the encoders' residual sublayers went through one dropout path
     PINNED = {
-        1: (["1 1.6726954712589537 0.69334770659316081 4.1461306298858069 "
+        ("FrameCLS", 1): (
+            ["1 1.6726954712589537 0.69334770659316081 4.1461306298858069 "
              "1.3785228225971766 7.890696630335098 0.00055555555555555556",
              "2 1.4323359296860088 0.69334901916193359 4.100965814781631 "
              "1.4537864489864107 7.6804372126159839 0"],
             "3f285c6b031fede0c0e3bae0b39adbc5"
             "b998d89962be06b781a89b9401e3c8ed"),
-        2: (["1 1.865637932166027 0.6938209412124432 4.1755095240632158 "
+        ("FrameCLS", 2): (
+            ["1 1.865637932166027 0.6938209412124432 4.1755095240632158 "
              "1.4036134700089491 8.1385818674506361 0.00055555555555555556",
              "2 1.4331812760948075 0.69321312924374867 4.1623298546015883 "
              "1.3914279303178119 7.6801521902579566 0"],
             "323277637e1cd1f985c8991b268e9a17"
             "2b78d20d2d2a8c6be2da3f137ad7a37d"),
+        ("MeanPooling", 2): (
+            ["1 1.5031232642237637 0.69512544779425367 4.1393889434265265 "
+             "1.3886225888659212 7.7262602443104651 0.00055555555555555556",
+             "2 1.5371464676912301 0.69366381352655315 4.141701377287049 "
+             "1.4170206020194849 7.7895322605243171 0"],
+            "3b4b4d48f157bfb05b2a1ccfc4c597bd"
+            "a026f80de1c0fbffa3fb9025acb793c0"),
+        ("GlobalCLS", 2): (
+            ["1 1.3869367070311018 0.69548332696682835 4.1529213938384881 "
+             "1.3922670151671084 7.6276084430035276 0.00055555555555555556",
+             "2 1.3944933330292508 0.69341117898336146 4.1345831073750361 "
+             "1.3770580568368893 7.5995456762245368 0"],
+            "b393da27b1e431b5a823a84cb8c9725d"
+            "3a1a30c940398b03de1ac4b0cf7553b6"),
     }
 
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_train_run_pinned(self, tmp_path, m):
+    @pytest.mark.parametrize("variant, m", list(PINNED), ids=[
+        "1", "2", "MeanPooling-2", "GlobalCLS-2"])
+    def test_train_run_pinned(self, tmp_path, variant, m):
         cfg = tiny_train_config(total_steps=2, dropout=0.1, frames_m=m,
+                                variant=variant,
                                 phase="video" if m > 1 else "image")
         tr.train(cfg, small_corpus(frames_m=m), out_dir=tmp_path)
         lines = (tmp_path / "metrics.txt").read_text().splitlines()[1:]
         digest = hashlib.sha256(
             (tmp_path / "ckpt_final.vlsc").read_bytes()).hexdigest()
-        assert (lines, digest) == self.PINNED[m]
+        assert (lines, digest) == self.PINNED[variant, m]
 
 
 def keeping_backward(root: Tensor) -> None:
