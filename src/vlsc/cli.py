@@ -216,10 +216,9 @@ def gradient_suite(seed: int, eps: float, max_elements: int):
     model = PretrainModel(full)
     rng = np.random.default_rng(seed)
     frames = rng.uniform(size=(3, 1, 3, 8, 8))
-    vocab = sd.default_vocab()
     words = ["red", "green", "blue", "square", "cross", "bar"]
     caps = np.stack([
-        sd.tokenize(f"{words[i % 6]} {words[(i + 2) % 6]}", vocab, 8)
+        sd.tokenize(f"{words[i % 6]} {words[(i + 2) % 6]}", 8)
         for i in range(3)])
 
     def rngs():

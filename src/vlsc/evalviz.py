@@ -270,8 +270,6 @@ class Heatmap:
     grid: np.ndarray       # (gh, gw) in [0, 1]
     per_head: np.ndarray   # (heads, N) raw weights
     pooled_raw: np.ndarray  # (N,) max over heads, pre-normalization
-    vmin: float
-    vmax: float
 
 
 def normalize_map(pooled: np.ndarray) -> tuple:
@@ -305,10 +303,9 @@ def sample_heatmaps(model: PretrainModel, sample) -> list:
         cols = (token_frames == f) & (token_patches >= 0)
         per_head = row[:, cols]                   # (h, N) patch order
         pooled = per_head.max(axis=0)
-        norm, vmin, vmax = normalize_map(pooled)
+        norm = normalize_map(pooled)[0]
         maps.append(Heatmap(frame=f, grid=norm.reshape(side, side),
-                            per_head=per_head, pooled_raw=pooled,
-                            vmin=vmin, vmax=vmax))
+                            per_head=per_head, pooled_raw=pooled))
     return maps
 
 

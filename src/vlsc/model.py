@@ -40,8 +40,9 @@ class ForwardOut:
 
 class PretrainModel:
     """forward() encodes vision, then text, then fuses them through
-    fuse_pair(). Callers that reuse an encoding (the objectives) call
-    self.vision and self.text directly and fuse through fuse_pair();
+    fuse_pair(); it masks no patch. Callers that reuse an encoding or
+    mask patches (the objectives) call self.vision and self.text
+    directly and fuse through fuse_pair();
     re-ranking, which reuses each item's layer-0 fusion prefix too,
     fuses through fuse_prefixes(). Both run the one FusionEncoder and
     read the fused globals through fused_globals(), at the rows
@@ -76,9 +77,8 @@ class PretrainModel:
     # full pass
 
     def forward(self, frames: np.ndarray, captions: np.ndarray,
-                visual_mask=None, train: bool = False, rng=None) -> ForwardOut:
-        vis = self.vision(frames, visual_mask=visual_mask, train=train,
-                          rng=rng)
+                train: bool = False, rng=None) -> ForwardOut:
+        vis = self.vision(frames, train=train, rng=rng)
         txt = self.text(captions, train=train, rng=rng)
         fused, v_global, t_global = self.fuse_pair(
             vis.flat, txt.tokens, txt.additive_mask, train=train, rng=rng)

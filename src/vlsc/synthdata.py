@@ -6,6 +6,11 @@ kind, and quadrant, in quadrant reading order; video scenes add a single
 trailing motion word and translate every shape 1 px/frame in that
 direction. Everything is a pure function of integer seeds, so corpora
 are reproducible and captions double as retrieval ground truth.
+
+Every caption is written in the one fixed vocabulary VOCAB: the
+reserved words [PAD], [CLS] and [MASK] (IDs 0..2), the grammar's words
+and filler words up to V_VOCAB entries. A caption holds at most
+K_MAX - 1 words, none of them reserved, after its leading [CLS].
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ class Vocab:
         return self._i2w[idx]
 
 
-def default_vocab(size: int = V_VOCAB) -> Vocab:
+def _vocab_words() -> list[str]:
     words = list(COLORS) + list(SHAPES)
     for vert, horiz in QUADRANT_WORDS:
         for w in (vert, horiz):
@@ -88,28 +93,35 @@ def default_vocab(size: int = V_VOCAB) -> Vocab:
                 words.append(w)
     words.append("and")
     words.extend(DIRECTIONS)
-    n_fill = size - len(RESERVED) - len(words)
-    if n_fill < 0:
-        raise ValueError(f"vocab size {size} too small, need at least "
-                         f"{len(RESERVED) + len(words)}")
-    words.extend(f"w{i:02d}" for i in range(n_fill))
-    return Vocab(words)
+    n_fill = V_VOCAB - len(RESERVED) - len(words)
+    return words + [f"w{i:02d}" for i in range(n_fill)]
 
 
-def tokenize(text: str, vocab: Vocab, k_max: int = K_MAX) -> np.ndarray:
-    """[CLS] + word IDs, padded/truncated to exactly k_max entries."""
-    ids = [CLS_ID] + [vocab.id(w) for w in text.split()]
-    ids = ids[:k_max]
+VOCAB = Vocab(_vocab_words())
+
+
+def tokenize(text: str, k_max: int = K_MAX) -> np.ndarray:
+    """[CLS] + word IDs, padded to exactly k_max entries. A reserved or
+    unknown word raises VocabError, more than k_max - 1 words
+    InputError."""
+    words = text.split()
+    if len(words) > k_max - 1:
+        raise InputError(f"caption has {len(words)} words, more than the "
+                         f"{k_max - 1} that fit after [CLS]")
+    for w in words:
+        if w in RESERVED:
+            raise VocabError(f"reserved word in caption: {w!r}")
+    ids = [CLS_ID] + [VOCAB.id(w) for w in words]
     ids.extend([PAD_ID] * (k_max - len(ids)))
     return np.asarray(ids, dtype=np.int64)
 
 
-def detokenize(ids, vocab: Vocab) -> str:
+def detokenize(ids) -> str:
     words = []
     for i in np.asarray(ids).tolist():
         if i in (PAD_ID, CLS_ID):
             continue
-        words.append(vocab.word(i))
+        words.append(VOCAB.word(i))
     return " ".join(words)
 
 
@@ -123,7 +135,7 @@ class ShapeMeta:
 @dataclass
 class PairedSample:
     frames: np.ndarray        # (M, C, CANVAS, CANVAS) float64 in [0, 1]
-    caption: np.ndarray       # (k_max,) int64, leading [CLS], pad tail
+    caption: np.ndarray       # (K_MAX,) int64, leading [CLS], pad tail
     scene_id: int
 
 
@@ -188,28 +200,24 @@ def scene_caption(metas, direction) -> str:
     return text
 
 
-def generate_sample(scene_id: int, frames_m: int, vocab: Vocab,
-                    k_max: int = K_MAX) -> PairedSample:
+def generate_sample(scene_id: int, frames_m: int) -> PairedSample:
     if frames_m < 1:
         raise InputError("frames_m must be >= 1")
     metas, direction, offsets = scene_meta(scene_id, frames_m)
     frames = np.zeros((frames_m, CHANNELS, CANVAS, CANVAS))
     for meta, offset in zip(metas, offsets):
         render_shape(frames, meta, offset, direction)
-    caption = tokenize(scene_caption(metas, direction), vocab, k_max)
+    caption = tokenize(scene_caption(metas, direction))
     return PairedSample(frames=frames, caption=caption, scene_id=scene_id)
 
 
-def generate_corpus(n: int, frames_m: int = 1, seed: int = 0,
-                    vocab: Vocab | None = None,
-                    k_max: int = K_MAX) -> list[PairedSample]:
+def generate_corpus(n: int, frames_m: int = 1,
+                    seed: int = 0) -> list[PairedSample]:
     """n unique-caption samples; pure function of (n, frames_m, seed)."""
     if n <= 0:
         raise InputError("corpus size must be positive")
     if seed < 0:
         raise InputError(f"seed {seed} is negative")
-    if vocab is None:
-        vocab = default_vocab()
     master = np.random.default_rng(seed)
     out: list[PairedSample] = []
     seen: set[bytes] = set()
@@ -221,7 +229,7 @@ def generate_corpus(n: int, frames_m: int = 1, seed: int = 0,
                 f"could not draw {n} distinct captions; the template "
                 f"grammar is too small for this corpus size")
         scene_id = int(master.integers(0, 2 ** 62))
-        sample = generate_sample(scene_id, frames_m, vocab, k_max)
+        sample = generate_sample(scene_id, frames_m)
         key = sample.caption.tobytes()
         if key in seen:
             continue
@@ -249,29 +257,24 @@ def write_atomic(path, chunks) -> None:
         raise
 
 
-def save_corpus(path, corpus, vocab: Vocab | None = None) -> None:
+def save_corpus(path, corpus) -> None:
     """One sample per line: scene_id TAB M TAB caption TAB pixels,
     written atomically."""
-    if vocab is None:
-        vocab = default_vocab()
 
     def lines():
         for s in corpus:
-            text = detokenize(s.caption, vocab)
+            text = detokenize(s.caption)
             pixels = " ".join("%.17g" % v for v in s.frames.ravel())
             yield (f"{s.scene_id}\t{s.frames.shape[0]}\t{text}\t"
                    f"{pixels}\n").encode()
     write_atomic(path, lines())
 
 
-def load_corpus(path, vocab: Vocab | None = None,
-                k_max: int = K_MAX) -> list[PairedSample]:
+def load_corpus(path) -> list[PairedSample]:
     """Every line is checked, so all samples share one frame count,
-    hold finite pixels in [0, 1] and caption at least one word, all of
-    them in the vocabulary; a bad line raises InputError, or VocabError
-    for an unknown word, naming path:line."""
-    if vocab is None:
-        vocab = default_vocab()
+    hold finite pixels in [0, 1] and caption 1 to K_MAX - 1 words, all
+    of them in VOCAB and none reserved; a bad line raises InputError,
+    or VocabError for an unknown or reserved word, naming path:line."""
     out = []
     with open(path, "rb") as f:
         for ln, raw in enumerate(f, start=1):
@@ -308,9 +311,9 @@ def load_corpus(path, vocab: Vocab | None = None,
                                  f"outside [0, 1]")
             frames = flat.reshape(m, CHANNELS, CANVAS, CANVAS)
             try:
-                caption = tokenize(text, vocab, k_max)
-            except VocabError as e:
-                raise VocabError(f"{where}: {e}") from None
+                caption = tokenize(text)
+            except (InputError, VocabError) as e:
+                raise type(e)(f"{where}: {e}") from None
             out.append(PairedSample(frames=frames, caption=caption,
                                     scene_id=scene_id))
     return out

@@ -35,6 +35,9 @@ from scipy.special import erf
 
 from .errors import GraphError, NumericError, ShapeError
 
+LN_EPS = 1e-8
+INIT_STD = 0.02
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -66,11 +69,6 @@ def no_grad():
         _grad_mode.enabled = prev
 
 
-def _as_array(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -91,7 +89,7 @@ class Tensor:
                  "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple = ()
@@ -139,7 +137,7 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self, grad: np.ndarray | None = None) -> None:
+    def backward(self) -> None:
         """Accumulate d(self)/d(t) into ``t.grad`` for every tensor t
         reachable from self that has ``requires_grad`` set.
 
@@ -150,17 +148,11 @@ class Tensor:
         ``.data`` and gets its ``.grad``. Leaves are left as they were.
         A later sweep that reaches a consumed node raises GraphError
         before it changes any ``.grad``; build the graph again instead.
-        Without ``grad``, self must be a scalar (ShapeError otherwise).
+        self must be a scalar (ShapeError otherwise); its own gradient
+        is 1.
         """
-        if grad is None:
-            if self.size != 1:
-                raise ShapeError("backward() without an explicit gradient "
-                                 "requires a scalar tensor")
-            grad = np.ones_like(self.data)
-        else:
-            grad = _as_array(grad)
-            if grad.shape != self.shape:
-                raise ShapeError("gradient shape mismatch in backward()")
+        if self.size != 1:
+            raise ShapeError("backward() requires a scalar tensor")
         if not self.requires_grad:
             return
 
@@ -185,7 +177,7 @@ class Tensor:
 
         # keyed by nodes topo still holds, so no key is the id of a node
         # already freed
-        pending: dict[int, np.ndarray] = {id(self): grad}
+        pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         while topo:
             node = topo.pop()
             g = pending.pop(id(node), None)
@@ -475,11 +467,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out, (x, w, b), back)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine;
+    LN_EPS is added to the variance."""
     inv_n = 1.0 / x.shape[-1]
     xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + eps)
+    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + LN_EPS)
     xhat = xc / std
     out = xhat * gain.data + bias.data
 
@@ -611,11 +604,11 @@ class ParamRegistry:
             t.grad = None
 
 
-def trunc_normal(shape, rng: np.random.Generator, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) with draws beyond 2 std resampled."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
+def trunc_normal(shape, rng: np.random.Generator) -> np.ndarray:
+    """Normal(0, INIT_STD) with draws beyond 2 INIT_STD resampled."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(out) > 2.0 * INIT_STD
     while np.any(bad):
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * INIT_STD
     return out

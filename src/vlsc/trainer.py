@@ -59,6 +59,9 @@ RNG_BATCH_ID = len(RNG_COMPONENTS)  # 4, reserved for batch sampling
 
 METRICS_HEADER = "# step cl vtm mlm scl total lr\n"
 
+ADAM_BETAS = (0.9, 0.98)
+ADAM_EPS = 1e-8
+
 # the fields that fix the parameter set; a curriculum transfer keeps all
 # of them, a resume also keeps frames_m and dropout
 MODEL_FIELDS = ("embed_dim", "heads", "layers_v", "layers_t", "layers_f",
@@ -295,13 +298,11 @@ def clip_global_norm(params: ParamRegistry, max_norm: float) -> float:
 class AdamW:
     """Adam with decoupled weight decay: the decay term never enters
     the moments, so a zero-gradient parameter contracts exactly as
-    theta * (1 - lr * wd) per step."""
+    theta * (1 - lr * wd) per step. The moment decays are ADAM_BETAS
+    and the denominator's epsilon ADAM_EPS."""
 
-    def __init__(self, params: ParamRegistry, betas=(0.9, 0.98),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+    def __init__(self, params: ParamRegistry, weight_decay: float = 0.01):
         self.params = params
-        self.betas = (float(betas[0]), float(betas[1]))
-        self.eps = eps
         self.weight_decay = weight_decay
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
@@ -309,7 +310,7 @@ class AdamW:
 
     def step(self, encoder_lr: float, fusion_lr: float) -> None:
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -317,7 +318,7 @@ class AdamW:
             m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
             v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
             lr = fusion_lr if is_fast_group(name) else encoder_lr
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             p.data = p.data - lr * update - lr * self.weight_decay * p.data
 
 

@@ -7,6 +7,7 @@ import pytest
 from vlsc import cli
 from vlsc import synthdata as sd
 from vlsc import trainer as tr
+from vlsc.errors import InputError
 
 
 def run(*argv):
@@ -38,6 +39,12 @@ BAD_CORPORA = {
     "unknown-word": (GOOD_LINE + f"2\t1\tpurple square\t{PX} 0.5\n", 2),
     "empty-caption": (GOOD_LINE + f"2\t1\t\t{PX} 0.5\n", 2),
     "blank-caption": (GOOD_LINE + f"2\t1\t  \t{PX} 0.5\n", 2),
+    "pad-in-caption": (
+        GOOD_LINE + f"2\t1\t[PAD] red square top left\t{PX} 0.5\n", 2),
+    "cls-caption": (GOOD_LINE + f"2\t1\t[CLS] [CLS]\t{PX} 0.5\n", 2),
+    "mask-caption": (f"1\t1\t[MASK]\t{PX} 0.5\n" + GOOD_LINE, 1),
+    "overlong-caption": (
+        GOOD_LINE + f"2\t1\t{'red ' * 21}\t{PX} 0.5\n", 2),
 }
 
 
@@ -172,25 +179,26 @@ class TestPretrain:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, code", [
-        (("--no-scl",), 2),
-        (("--no-mlm",), 2),
-        (("--no-mlm", "--no-scl"), 0),
-    ], ids=["mlm", "scl", "neither"])
+    @pytest.mark.parametrize("mlm, scl", [(True, False), (False, True),
+                                          (False, False)],
+                             ids=["mlm", "scl", "neither"])
     def test_contentless_caption_refused_when_masked(self, tmp_path,
-                                                     corpus_file, capsys,
-                                                     flags, code):
-        # "[MASK]" is a vocabulary word, so the line loads, but the
-        # caption holds no content token for MLM or SCL to mask
-        set_caption(corpus_file, 1, "[MASK]")
+                                                     corpus_file, mlm, scl):
+        # load_corpus refuses reserved words, so the caption [CLS] [MASK]
+        # is built by hand: it holds no content token for MLM or SCL
+        corpus = sd.load_corpus(corpus_file)
+        corpus[1].caption = np.full(sd.K_MAX, sd.PAD_ID)
+        corpus[1].caption[:2] = sd.CLS_ID, sd.MASK_ID
+        config = tr.TrainConfig(total_steps=1, batch=2, mlm=mlm, scl=scl)
         out = tmp_path / "run"
-        assert run("pretrain", "--corpus", str(corpus_file), "--out",
-                   str(out), "--steps", "1", "--batch", "2", *flags) == code
-        if code == 2:
-            err = capsys.readouterr().err
-            assert "corpus sample 1 " in err and "no content token" in err
-            assert "Traceback" not in err
-            assert not out.exists()
+        if not (mlm or scl):
+            tr.train(config, corpus, out)
+            assert (out / "ckpt_final.vlsc").exists()
+            return
+        with pytest.raises(InputError,
+                           match="corpus sample 1 .*no content token"):
+            tr.train(config, corpus, out)
+        assert not out.exists()
 
     def test_bad_config_value(self, tmp_path, corpus_file):
         cfg = tmp_path / "train.cfg"

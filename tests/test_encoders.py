@@ -22,8 +22,7 @@ def tiny_config(**kw):
 def batch(n, m, cfg, seed=0):
     rng = np.random.default_rng(seed)
     frames = rng.uniform(size=(n, m, sd.CHANNELS, cfg.canvas, cfg.canvas))
-    vocab = sd.default_vocab(cfg.vocab_size)
-    caps = np.stack([sd.tokenize("red square top left", vocab, cfg.k_max)
+    caps = np.stack([sd.tokenize("red square top left", cfg.k_max)
                      for _ in range(n)])
     # vary one word so captions are not all identical
     for i in range(n):
@@ -151,8 +150,7 @@ class TestTextEncoder:
     def test_pad_embedding_never_leaks(self):
         cfg = tiny_config(seed=8)
         model = PretrainModel(cfg)
-        vocab = sd.default_vocab()
-        ids = np.stack([sd.tokenize("red square", vocab, cfg.k_max)])
+        ids = np.stack([sd.tokenize("red square", cfg.k_max)])
         base = model.text(ids).tokens.data.copy()
         model.params["text.tok_emb"].data[sd.PAD_ID] += 7.5
         after = model.text(ids).tokens.data
@@ -162,17 +160,15 @@ class TestTextEncoder:
     def test_identical_captions_identical_outputs(self):
         cfg = tiny_config(seed=9)
         model = PretrainModel(cfg)
-        vocab = sd.default_vocab()
-        ids = np.stack([sd.tokenize("blue bar bottom right", vocab, cfg.k_max)] * 2)
+        ids = np.stack([sd.tokenize("blue bar bottom right", cfg.k_max)] * 2)
         out = model.text(ids).tokens.data
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_word_order_matters(self):
         cfg = tiny_config(seed=10)
         model = PretrainModel(cfg)
-        vocab = sd.default_vocab()
-        a = np.stack([sd.tokenize("red square", vocab, cfg.k_max)])
-        b = np.stack([sd.tokenize("square red", vocab, cfg.k_max)])
+        a = np.stack([sd.tokenize("red square", cfg.k_max)])
+        b = np.stack([sd.tokenize("square red", cfg.k_max)])
         ga = model.text(a).enc_global.data
         gb = model.text(b).enc_global.data
         assert np.abs(ga - gb).max() > 1e-8

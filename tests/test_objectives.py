@@ -27,10 +27,9 @@ def make_batch(n, m=1, cfg=None, seed=0):
     cfg = cfg or tiny_config()
     rng = np.random.default_rng(seed)
     frames = rng.uniform(size=(n, m, sd.CHANNELS, cfg.canvas, cfg.canvas))
-    vocab = sd.default_vocab()
     words = ["red", "green", "blue", "square", "cross", "bar", "top", "left"]
     caps = np.stack([
-        sd.tokenize(f"{words[i % 8]} {words[(i + 3) % 8]}", vocab, cfg.k_max)
+        sd.tokenize(f"{words[i % 8]} {words[(i + 3) % 8]}", cfg.k_max)
         for i in range(n)])
     return frames, caps
 
@@ -164,10 +163,9 @@ class TestMlm:
     def test_one_hot_correct_logits_near_zero(self):
         cfg = tiny_config(seed=6)
         model = PretrainModel(cfg)
-        vocab = sd.default_vocab()
-        caps = np.stack([sd.tokenize("red", vocab, cfg.k_max)])
+        caps = np.stack([sd.tokenize("red", cfg.k_max)])
         frames, _ = make_batch(1, cfg=cfg)
-        label = vocab.id("red")
+        label = sd.VOCAB.id("red")
         model.params["head.mlm.w"].data[:] = 0
         model.params["head.mlm.b"].data[:] = 0
         model.params["head.mlm.b"].data[label] = 60.0

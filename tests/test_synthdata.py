@@ -9,50 +9,51 @@ from vlsc import synthdata as sd
 from vlsc.errors import InputError, VlscError, VocabError
 
 
-@pytest.fixture(scope="module")
-def vocab():
-    return sd.default_vocab()
-
-
 class TestVocab:
-    def test_reserved_ids_fixed(self, vocab):
-        assert vocab.id("[PAD]") == 0
-        assert vocab.id("[CLS]") == 1
-        assert vocab.id("[MASK]") == 2
+    def test_reserved_ids_fixed(self):
+        assert sd.VOCAB.id("[PAD]") == 0
+        assert sd.VOCAB.id("[CLS]") == 1
+        assert sd.VOCAB.id("[MASK]") == 2
 
-    def test_size(self, vocab):
-        assert len(vocab) == 64
+    def test_size(self):
+        assert len(sd.VOCAB) == 64
 
-    def test_bijective(self, vocab):
-        words = [vocab.word(i) for i in range(len(vocab))]
+    def test_bijective(self):
+        words = [sd.VOCAB.word(i) for i in range(len(sd.VOCAB))]
         assert len(set(words)) == len(words)
-        assert all(vocab.id(w) == i for i, w in enumerate(words))
+        assert all(sd.VOCAB.id(w) == i for i, w in enumerate(words))
 
-    def test_unknown_word(self, vocab):
+    def test_unknown_word(self):
         with pytest.raises(VocabError):
-            vocab.id("zebra")
+            sd.VOCAB.id("zebra")
 
 
 class TestTokenize:
-    def test_empty_string(self, vocab):
-        ids = sd.tokenize("", vocab)
+    def test_empty_string(self):
+        ids = sd.tokenize("")
         assert ids[0] == sd.CLS_ID
         assert np.all(ids[1:] == sd.PAD_ID)
         assert len(ids) == sd.K_MAX
 
-    def test_red_square(self, vocab):
-        ids = sd.tokenize("red square", vocab)
+    def test_red_square(self):
+        ids = sd.tokenize("red square")
         assert ids[0] == sd.CLS_ID
-        assert ids[1] == vocab.id("red")
-        assert ids[2] == vocab.id("square")
+        assert ids[1] == sd.VOCAB.id("red")
+        assert ids[2] == sd.VOCAB.id("square")
         assert np.all(ids[3:] == sd.PAD_ID)
 
-    def test_truncation(self, vocab):
-        ids = sd.tokenize("red " * 40, vocab)
-        assert len(ids) == sd.K_MAX
-        assert ids[0] == sd.CLS_ID
+    def test_truncation(self):
+        ids = sd.tokenize("red " * (sd.K_MAX - 1))
+        assert len(ids) == sd.K_MAX and np.all(ids != sd.PAD_ID)
+        with pytest.raises(InputError, match=f"{sd.K_MAX} words"):
+            sd.tokenize("red " * sd.K_MAX)
 
-    def test_roundtrip_exhaustive_over_grammar(self, vocab):
+    @pytest.mark.parametrize("word", sd.RESERVED)
+    def test_reserved_word_refused(self, word):
+        with pytest.raises(VocabError, match="reserved"):
+            sd.tokenize(f"red {word} square")
+
+    def test_roundtrip_exhaustive_over_grammar(self):
         # every caption the template grammar can emit survives the trip
         per_quad = list(itertools.product(sd.COLORS, sd.SHAPES))
         count = 0
@@ -63,27 +64,26 @@ class TestTokenize:
                              for (c, s), q in zip(combo, quads)]
                     for direction in (None,) + sd.DIRECTIONS:
                         text = sd.scene_caption(metas, direction)
-                        assert sd.detokenize(sd.tokenize(text, vocab),
-                                             vocab) == text
+                        assert sd.detokenize(sd.tokenize(text)) == text
                         count += 1
         assert count == (4 * 9 + 6 * 81 + 4 * 729) * 5
 
 
 class TestGeneration:
-    def test_determinism(self, vocab):
-        a = sd.generate_corpus(4, frames_m=2, seed=7, vocab=vocab)
-        b = sd.generate_corpus(4, frames_m=2, seed=7, vocab=vocab)
+    def test_determinism(self):
+        a = sd.generate_corpus(4, frames_m=2, seed=7)
+        b = sd.generate_corpus(4, frames_m=2, seed=7)
         for x, y in zip(a, b):
             assert x.scene_id == y.scene_id
             np.testing.assert_array_equal(x.frames, y.frames)
             np.testing.assert_array_equal(x.caption, y.caption)
 
-    def test_single_frame_default(self, vocab):
-        corpus = sd.generate_corpus(5, frames_m=1, seed=0, vocab=vocab)
+    def test_single_frame_default(self):
+        corpus = sd.generate_corpus(5, frames_m=1, seed=0)
         assert all(s.frames.shape == (1, 3, 16, 16) for s in corpus)
 
-    def test_pixel_range_and_caption_invariants(self, vocab):
-        for s in sd.generate_corpus(20, frames_m=4, seed=3, vocab=vocab):
+    def test_pixel_range_and_caption_invariants(self):
+        for s in sd.generate_corpus(20, frames_m=4, seed=3):
             assert s.frames.min() >= 0.0 and s.frames.max() <= 1.0
             assert s.caption[0] == sd.CLS_ID
             body = s.caption[1:]
@@ -94,14 +94,14 @@ class TestGeneration:
             if pad_positions.size:
                 assert pad_positions[0] + pad_positions.size == body.size
 
-    def test_captions_unique(self, vocab):
-        corpus = sd.generate_corpus(64, frames_m=1, seed=1, vocab=vocab)
+    def test_captions_unique(self):
+        corpus = sd.generate_corpus(64, frames_m=1, seed=1)
         keys = {s.caption.tobytes() for s in corpus}
         assert len(keys) == 64
 
-    def test_caption_fits_k_max(self, vocab):
+    def test_caption_fits_k_max(self):
         # worst case: 3 shapes, video -> 15 words + [CLS] == K_MAX
-        for s in sd.generate_corpus(200, frames_m=4, seed=9, vocab=vocab):
+        for s in sd.generate_corpus(200, frames_m=4, seed=9):
             assert len(s.caption) == sd.K_MAX
 
     @given(st.integers(0, 2 ** 40), st.sampled_from([1, 4]))
@@ -121,7 +121,7 @@ class TestGeneration:
             inside = solo[:, channel, r0:r0 + 8, c0:c0 + 8].sum()
             assert inside / total >= 0.6
 
-    def test_red_square_top_left_in_full_sample(self, vocab):
+    def test_red_square_top_left_in_full_sample(self):
         # find a single-shape sample and check the full rendered canvas
         found = 0
         for scene_id in range(400):
@@ -129,7 +129,7 @@ class TestGeneration:
             if len(metas) != 1:
                 continue
             found += 1
-            sample = sd.generate_sample(scene_id, 1, vocab)
+            sample = sd.generate_sample(scene_id, 1)
             meta = metas[0]
             channel = sd.COLORS.index(meta.color)
             r0 = (meta.quadrant // 2) * 8
@@ -139,12 +139,12 @@ class TestGeneration:
             assert inside / total >= 0.6
         assert found > 20
 
-    def test_video_motion_moves_mass(self, vocab):
+    def test_video_motion_moves_mass(self):
         # frames differ and the centroid drifts in the stated direction
         moved = 0
         for scene_id in range(200):
             metas, direction, offsets = sd.scene_meta(scene_id, 4)
-            sample = sd.generate_sample(scene_id, 4, vocab)
+            sample = sd.generate_sample(scene_id, 4)
             first, last = sample.frames[0], sample.frames[-1]
             if np.array_equal(first, last):
                 continue
@@ -162,43 +162,43 @@ class TestGeneration:
                 assert np.sign(cc1 - cc0) == dc
         assert moved > 100
 
-    def test_bad_args(self, vocab):
+    def test_bad_args(self):
         with pytest.raises(InputError):
-            sd.generate_corpus(0, vocab=vocab)
+            sd.generate_corpus(0)
         with pytest.raises(InputError):
-            sd.generate_sample(1, 0, vocab)
+            sd.generate_sample(1, 0)
 
 
 class TestCorpusIO:
-    def test_roundtrip(self, tmp_path, vocab):
-        corpus = sd.generate_corpus(6, frames_m=2, seed=5, vocab=vocab)
+    def test_roundtrip(self, tmp_path):
+        corpus = sd.generate_corpus(6, frames_m=2, seed=5)
         path = tmp_path / "corpus.tsv"
-        sd.save_corpus(path, corpus, vocab)
-        loaded = sd.load_corpus(path, vocab)
+        sd.save_corpus(path, corpus)
+        loaded = sd.load_corpus(path)
         assert len(loaded) == len(corpus)
         for a, b in zip(corpus, loaded):
             assert a.scene_id == b.scene_id
             np.testing.assert_array_equal(a.frames, b.frames)
             np.testing.assert_array_equal(a.caption, b.caption)
 
-    def test_malformed_line(self, tmp_path, vocab):
+    def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("1\t1\tred square\n")
         with pytest.raises(InputError):
-            sd.load_corpus(path, vocab)
+            sd.load_corpus(path)
 
-    def test_wrong_pixel_count(self, tmp_path, vocab):
+    def test_wrong_pixel_count(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("1\t1\tred square\t0.0 1.0\n")
         with pytest.raises(InputError):
-            sd.load_corpus(path, vocab)
+            sd.load_corpus(path)
 
-    def test_out_of_range_pixmarked(self, tmp_path, vocab):
+    def test_out_of_range_pixmarked(self, tmp_path):
         path = tmp_path / "bad.tsv"
         vals = " ".join(["2.0"] * (3 * 16 * 16))
         path.write_text(f"1\t1\tred square\t{vals}\n")
         with pytest.raises(InputError):
-            sd.load_corpus(path, vocab)
+            sd.load_corpus(path)
 
 
 # any bytes given to load_corpus must give a list of samples or a VlscError
@@ -214,9 +214,9 @@ class TestFuzzCorpus:
         sd.save_corpus(path, sd.generate_corpus(2, seed=1))
         return path.read_bytes()
 
-    def check(self, path, vocab):
+    def check(self, path):
         try:
-            corpus = sd.load_corpus(path, vocab)
+            corpus = sd.load_corpus(path)
         except VlscError:
             return
         for s in corpus:
@@ -225,31 +225,31 @@ class TestFuzzCorpus:
 
     @FUZZ
     @given(data=st.binary(max_size=300))
-    def test_any_bytes(self, tmp_path, vocab, data):
+    def test_any_bytes(self, tmp_path, data):
         path = tmp_path / "c.tsv"
         path.write_bytes(data)
-        self.check(path, vocab)
+        self.check(path)
 
     @FUZZ
     @given(edits=st.lists(st.tuples(st.integers(0, 2 ** 20),
                                     st.integers(0, 255)), max_size=4),
            cut=st.integers(0, 2 ** 20))
-    def test_mutated_file(self, tmp_path, vocab, valid, edits, cut):
+    def test_mutated_file(self, tmp_path, valid, edits, cut):
         data = bytearray(valid)
         for pos, val in edits:
             data[pos % len(data)] = val
         path = tmp_path / "c.tsv"
         path.write_bytes(bytes(data[:cut]))
-        self.check(path, vocab)
+        self.check(path)
 
     @FUZZ
     @given(field=st.integers(0, 3), line=st.integers(0, 1),
            raw=st.text(max_size=12).filter(lambda t: "\n" not in t))
-    def test_any_field(self, tmp_path, vocab, valid, field, line, raw):
+    def test_any_field(self, tmp_path, valid, field, line, raw):
         lines = valid.decode().splitlines()
         cells = lines[line].split("\t")
         cells[field] = raw
         lines[line] = "\t".join(cells)
         path = tmp_path / "c.tsv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        self.check(path, vocab)
+        self.check(path)
