@@ -27,3 +27,8 @@ class VocabError(VlscError):
 
 class InputError(VlscError):
     """Malformed input data (e.g. all-pad caption)."""
+
+
+class WorkerError(VlscError):
+    """A worker process failed with an error of no package type, or
+    ended without a reply."""

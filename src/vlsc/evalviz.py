@@ -35,6 +35,7 @@ import numpy as np
 
 from .encoders import FusionPrefix
 from .errors import InputError
+from .host import usable_cores
 from .model import PretrainModel
 from .synthdata import PAD_ID, write_atomic
 from .tensor import Tensor, no_grad
@@ -182,11 +183,7 @@ def score_pairs(model: PretrainModel, enc: EncodedCorpus,
     text_idx, vis_idx = text_idx[filled], vis_idx[filled]
     starts = range(0, len(text_idx), size)
     scores = [None] * len(starts)
-    # the cores this process may run on, where the host reports them
-    # (not on macOS or Windows)
-    cores = (len(os.sched_getaffinity(0))
-             if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    workers = min(cores, len(starts))
+    workers = min(usable_cores(), len(starts))
 
     errors = []
 

@@ -117,11 +117,21 @@ def tokenize(text: str, k_max: int = K_MAX) -> np.ndarray:
 
 
 def detokenize(ids) -> str:
-    words = []
-    for i in np.asarray(ids).tolist():
-        if i in (PAD_ID, CLS_ID):
-            continue
-        words.append(VOCAB.word(i))
+    """The caption text that tokenize turns into ids. An id sequence
+    tokenize cannot produce raises VocabError: no leading [CLS], a
+    reserved or out-of-range id after it, or a content id after a
+    [PAD]."""
+    ids = np.asarray(ids).tolist()
+    if not ids or ids[0] != CLS_ID:
+        raise VocabError("caption ids do not start with [CLS]")
+    body = ids[1:]
+    n = body.index(PAD_ID) if PAD_ID in body else len(body)
+    if any(i != PAD_ID for i in body[n:]):
+        raise VocabError("caption ids hold a word after [PAD]")
+    words = [VOCAB.word(i) for i in body[:n]]
+    for w in words:
+        if w in RESERVED:
+            raise VocabError(f"reserved id in caption: {w!r}")
     return " ".join(words)
 
 

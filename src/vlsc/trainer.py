@@ -30,23 +30,48 @@ any of them.
 
 Checkpoints and config files are written atomically (write_atomic): a
 failed or interrupted save never leaves a partial file at the target.
+
+A step runs in two sides. Side A is CL + VTM + MLM and runs in the
+calling process; side B is SCL. Each side encodes the complete inputs
+again on its own step_rngs(seed, step), so both see the draws one
+total_loss call would. The step's gradient is g_A + g_B, added per
+parameter in registry order; then come the finite-loss check,
+clipping, AdamW, the log and checkpoints, all in the calling process.
+Side B runs in a child forked once per train() call (ForkedSide) when
+the host has os.fork, two usable cores or more, this process runs no
+other thread, numpy's bundled OpenBLAS thread count can be set, and both
+sides have an objective on. The child and the caller then each run
+OpenBLAS on one thread: at its default of one thread per core the two
+processes fight over the cores, and the split was slower than one
+process. Otherwise side B runs first in the calling process
+(InProcessSide). Both executors sum the same two gradients in the same
+way, so they write the same bytes. A config with one side alone runs
+it in the calling process, as one total_loss call.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
+import mmap
 import os
 import re
+import signal
 import struct
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .encoders import VARIANTS
-from .errors import ConfigError, InputError, NumericError, ShapeError
+from .errors import (ConfigError, InputError, NumericError, ShapeError,
+                     VlscError, WorkerError)
+from .host import one_blas_thread, openblas_thread_calls, usable_cores
 from .masking import FIRST_CONTENT_ID
 from .model import PretrainModel
 from .objectives import total_loss
@@ -522,6 +547,202 @@ def _check_unused(out_dir) -> None:
                              f"{name} from an earlier run")
 
 
+# the two sides of a step
+
+
+def side_grads(model: PretrainModel, corpus, side: TrainConfig,
+               step: int):
+    """Run the objectives side has on at step, on the model's current
+    parameters, from the step's own batch and generators. Leaves their
+    gradient in the parameters' .grad (None where a parameter gets
+    none) and returns their LossReport."""
+    idx = batch_indices(len(corpus), side.batch, side.seed, step)
+    frames, captions = stack_batch(corpus, idx)
+    model.zero_grad()
+    report, total = total_loss(model, frames, captions, side,
+                               step_rngs(side.seed, step), train=True)
+    total.backward()
+    return report
+
+
+class InProcessSide:
+    """Side B run by the calling process, before side A."""
+
+    def __init__(self, model: PretrainModel, corpus, side: TrainConfig):
+        self.model, self.corpus, self.side = model, corpus, side
+
+    def start(self, step: int) -> None:
+        report = side_grads(self.model, self.corpus, self.side, step)
+        self._out = report.total, {n: p.grad
+                                   for n, p in self.model.params.items()}
+
+    def finish(self) -> tuple:
+        """(side B's loss, {name: gradient or None}) of the started step."""
+        return self._out
+
+
+class ForkedSide:
+    """Side B run by a child process, forked once, while the caller runs
+    side A.
+
+    The child holds a copy of the model and no optimizer state. For each
+    step, start() writes the parameters into an anonymous shared mmap
+    and the step number down a pipe. The child copies the parameters
+    in, runs the side, writes back its gradients, a flag per parameter
+    that has one, and its loss, and replies with one status byte. An
+    error in the child is sent back as its type name and message
+    instead, and ends the child. EOF on the pipe ends the child too, so
+    it ends when close() closes the pipe or the parent dies. The child
+    leaves only through os._exit, prints nothing, and touches none of
+    the files it inherits."""
+
+    def __init__(self, model: PretrainModel, corpus, side: TrainConfig):
+        self.params = model.params
+        # (name, start, end, shape) of each parameter, in registry order
+        self.slots, n = [], 0
+        for name, p in self.params.items():
+            self.slots.append((name, n, n + p.data.size, p.data.shape))
+            n += p.data.size
+        # parameters | gradients | present flags | loss
+        self._mm = mmap.mmap(-1, 8 * (2 * n + len(self.slots) + 1))
+        self.buf = np.frombuffer(self._mm, dtype=np.float64)
+        self.grad_off, self.flag_off = n, 2 * n
+        cmd_r, self._cmd = os.pipe()
+        self._reply, reply_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (cmd_r, self._cmd, self._reply, reply_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            try:
+                os.close(self._cmd)
+                os.close(self._reply)
+                self._serve(model, corpus, side, cmd_r, reply_w)
+            except BaseException as e:
+                with contextlib.suppress(BaseException):
+                    os.write(reply_w, b"\1" + f"{type(e).__name__}\0{e}"
+                             .encode()[:4000])
+            finally:
+                os._exit(0)
+        os.close(cmd_r)
+        os.close(reply_w)
+
+    def _serve(self, model, corpus, side, cmd_r, reply_w) -> None:
+        """The child's loop, one side-B run per step number read."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent decides
+        warnings.simplefilter("ignore")               # and never print
+        buf, n = self.buf, self.grad_off
+        while len(msg := os.read(cmd_r, 8)) == 8:
+            (step,) = struct.unpack("<q", msg)
+            for name, lo, hi, shape in self.slots:
+                self.params[name].data = buf[lo:hi].reshape(shape).copy()
+            report = side_grads(model, corpus, side, step)
+            for i, (name, lo, hi, _) in enumerate(self.slots):
+                g = self.params[name].grad
+                buf[self.flag_off + i] = g is not None
+                if g is not None:
+                    buf[n + lo:n + hi] = g.ravel()
+            buf[-1] = report.total
+            os.write(reply_w, b"\0")
+
+    def start(self, step: int) -> None:
+        for name, lo, hi, _ in self.slots:
+            self.buf[lo:hi] = self.params[name].data.ravel()
+        self.step = step
+        try:
+            os.write(self._cmd, struct.pack("<q", step))
+        except BrokenPipeError:
+            raise WorkerError(f"the SCL process ended before step "
+                              f"{step}") from None
+
+    def finish(self) -> tuple:
+        """(side B's loss, {name: gradient or None}) of the started step;
+        the gradients are views of the shared mmap, valid until the next
+        start()."""
+        status = os.read(self._reply, 1)
+        if status != b"\0":
+            raise self._failure(status)
+        buf, n = self.buf, self.grad_off
+        grads = {name: (buf[n + lo:n + hi].reshape(shape)
+                        if buf[self.flag_off + i] else None)
+                 for i, (name, lo, hi, shape) in enumerate(self.slots)}
+        return float(buf[-1]), grads
+
+    def _failure(self, status: bytes) -> VlscError:
+        if not status:
+            return WorkerError(f"the SCL process ended at step {self.step} "
+                               f"without a reply")
+        raw = b"".join(iter(lambda: os.read(self._reply, 4096), b""))
+        kind, _, message = raw.decode(errors="replace").partition("\0")
+        cls = getattr(errors, kind, None)
+        if isinstance(cls, type) and issubclass(cls, VlscError):
+            return cls(message)
+        return WorkerError(f"the SCL side failed at step {self.step}: "
+                           f"{kind}: {message}")
+
+    def close(self) -> None:
+        """End the child and wait for it, then free the mmap."""
+        os.close(self._cmd)
+        os.close(self._reply)
+        os.waitpid(self.pid, 0)
+        self.buf = None
+        self._mm.close()
+
+
+def can_fork() -> bool:
+    """Whether train() may fork side B: the host has fork, two usable
+    cores or more, this process runs no other thread, and numpy's
+    OpenBLAS thread count can be set (it must be 1 while both sides
+    run)."""
+    return (hasattr(os, "fork") and usable_cores() >= 2
+            and threading.active_count() == 1
+            and openblas_thread_calls() is not None)
+
+
+def split_step(model: PretrainModel, corpus, a: TrainConfig, other,
+               step: int):
+    """Run side A here and side B on other (an InProcessSide or a
+    ForkedSide), then leave g_A + g_B in the parameters' .grad, in
+    registry order, and return the step's LossReport."""
+    other.start(step)
+    report = side_grads(model, corpus, a, step)
+    loss_b, grads_b = other.finish()
+    for name, p in model.params.items():
+        g = grads_b[name]
+        if g is not None:
+            p.grad = g.copy() if p.grad is None else p.grad + g
+    return dataclasses.replace(report, scl=loss_b,
+                               total=report.total + loss_b)
+
+
+@contextlib.contextmanager
+def step_runner(model: PretrainModel, corpus, config: TrainConfig):
+    """A function of the step number that runs the step's objectives on
+    the model's current parameters, leaves their summed gradient in the
+    parameters' .grad and returns the step's LossReport. With both
+    sides on it splits the step, and forks side B where can_fork()
+    allows; any child has ended when the block ends."""
+    # side A: CL, VTM and MLM; side B: SCL; None for a side with none on
+    a = (dataclasses.replace(config, scl=False)
+         if config.cl or config.vtm or config.mlm else None)
+    b = (dataclasses.replace(config, cl=False, vtm=False, mlm=False)
+         if config.scl else None)
+    if a is None or b is None:
+        yield lambda step: side_grads(model, corpus, a or b, step)
+    elif not can_fork():
+        other = InProcessSide(model, corpus, b)
+        yield lambda step: split_step(model, corpus, a, other, step)
+    else:
+        with one_blas_thread():
+            other = ForkedSide(model, corpus, b)
+            try:
+                yield lambda step: split_step(model, corpus, a, other, step)
+            finally:
+                other.close()
+
+
 def train(config: TrainConfig, corpus, out_dir=None, resume=None,
           init_from=None):
     """Run the loop; returns (final Checkpoint, metrics lines).
@@ -555,22 +776,18 @@ def train(config: TrainConfig, corpus, out_dir=None, resume=None,
                               f"{config.total_steps}")
     metrics: list = []
 
-    log = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         save_config(config, os.path.join(out_dir, "config.txt"), init_from)
-        log = open(os.path.join(out_dir, "metrics.txt"), "w")
-        log.write(METRICS_HEADER)
-        log.flush()
-    try:
+    # the log is opened after any fork, so a child never holds it
+    with step_runner(model, corpus, config) as run_step, (
+            open(os.path.join(out_dir, "metrics.txt"), "w")
+            if out_dir is not None else contextlib.nullcontext()) as log:
+        if log is not None:
+            log.write(METRICS_HEADER)
+            log.flush()
         for step in range(start + 1, config.total_steps + 1):
-            idx = batch_indices(len(corpus), config.batch,
-                                config.seed, step)
-            frames, captions = stack_batch(corpus, idx)
-            model.zero_grad()
-            report, total = total_loss(model, frames, captions, config,
-                                       step_rngs(config.seed, step),
-                                       train=True)
+            report = run_step(step)
             vals = [report.cl, report.vtm, report.mlm, report.scl,
                     report.total]
             if not all(np.isfinite(v) for v in vals if v is not None):
@@ -578,7 +795,6 @@ def train(config: TrainConfig, corpus, out_dir=None, resume=None,
                        f"non-finite loss at step {step}: "
                        f"cl={report.cl} vtm={report.vtm} mlm={report.mlm} "
                        f"scl={report.scl}")
-            total.backward()
             norm = clip_global_norm(model.params, config.grad_clip)
             if not math.isfinite(norm):
                 # clipping scaled an inf gradient by 0, which gives NaN;
@@ -598,9 +814,6 @@ def train(config: TrainConfig, corpus, out_dir=None, resume=None,
                 save_checkpoint(snapshot(model, opt, step, config),
                                 os.path.join(out_dir,
                                              f"ckpt_step{step}.vlsc"))
-    finally:
-        if log is not None:
-            log.close()
     final = snapshot(model, opt, config.total_steps, config)
     if out_dir is not None:
         save_checkpoint(final, os.path.join(out_dir, "ckpt_final.vlsc"))

@@ -181,6 +181,26 @@ class TestCorpusIO:
             np.testing.assert_array_equal(a.frames, b.frames)
             np.testing.assert_array_equal(a.caption, b.caption)
 
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.__setitem__(2, sd.MASK_ID),   # a reserved word
+        lambda c: c.__setitem__(3, sd.CLS_ID),
+        lambda c: c.__setitem__(0, sd.VOCAB.id("red")),  # no [CLS]
+        lambda c: c.__setitem__(2, sd.PAD_ID),    # a word after [PAD]
+    ], ids=["mask", "cls", "no-cls", "interior-pad"])
+    def test_caption_tokenize_cannot_make_is_not_saved(self, tmp_path,
+                                                       edit):
+        # a caption save_corpus wrote would not load, or load changed
+        path = tmp_path / "corpus.tsv"
+        corpus = sd.generate_corpus(3, seed=5)
+        sd.save_corpus(path, corpus)
+        old = path.read_bytes()
+        assert np.count_nonzero(corpus[1].caption) >= 4
+        edit(corpus[1].caption)
+        with pytest.raises(VocabError):
+            sd.save_corpus(path, corpus)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.tsv"]
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("1\t1\tred square\n")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import resource
 import signal
 import struct
@@ -12,10 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vlsc import cli, host
 from vlsc import synthdata as sd
 from vlsc import trainer as tr
+from vlsc.encoders import VARIANTS
 from vlsc.errors import (ConfigError, InputError, NumericError, ShapeError,
-                         VlscError)
+                         VlscError, WorkerError)
 from vlsc.model import PretrainModel
 from vlsc.objectives import total_loss
 from vlsc.tensor import ParamRegistry, Tensor
@@ -27,6 +30,40 @@ def tiny_train_config(**kw):
                 patch_size=4, canvas=16, k_max=16, vocab_size=64)
     base.update(kw)
     return tr.TrainConfig(**base)
+
+
+def force_executor(monkeypatch, forked: bool) -> list:
+    """Make train() fork side B, even on a 1-core host, or run it in the
+    calling process, as on a host without os.fork. Returns the list that
+    every os.fork call appends to."""
+    forks = []
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+        return forks
+    if host.openblas_thread_calls() is None:
+        pytest.skip("numpy bundles no OpenBLAS whose threads can be set")
+    real = os.fork
+
+    def counted():
+        forks.append(None)
+        return real()
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(tr, "usable_cores", lambda: 2)
+    return forks
+
+
+def blas_threads():
+    """numpy's OpenBLAS thread count, or None where it cannot be read."""
+    calls = host.openblas_thread_calls()
+    return calls and calls[0]()
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 class TestSchedule:
@@ -459,39 +496,46 @@ class TestTrainLoop:
     def test_nonfinite_gradient_aborts_before_update(self, tmp_path,
                                                      monkeypatch):
         # from step 2 on, one parameter's gradient is inf while the loss
-        # stays finite
+        # stays finite. Only side A's calls, which compute VTM, count the
+        # steps: side B runs in a forked child, or in this process first
         real = tr.total_loss
-        steps = []
-
-        def poisoned(model, frames, captions, cfg, rngs, train=False):
-            report, total = real(model, frames, captions, cfg, rngs,
-                                 train=train)
-            steps.append(None)
-            if len(steps) >= 2:
-                p = model.params["head.vtm.b"]
-                total = total + Tensor._from_op(
-                    np.zeros(()), (p,), lambda g: (np.full(p.shape, np.inf),))
-            return report, total
-
-        monkeypatch.setattr(tr, "total_loss", poisoned)
         cfg = tiny_train_config(total_steps=3, checkpoint_interval=1)
-        with pytest.raises(NumericError, match="gradient norm inf at step 2"):
-            tr.train(cfg, small_corpus(), out_dir=tmp_path)
-        diag = tr.load_checkpoint(tmp_path / "ckpt_diagnostic.vlsc")
-        prev = tr.load_checkpoint(tmp_path / "ckpt_step1.vlsc")
-        assert diag.t == prev.t == 1
-        assert diag.step == 1
-        for table in ("params", "m", "v"):
-            for name, arr in getattr(diag, table).items():
-                assert np.all(np.isfinite(arr))
-                assert np.array_equal(arr, getattr(prev, table)[name])
-        # without the poison, a resume from the diagnostic replays the
-        # failing step as a clean run takes it
-        monkeypatch.undo()
         _, clean = tr.train(cfg, small_corpus())
-        _, resumed = tr.train(cfg, small_corpus(), resume=diag)
-        assert resumed[0].split()[0] == "2"
-        assert resumed[0] == clean[1]
+        for forked in (True, False):
+            out = tmp_path / ("forked" if forked else "in-process")
+            steps = []
+
+            def poisoned(model, frames, captions, cfg, rngs, train=False):
+                report, total = real(model, frames, captions, cfg, rngs,
+                                     train=train)
+                if cfg.vtm:
+                    steps.append(None)
+                if cfg.vtm and len(steps) >= 2:
+                    p = model.params["head.vtm.b"]
+                    total = total + Tensor._from_op(
+                        np.zeros(()), (p,),
+                        lambda g: (np.full(p.shape, np.inf),))
+                return report, total
+
+            with monkeypatch.context() as mp:
+                force_executor(mp, forked)
+                mp.setattr(tr, "total_loss", poisoned)
+                with pytest.raises(NumericError,
+                                   match="gradient norm inf at step 2"):
+                    tr.train(cfg, small_corpus(), out_dir=out)
+            diag = tr.load_checkpoint(out / "ckpt_diagnostic.vlsc")
+            prev = tr.load_checkpoint(out / "ckpt_step1.vlsc")
+            assert diag.t == prev.t == 1
+            assert diag.step == 1
+            for table in ("params", "m", "v"):
+                for name, arr in getattr(diag, table).items():
+                    assert np.all(np.isfinite(arr))
+                    assert np.array_equal(arr, getattr(prev, table)[name])
+            # without the poison, a resume from the diagnostic replays
+            # the failing step as a clean run takes it
+            _, resumed = tr.train(cfg, small_corpus(), resume=diag)
+            assert resumed[0].split()[0] == "2"
+            assert resumed[0] == clean[1]
 
     def test_loss_moves(self):
         # two steps with a generous rate must change the parameters
@@ -532,36 +576,39 @@ class TestTrainPinned:
     # bytes shows here. The FrameCLS step-2 lines and digests were
     # re-recorded when the fused kernels' closed-form backward changed the
     # gradients' rounding; MeanPooling and GlobalCLS were recorded before
-    # the encoders' residual sublayers went through one dropout path
+    # the encoders' residual sublayers went through one dropout path.
+    # Every step-2 line and digest was re-recorded when a step's gradient
+    # became g_A + g_B, the sum of its two sides' gradients, which rounds
+    # otherwise than one backward sweep; the step-1 lines did not move
     PINNED = {
         ("FrameCLS", 1): (
             ["1 1.6726954712589537 0.69334770659316081 4.1461306298858069 "
              "1.3785228225971766 7.890696630335098 0.00055555555555555556",
-             "2 1.4323359296860088 0.69334901916193359 4.100965814781631 "
-             "1.4537864489864107 7.6804372126159839 0"],
-            "3f285c6b031fede0c0e3bae0b39adbc5"
-            "b998d89962be06b781a89b9401e3c8ed"),
+             "2 1.4323359296860094 0.69334901916193337 4.100965814781631 "
+             "1.453786448986409 7.680437212615983 0"],
+            "6742e217997d7c5bdc72a756ed10d621"
+            "dc0a4ddc56a6be86380bba25bca955bb"),
         ("FrameCLS", 2): (
             ["1 1.865637932166027 0.6938209412124432 4.1755095240632158 "
              "1.4036134700089491 8.1385818674506361 0.00055555555555555556",
-             "2 1.4331812760948075 0.69321312924374867 4.1623298546015883 "
-             "1.3914279303178119 7.6801521902579566 0"],
-            "323277637e1cd1f985c8991b268e9a17"
-            "2b78d20d2d2a8c6be2da3f137ad7a37d"),
+             "2 1.4331812760948073 0.69321312924374867 4.1623298546015883 "
+             "1.3914279303178083 7.680152190257953 0"],
+            "91b46720849fb5ac06acf2bb5ce2838b"
+            "41a3f708d4ef664c0129022ae2c6c005"),
         ("MeanPooling", 2): (
             ["1 1.5031232642237637 0.69512544779425367 4.1393889434265265 "
              "1.3886225888659212 7.7262602443104651 0.00055555555555555556",
-             "2 1.5371464676912301 0.69366381352655315 4.141701377287049 "
-             "1.4170206020194849 7.7895322605243171 0"],
-            "3b4b4d48f157bfb05b2a1ccfc4c597bd"
-            "a026f80de1c0fbffa3fb9025acb793c0"),
+             "2 1.537146467691229 0.69366381352655315 4.141701377287049 "
+             "1.4170206020194869 7.789532260524318 0"],
+            "689c476879ac3fd416643e5c241ab474"
+            "ab2480bfb2a3ff9f181ec5f3009e94d1"),
         ("GlobalCLS", 2): (
             ["1 1.3869367070311018 0.69548332696682835 4.1529213938384881 "
              "1.3922670151671084 7.6276084430035276 0.00055555555555555556",
              "2 1.3944933330292508 0.69341117898336146 4.1345831073750361 "
              "1.3770580568368893 7.5995456762245368 0"],
-            "b393da27b1e431b5a823a84cb8c9725d"
-            "3a1a30c940398b03de1ac4b0cf7553b6"),
+            "33f252317bdb17cd94955682cf2ba86f"
+            "d8221595a2636c87fa3031288a50233d"),
     }
 
     @pytest.mark.parametrize("variant, m", list(PINNED), ids=[
@@ -575,6 +622,159 @@ class TestTrainPinned:
         digest = hashlib.sha256(
             (tmp_path / "ckpt_final.vlsc").read_bytes()).hexdigest()
         assert (lines, digest) == self.PINNED[variant, m]
+
+
+def side_b_calls(monkeypatch, act):
+    """Patch total_loss so that its n-th side-B call (SCL alone on),
+    counted in the process that makes it, returns act(n, report, total)
+    instead of (report, total)."""
+    real = tr.total_loss
+    calls = []
+
+    def patched(model, frames, captions, cfg, rngs, train=False):
+        report, total = real(model, frames, captions, cfg, rngs,
+                             train=train)
+        if cfg.cl or cfg.vtm or cfg.mlm:
+            return report, total
+        calls.append(None)
+        return act(len(calls), report, total)
+    monkeypatch.setattr(tr, "total_loss", patched)
+
+
+class TestStepExecutors:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_forked_and_in_process_artifacts_identical(self, tmp_path,
+                                                       monkeypatch, variant,
+                                                       m):
+        cfg = tiny_train_config(total_steps=3, checkpoint_interval=2,
+                                dropout=0.1, variant=variant, frames_m=m,
+                                phase="video" if m > 1 else "image")
+        corpus = small_corpus(frames_m=m)
+        for forked in (True, False):
+            with monkeypatch.context() as mp:
+                forks = force_executor(mp, forked)
+                tr.train(cfg, corpus, out_dir=tmp_path / str(forked))
+            assert len(forks) == forked
+        for name in ("metrics.txt", "ckpt_step2.vlsc", "ckpt_final.vlsc"):
+            assert (tmp_path / "True" / name).read_bytes() \
+                == (tmp_path / "False" / name).read_bytes(), name
+        assert no_child_left()
+
+    @pytest.mark.parametrize("forked", [True, False])
+    @pytest.mark.parametrize("variant, m", [("FrameCLS", 1),
+                                            ("MeanPooling", 2),
+                                            ("GlobalCLS", 2)])
+    def test_split_gradient_matches_one_graph(self, monkeypatch, forked,
+                                              variant, m):
+        # g_A + g_B sums each gradient in another order than one sweep
+        # does, so the two differ by rounding: at most 1e-12 of the
+        # array's largest entry. An attention key bias is the exception:
+        # a constant added to a row of scores leaves its softmax as it
+        # was, so its exact gradient is 0 and what both compute is
+        # rounding noise; its bound is 1e-12 of the largest entry of
+        # the whole gradient
+        cfg = tiny_train_config(variant=variant, frames_m=m, dropout=0.1,
+                                phase="image" if m == 1 else "video",
+                                batch=4)
+        corpus = small_corpus(4, frames_m=m)
+        step = 1
+        forks = force_executor(monkeypatch, forked)
+        model = PretrainModel(cfg)
+        with tr.step_runner(model, corpus, cfg) as run_step:
+            report = run_step(step)
+        assert len(forks) == forked
+        split = {n: p.grad for n, p in model.params.items()}
+
+        # the single-graph step the split replaces
+        reference = PretrainModel(cfg)
+        frames, captions = tr.stack_batch(corpus, tr.batch_indices(
+            len(corpus), cfg.batch, cfg.seed, step))
+        ref_report, total = total_loss(reference, frames, captions, cfg,
+                                       tr.step_rngs(cfg.seed, step),
+                                       train=True)
+        total.backward()
+        assert report == ref_report
+        largest = max(np.max(np.abs(p.grad))
+                      for p in reference.params.values()
+                      if p.grad is not None)
+        for name, p in reference.params.items():
+            assert (split[name] is None) == (p.grad is None), name
+            if p.grad is not None:
+                scale = largest if name.endswith(".k.b") \
+                    else np.max(np.abs(p.grad))
+                assert np.max(np.abs(split[name] - p.grad)) \
+                    <= 1e-12 * scale, name
+
+    def test_normal_return_leaves_no_child(self, monkeypatch):
+        forks = force_executor(monkeypatch, True)
+        threads = blas_threads()
+        tr.train(tiny_train_config(total_steps=2), small_corpus())
+        assert len(forks) == 1
+        assert no_child_left()
+        assert blas_threads() == threads
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("forked", [True, False])
+    def test_nan_scl_loss_aborts(self, tmp_path, monkeypatch, forked):
+        force_executor(monkeypatch, forked)
+        threads = blas_threads()
+
+        def nan_at_step_2(n, report, total):
+            if n == 2:
+                report.scl = report.total = math.nan
+                total = total * math.nan
+            return report, total
+        side_b_calls(monkeypatch, nan_at_step_2)
+        cfg = tiny_train_config(total_steps=3, checkpoint_interval=1)
+        with pytest.raises(NumericError,
+                           match=r"non-finite loss at step 2: .*scl=nan"):
+            tr.train(cfg, small_corpus(), out_dir=tmp_path)
+        assert tr.load_checkpoint(tmp_path / "ckpt_diagnostic.vlsc").step == 1
+        assert no_child_left()
+        assert blas_threads() == threads
+
+    @pytest.mark.parametrize("error, raised", [
+        (RuntimeError("side B broke"), WorkerError),
+        (InputError("side B broke"), InputError)])
+    def test_child_error_reaches_caller(self, tmp_path, monkeypatch, error,
+                                        raised):
+        # an error of a package type keeps its type; any other becomes a
+        # WorkerError naming it
+        force_executor(monkeypatch, True)
+        threads = blas_threads()
+
+        def fail(n, report, total):
+            raise error
+        side_b_calls(monkeypatch, fail)
+        with pytest.raises(raised, match="side B broke"):
+            tr.train(tiny_train_config(), small_corpus(),
+                     out_dir=tmp_path)
+        assert no_child_left()
+        assert blas_threads() == threads
+
+    def test_child_that_dies_is_reported(self, monkeypatch):
+        force_executor(monkeypatch, True)
+        side_b_calls(monkeypatch, lambda n, report, total: os._exit(3))
+        with pytest.raises(WorkerError, match="ended at step 1"):
+            tr.train(tiny_train_config(), small_corpus())
+        assert no_child_left()
+
+    def test_cli_reports_child_error_without_traceback(self, tmp_path,
+                                                       monkeypatch, capsys):
+        force_executor(monkeypatch, True)
+        corpus = tmp_path / "c.tsv"
+        sd.save_corpus(corpus, small_corpus())
+
+        def fail(n, report, total):
+            raise RuntimeError("side B broke")
+        side_b_calls(monkeypatch, fail)
+        assert cli.main(["pretrain", "--corpus", str(corpus), "--out",
+                         str(tmp_path / "run"), "--steps", "2",
+                         "--batch", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "side B broke" in err and "Traceback" not in err
+        assert no_child_left()
 
 
 def keeping_backward(root: Tensor) -> None:
