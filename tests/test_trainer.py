@@ -651,15 +651,17 @@ class TestStepExecutors:
                                 dropout=0.1, variant=variant, frames_m=m,
                                 phase="video" if m > 1 else "image")
         corpus = small_corpus(frames_m=m)
+        threads = blas_threads()
         for forked in (True, False):
             with monkeypatch.context() as mp:
                 forks = force_executor(mp, forked)
                 tr.train(cfg, corpus, out_dir=tmp_path / str(forked))
             assert len(forks) == forked
+            assert no_child_left()
+            assert blas_threads() == threads
         for name in ("metrics.txt", "ckpt_step2.vlsc", "ckpt_final.vlsc"):
             assert (tmp_path / "True" / name).read_bytes() \
                 == (tmp_path / "False" / name).read_bytes(), name
-        assert no_child_left()
 
     @pytest.mark.parametrize("forked", [True, False])
     @pytest.mark.parametrize("variant, m", [("FrameCLS", 1),
@@ -705,14 +707,6 @@ class TestStepExecutors:
                     else np.max(np.abs(p.grad))
                 assert np.max(np.abs(split[name] - p.grad)) \
                     <= 1e-12 * scale, name
-
-    def test_normal_return_leaves_no_child(self, monkeypatch):
-        forks = force_executor(monkeypatch, True)
-        threads = blas_threads()
-        tr.train(tiny_train_config(total_steps=2), small_corpus())
-        assert len(forks) == 1
-        assert no_child_left()
-        assert blas_threads() == threads
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("forked", [True, False])
