@@ -728,20 +728,19 @@ class TestStepExecutors:
         assert no_child_left()
         assert blas_threads() == threads
 
-    @pytest.mark.parametrize("error, raised", [
-        (RuntimeError("side B broke"), WorkerError),
-        (InputError("side B broke"), InputError)])
-    def test_child_error_reaches_caller(self, tmp_path, monkeypatch, error,
-                                        raised):
-        # an error of a package type keeps its type; any other becomes a
-        # WorkerError naming it
+    @pytest.mark.parametrize("error", [RuntimeError("side B broke"),
+                                       InputError("side B broke")])
+    def test_child_error_reaches_caller(self, tmp_path, monkeypatch, error):
+        # any error in the child reaches the caller as a WorkerError
+        # naming its type and message
         force_executor(monkeypatch, True)
         threads = blas_threads()
 
         def fail(n, report, total):
             raise error
         side_b_calls(monkeypatch, fail)
-        with pytest.raises(raised, match="side B broke"):
+        with pytest.raises(WorkerError,
+                           match=f"{type(error).__name__}: side B broke"):
             tr.train(tiny_train_config(), small_corpus(),
                      out_dir=tmp_path)
         assert no_child_left()
@@ -753,6 +752,24 @@ class TestStepExecutors:
         with pytest.raises(WorkerError, match="ended at step 1"):
             tr.train(tiny_train_config(), small_corpus())
         assert no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="the host lists no threads in /proc")
+    def test_fork_leaves_one_thread(self, monkeypatch):
+        # numpy's OpenBLAS ends its worker threads before any fork, so
+        # right after the fork, where Python 3.12+ counts threads to
+        # warn that a fork may deadlock, the caller runs one thread
+        force_executor(monkeypatch, True)
+        fork, threads = os.fork, []
+
+        def counted():
+            pid = fork()
+            if pid:
+                threads.append(len(os.listdir("/proc/self/task")))
+            return pid
+        monkeypatch.setattr(os, "fork", counted)
+        tr.train(tiny_train_config(), small_corpus())
+        assert threads == [1]
 
     def test_cli_reports_child_error_without_traceback(self, tmp_path,
                                                        monkeypatch, capsys):
