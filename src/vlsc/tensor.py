@@ -22,6 +22,16 @@ attention. Everything else in the package is composed from these.
 Each fused forward runs the numpy operations of its composed equivalent
 in the same order, so forward values are bit-identical to composing the
 smaller ops; only the backward rounds differently.
+
+The fused kernels, GELU and dropout run those operations, the same ones
+in the same order on the same operands, in place on arrays of their
+own: each allocates only the arrays it returns or its backward keeps,
+and never writes to its inputs, its mask, its upstream gradient or the
+attention weights it returned. An in-place step rounds exactly as the
+step that makes a new array, so values and gradients are those of the
+one-array-per-step form. Dropout keeps its mask as bool and scales by
+1 / (1 - p) after it: x * 1.0 * s and x * 0.0 * s are x * s and x * 0.0,
+sign included.
 """
 
 from __future__ import annotations
@@ -309,7 +319,15 @@ class Tensor:
 
         def back(g):
             gx = np.zeros(shape, dtype=np.float64)
-            np.add.at(gx, key, g)
+            # a basic key picks each element once, so a plain += adds
+            # what np.add.at would; an advanced key may pick one twice
+            if all(k is None or k is Ellipsis or isinstance(k, slice)
+                   or (isinstance(k, (int, np.integer))
+                       and not isinstance(k, bool))
+                   for k in (key if isinstance(key, tuple) else (key,))):
+                gx[key] += g
+            else:
+                np.add.at(gx, key, g)
             return (gx,)
 
         return Tensor._from_op(np.array(out, dtype=np.float64), (self,), back)
@@ -355,12 +373,23 @@ def as_tensor(x) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
-    phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    # phi = 0.5 * (1 + erf(x / sqrt 2))
+    phi = x.data * _INV_SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
     out = x.data * phi
 
     def back(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return (g * (phi + x.data * pdf),)
+        # g * (phi + x * pdf), pdf = exp(-x * x / 2) / sqrt(2 pi)
+        gx = x.data * -0.5
+        gx *= x.data
+        np.exp(gx, out=gx)
+        gx *= _INV_SQRT2PI
+        gx *= x.data
+        gx += phi
+        gx *= g
+        return (gx,)
 
     return Tensor._from_op(out, (x,), back)
 
@@ -387,11 +416,19 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
     """
     if p <= 0.0:
         return x
-    keep = (rng.random(x.shape if rows is None else shape) >= p) \
-        / (1.0 - p)
+    scale = 1.0 / (1.0 - p)
+    keep = rng.random(x.shape if rows is None else shape) >= p
     if rows is not None:
         keep = keep[:, rows].reshape(x.shape)
-    return Tensor._from_op(x.data * keep, (x,), lambda g: (g * keep,))
+    out = x.data * keep
+    out *= scale
+
+    def back(g):
+        gx = g * keep
+        gx *= scale
+        return (gx,)
+
+    return Tensor._from_op(out, (x,), back)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -457,7 +494,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             or b.shape != (w.shape[1],):
         raise ShapeError(f"linear shapes do not conform: x {x.shape}, "
                          f"w {w.shape}, b {b.shape}")
-    out = x.data @ w.data + b.data
+    out = x.data @ w.data
+    out += b.data
 
     def back(g):
         rows = g.reshape(-1, g.shape[-1])
@@ -471,16 +509,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine;
     LN_EPS is added to the variance."""
     inv_n = 1.0 / x.shape[-1]
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + LN_EPS)
-    xhat = xc / std
-    out = xhat * gain.data + bias.data
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    out = xhat * xhat  # the squares first, then the output
+    std = out.sum(axis=-1, keepdims=True) * inv_n
+    std += LN_EPS
+    np.sqrt(std, out=std)
+    xhat /= std
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def back(g):
-        gh = g * gain.data
-        gx = (gh - gh.sum(axis=-1, keepdims=True) * inv_n
-              - xhat * (gh * xhat).sum(axis=-1, keepdims=True) * inv_n) / std
-        return (gx, _unbroadcast(g * xhat, gain.shape),
+        # gh = g * gain;
+        # gx = (gh - rowsum(gh) / n - xhat * rowsum(gh * xhat) / n) / std
+        gx = g * gain.data
+        mean_gh = gx.sum(axis=-1, keepdims=True) * inv_n
+        t = gx * xhat
+        np.multiply(xhat, t.sum(axis=-1, keepdims=True), out=t)
+        t *= inv_n
+        gx -= mean_gh
+        gx -= t
+        gx /= std
+        np.multiply(g, xhat, out=t)
+        return (gx, _unbroadcast(t, gain.shape),
                 _unbroadcast(g, bias.shape))
 
     return Tensor._from_op(out, (x, gain, bias), back)
@@ -505,9 +555,10 @@ def mha(q: Tensor, k: Tensor, v: Tensor, heads: int,
     q is (..., Q, D); k and v are (..., K, D) with the same leading
     shape. D is split into ``heads`` heads of width d = D / heads, and
     the head outputs are merged back into (..., Q, D). ``mask`` is an
-    additive constant broadcastable to the (..., heads, Q, K) scores;
-    use -inf to exclude keys. Returns the output Tensor and the
-    attention weights as a (..., heads, Q, K) array whose rows sum to 1.
+    additive constant that broadcasts to the (..., heads, Q, K) scores
+    without enlarging them (ShapeError otherwise); use -inf to exclude
+    keys. Returns the output Tensor and the attention weights as a
+    (..., heads, Q, K) array whose rows sum to 1.
     """
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
         raise ShapeError("attention operands must have ndim >= 2")
@@ -519,21 +570,38 @@ def mha(q: Tensor, k: Tensor, v: Tensor, heads: int,
         raise ShapeError(f"key/value shapes differ: {k.shape} vs {v.shape}")
     if heads < 1 or d_model % heads != 0:
         raise ShapeError(f"{heads} heads do not divide width {d_model}")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        scores_shape = q.shape[:-2] + (heads, q.shape[-2], k.shape[-2])
+        try:
+            fits = np.broadcast_shapes(scores_shape, mask.shape) \
+                == scores_shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ShapeError(f"mask {mask.shape} does not broadcast to the "
+                             f"{scores_shape} attention scores")
     scale = 1.0 / math.sqrt(d_model // heads)
     qs, ks, vs = (_split_heads(t.data, heads) for t in (q, k, v))
-    scores = (qs @ np.swapaxes(ks, -1, -2)) * scale
+    # softmax(scores * scale + mask), each step in place on the scores
+    weights = qs @ np.swapaxes(ks, -1, -2)
+    weights *= scale
     if mask is not None:
-        scores = scores + np.asarray(mask, dtype=np.float64)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
+        weights += mask
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
     o = weights @ vs
 
     def back(g):
         go = _split_heads(g, heads)
-        gw = go @ np.swapaxes(vs, -1, -2)
-        # softmax backward; rowsum(gw * weights) equals rowsum(go * o),
-        # the identity FlashAttention uses (Dao et al. 2022)
-        gs = weights * (gw - (go * o).sum(axis=-1, keepdims=True)) * scale
+        # gs = weights * (gw - rowsum(go * o)) * scale, in place on
+        # gw = go vᵀ; rowsum(gw * weights) equals rowsum(go * o), the
+        # identity FlashAttention uses (Dao et al. 2022)
+        gs = go @ np.swapaxes(vs, -1, -2)
+        gs -= (go * o).sum(axis=-1, keepdims=True)
+        gs *= weights
+        gs *= scale
         return (_merge_heads(gs @ ks),
                 _merge_heads(np.swapaxes(gs, -1, -2) @ qs),
                 _merge_heads(np.swapaxes(weights, -1, -2) @ go))

@@ -92,6 +92,11 @@ METRICS_HEADER = "# step cl vtm mlm scl total lr\n"
 
 ADAM_BETAS = (0.9, 0.98)
 ADAM_EPS = 1e-8
+# AdamW updates its flat buffers this many elements at a time, so that a
+# chunk's temporaries stay in the core's cache: on a 2-core Xeon a step
+# over the 137k parameters of the default model took 4.9 ms in
+# whole-buffer passes and 2.8 ms in chunks of 8192
+ADAM_CHUNK = 8192
 
 # the fields that fix the parameter set; a curriculum transfer keeps all
 # of them, a resume also keeps frames_m and dropout
@@ -326,17 +331,46 @@ def clip_global_norm(params: ParamRegistry, max_norm: float) -> float:
     return norm
 
 
+def param_slots(params: ParamRegistry) -> tuple[list, int]:
+    """The layout of all parameters in one flat float64 buffer:
+    (name, start, end, shape) of each, in registry order, and the
+    buffer's length."""
+    slots, n = [], 0
+    for name, p in params.items():
+        slots.append((name, n, n + p.data.size, p.data.shape))
+        n += p.data.size
+    return slots, n
+
+
 class AdamW:
     """Adam with decoupled weight decay: the decay term never enters
     the moments, so a zero-gradient parameter contracts exactly as
     theta * (1 - lr * wd) per step. The moment decays are ADAM_BETAS
-    and the denominator's epsilon ADAM_EPS."""
+    and the denominator's epsilon ADAM_EPS.
+
+    The moments live in two flat buffers laid out by param_slots; m and
+    v map each parameter name to its slot as a view of its shape, which
+    every step updates in place. A step gathers the parameters and
+    gradients into flat arrays (a missing gradient counts as zero) and
+    runs the per-parameter update's operations, in the same order, on
+    ADAM_CHUNK elements at a time, with each element's learning rate
+    taken from its group, so every value rounds as it would per
+    parameter. The parameters then get views of one new flat array: an
+    array taken from p.data before a step keeps its values."""
 
     def __init__(self, params: ParamRegistry, weight_decay: float = 0.01):
         self.params = params
         self.weight_decay = weight_decay
-        self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
-        self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
+        self.slots, n = param_slots(params)
+        self._m, self._v = np.zeros(n), np.zeros(n)
+        self.m = {name: self._m[lo:hi].reshape(shape)
+                  for name, lo, hi, shape in self.slots}
+        self.v = {name: self._v[lo:hi].reshape(shape)
+                  for name, lo, hi, shape in self.slots}
+        self._fast = np.zeros(n, dtype=bool)
+        for name, lo, hi, _ in self.slots:
+            self._fast[lo:hi] = is_fast_group(name)
+        self._scratch = np.empty((3, min(n, ADAM_CHUNK)))
         self.t = 0
 
     def step(self, encoder_lr: float, fusion_lr: float) -> None:
@@ -344,13 +378,39 @@ class AdamW:
         b1, b2 = ADAM_BETAS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for name, p in self.params.items():
-            g = p.grad if p.grad is not None else 0.0
-            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
-            lr = fusion_lr if is_fast_group(name) else encoder_lr
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            p.data = p.data - lr * update - lr * self.weight_decay * p.data
+        # registry order is slot order
+        params = list(self.params.values())
+        theta = np.concatenate([p.data for p in params], axis=None)
+        grad = np.concatenate([np.zeros(p.data.shape) if p.grad is None
+                               else p.grad for p in params], axis=None)
+        for lo in range(0, theta.size, ADAM_CHUNK):
+            m, v, g, th = (a[lo:lo + ADAM_CHUNK]
+                           for a in (self._m, self._v, grad, theta))
+            t, update, lr = (a[:th.size] for a in self._scratch)
+            # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g²
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=t)
+            m += t
+            g *= g
+            g *= 1.0 - b2
+            v *= b2
+            v += g
+            # update = (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(v, bc2, out=t)
+            np.sqrt(t, out=t)
+            t += ADAM_EPS
+            np.divide(m, bc1, out=update)
+            update /= t
+            # theta - lr update - lr wd theta, lr by the element's group
+            np.copyto(lr, encoder_lr)
+            np.copyto(lr, fusion_lr, where=self._fast[lo:lo + ADAM_CHUNK])
+            update *= lr
+            lr *= self.weight_decay
+            lr *= th
+            th -= update
+            th -= lr
+        for name, lo, hi, shape in self.slots:
+            self.params[name].data = theta[lo:hi].reshape(shape)
 
 
 # checkpoints
@@ -396,8 +456,9 @@ def build_model(ckpt: Checkpoint):
                              f"{p.data.shape}")
         p.data = ckpt.params[name].copy()
     opt = AdamW(model.params, weight_decay=ckpt.config.weight_decay)
-    opt.m = {n: a.copy() for n, a in ckpt.m.items()}
-    opt.v = {n: a.copy() for n, a in ckpt.v.items()}
+    for name in opt.m:
+        opt.m[name][...] = ckpt.m[name]
+        opt.v[name][...] = ckpt.v[name]
     opt.t = ckpt.t
     return model, opt
 
@@ -605,11 +666,7 @@ class ForkedSide:
 
     def __init__(self, model: PretrainModel, corpus, side: TrainConfig):
         self.params = model.params
-        # (name, start, end, shape) of each parameter, in registry order
-        self.slots, n = [], 0
-        for name, p in self.params.items():
-            self.slots.append((name, n, n + p.data.size, p.data.shape))
-            n += p.data.size
+        self.slots, n = param_slots(self.params)
         # parameters | gradients | present flags | loss
         self._mm = mmap.mmap(-1, 8 * (2 * n + len(self.slots) + 1))
         self.buf = np.frombuffer(self._mm, dtype=np.float64)
@@ -655,8 +712,8 @@ class ForkedSide:
             os.write(reply_w, b"\0")
 
     def start(self, step: int) -> None:
-        for name, lo, hi, _ in self.slots:
-            self.buf[lo:hi] = self.params[name].data.ravel()
+        np.concatenate([p.data for p in self.params.values()], axis=None,
+                       out=self.buf[:self.grad_off])
         self.step = step
         try:
             os.write(self._cmd, struct.pack("<q", step))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from vlsc import tensor as T
 from vlsc.errors import GraphError, NumericError, ShapeError
@@ -353,6 +354,16 @@ class TestAttentionExamples:
         assert np.all(w[1, ..., :2] < 1e-300)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
+    # batch 5 against 2, an extra leading axis that would enlarge the
+    # (2, 2, 3, 3) scores, and 4 keys against 3
+    @pytest.mark.parametrize("shape", [(5, 1, 1, 3), (2, 2, 2, 3, 3),
+                                       (2, 2, 3, 4)])
+    def test_mask_that_does_not_fit_scores_raises(self, shape):
+        rng = np.random.default_rng(6)
+        q, k = (Tensor(rng.normal(size=(2, 3, 8))) for _ in range(2))
+        with pytest.raises(ShapeError):
+            T.mha(q, k, k, 2, mask=np.zeros(shape))
+
 
 # the composites the fused kernels replaced, kept as references: sqrt and
 # softmax as single nodes, everything else from the remaining primitives
@@ -458,6 +469,198 @@ class TestFusedMatchesReference:
         assert np.array_equal(out.data, (x * Tensor(keep)).data)
         out.sum().backward()
         assert np.array_equal(x.grad, keep)
+
+
+# each kernel's plain out-of-place expression, one new array per stage: the
+# kernels run the same operations in place and must match these bit for
+# bit, forward and backward
+
+
+def oop_linear(x, w, b):
+    out = x.data @ w.data + b.data
+
+    def back(g):
+        rows = g.reshape(-1, g.shape[-1])
+        return (g @ w.data.T, x.data.reshape(-1, x.shape[-1]).T @ rows,
+                rows.sum(axis=0))
+
+    return Tensor._from_op(out, (x, w, b), back)
+
+
+def oop_layer_norm(x, gain, bias):
+    inv_n = 1.0 / x.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + T.LN_EPS)
+    xhat = xc / std
+    out = xhat * gain.data + bias.data
+
+    def back(g):
+        gh = g * gain.data
+        gx = (gh - gh.sum(axis=-1, keepdims=True) * inv_n
+              - xhat * (gh * xhat).sum(axis=-1, keepdims=True) * inv_n) / std
+        return (gx, T._unbroadcast(g * xhat, gain.shape),
+                T._unbroadcast(g, bias.shape))
+
+    return Tensor._from_op(out, (x, gain, bias), back)
+
+
+def oop_gelu(x):
+    phi = 0.5 * (1.0 + erf(x.data * (1.0 / math.sqrt(2.0))))
+    out = x.data * phi
+
+    def back(g):
+        pdf = np.exp(-0.5 * x.data * x.data) * (1.0 / math.sqrt(2.0 * math.pi))
+        return (g * (phi + x.data * pdf),)
+
+    return Tensor._from_op(out, (x,), back)
+
+
+def oop_mha(q, k, v, heads, mask=None):
+    scale = 1.0 / math.sqrt(q.shape[-1] // heads)
+    qs, ks, vs = (T._split_heads(t.data, heads) for t in (q, k, v))
+    scores = (qs @ np.swapaxes(ks, -1, -2)) * scale
+    if mask is not None:
+        scores = scores + np.asarray(mask, dtype=np.float64)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    o = weights @ vs
+
+    def back(g):
+        go = T._split_heads(g, heads)
+        gw = go @ np.swapaxes(vs, -1, -2)
+        gs = weights * (gw - (go * o).sum(axis=-1, keepdims=True)) * scale
+        return (T._merge_heads(gs @ ks),
+                T._merge_heads(np.swapaxes(gs, -1, -2) @ qs),
+                T._merge_heads(np.swapaxes(weights, -1, -2) @ go))
+
+    return Tensor._from_op(T._merge_heads(o), (q, k, v), back), weights
+
+
+def oop_dropout(x, p, rng, shape=None, rows=None):
+    keep = (rng.random(x.shape if rows is None else shape) >= p) / (1.0 - p)
+    if rows is not None:
+        keep = keep[:, rows].reshape(x.shape)
+    return Tensor._from_op(x.data * keep, (x,), lambda g: (g * keep,))
+
+
+def oop_getitem(x, key):
+    out = x.data[key]
+
+    def back(g):
+        gx = np.zeros(x.shape, dtype=np.float64)
+        np.add.at(gx, key, g)
+        return (gx,)
+
+    return Tensor._from_op(np.array(out, dtype=np.float64), (x,), back)
+
+
+# a full-shape additive mask for (2, 2 heads, 5, 3) scores, -1e30 where
+# blocked, at least one key open per row
+FULL_MASK = np.where(np.random.default_rng(30).random((2, 2, 5, 3)) < 0.4,
+                     -1e30, 0.0)
+FULL_MASK[..., 0] = 0.0
+DROP_ROWS = np.array([0, 3, 4])
+# an advanced key that picks (0, 1) and (2, 1) twice each
+DUP_KEY = (np.array([0, 2, 0, 2]), np.array([1, 1, 1, 3]))
+
+
+def _drop(kernel, rows=None):
+    # each call draws its mask from a fresh generator on one seed
+    if rows is None:
+        return lambda x: kernel(x, 0.3, np.random.default_rng(31))
+    return lambda x: kernel(x, 0.3, np.random.default_rng(31),
+                            shape=(2, 6, 4), rows=rows)
+
+
+def _outputs(res):
+    """(output Tensor, [attention weights]) of an mha result, (output
+    Tensor, []) of any other kernel's."""
+    return (res[0], list(res[1:])) if isinstance(res, tuple) else (res, [])
+
+
+class TestInPlaceKernelsPinned:
+    """Every in-place kernel gives the bits of its out-of-place expression:
+    output, the attention weights it returns and every input gradient,
+    for an upstream gradient laid out in C order and one laid out
+    transposed."""
+
+    CASES = {
+        "linear": (T.linear, oop_linear, [(2, 3, 5, 8), (8, 6), (6,)]),
+        "linear-2d": (T.linear, oop_linear, [(5, 8), (8, 6), (6,)]),
+        "layer_norm": (T.layer_norm, oop_layer_norm, [(2, 5, 8), (8,), (8,)]),
+        "layer_norm-strided": (
+            lambda x, gn, b: T.layer_norm(x.swap_last(), gn, b),
+            lambda x, gn, b: oop_layer_norm(x.swap_last(), gn, b),
+            [(2, 8, 5), (8,), (8,)]),
+        "gelu": (T.gelu, oop_gelu, [(3, 4, 7)]),
+        "gelu-strided": (lambda x: T.gelu(x.swap_last()),
+                         lambda x: oop_gelu(x.swap_last()), [(3, 7, 4)]),
+        "mha": (lambda q, k, v: T.mha(q, k, v, 4),
+                lambda q, k, v: oop_mha(q, k, v, 4),
+                [(2, 3, 5, 8), (2, 3, 7, 8), (2, 3, 7, 8)]),
+        "mha-masked": (lambda q, k, v: T.mha(q, k, v, 2, mask=MASK),
+                       lambda q, k, v: oop_mha(q, k, v, 2, mask=MASK),
+                       [(2, 5, 8), (2, 3, 8), (2, 3, 8)]),
+        "mha-full-mask": (lambda q, k, v: T.mha(q, k, v, 2, mask=FULL_MASK),
+                          lambda q, k, v: oop_mha(q, k, v, 2,
+                                                  mask=FULL_MASK),
+                          [(2, 5, 8), (2, 3, 8), (2, 3, 8)]),
+        "dropout": (_drop(T.dropout), _drop(oop_dropout), [(5, 6)]),
+        "dropout-rows": (_drop(T.dropout, DROP_ROWS),
+                         _drop(oop_dropout, DROP_ROWS), [(6, 4)]),
+        "getitem-slice": (lambda x: x[1:, None, ..., ::2],
+                          lambda x: oop_getitem(
+                              x, (slice(1, None), None, Ellipsis,
+                                  slice(None, None, 2))),
+                          [(3, 4, 5)]),
+        "getitem-int": (lambda x: x[-1, 2], lambda x: oop_getitem(x, (-1, 2)),
+                        [(3, 4, 5)]),
+        "getitem-advanced-dup": (lambda x: x[DUP_KEY],
+                                 lambda x: oop_getitem(x, DUP_KEY),
+                                 [(3, 4, 5)]),
+    }
+
+    @staticmethod
+    def _run(build, arrays, grads):
+        """[output, weights if any, every input gradient for each of
+        grads] of one build on fresh leaves."""
+        out, extras = _outputs(
+            build(*[Tensor(a.copy(), requires_grad=True) for a in arrays]))
+        return [out.data, *extras] + [gx for g in grads
+                                      for gx in out._backward_fn(g)]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_bits_as_out_of_place(self, case):
+        kernel, ref, shapes = self.CASES[case]
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            arrays = [rng.normal(size=s) for s in shapes]
+            g = rng.normal(
+                size=_outputs(ref(*[Tensor(a) for a in arrays]))[0].shape)
+            g_t = np.ascontiguousarray(np.swapaxes(g, 0, -1)).swapaxes(0, -1)
+            got, want = (self._run(build, arrays, [g, g_t])
+                         for build in (kernel, ref))
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_leaves_its_operands_alone(self, case):
+        # the inputs, the masks, the upstream gradient, the output and the
+        # returned weights keep their bits through forward and backward
+        kernel, _, shapes = self.CASES[case]
+        rng = np.random.default_rng(40)
+        ts = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        out, extras = _outputs(kernel(*ts))
+        watched = [t.data for t in ts] + [MASK, FULL_MASK, out.data, *extras]
+        before = [a.copy() for a in watched]
+        g = rng.normal(size=out.shape)
+        g0 = g.copy()
+        out._backward_fn(g)
+        assert g.tobytes() == g0.tobytes()
+        (out * Tensor(g)).sum().backward()
+        for a, b in zip(watched, before):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestNoGrad:

@@ -224,7 +224,102 @@ class TestConfigFile:
             tr.load_config(p)
 
 
+def per_param_adamw_step(params, m, v, t, weight_decay, encoder_lr,
+                         fusion_lr):
+    """One AdamW step written per parameter, one new array per stage, on
+    the moment tables m and v; the optimizer must give its bits."""
+    b1, b2 = tr.ADAM_BETAS
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else 0.0
+        mm = m[name] = b1 * m[name] + (1.0 - b1) * g
+        vv = v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+        lr = fusion_lr if tr.is_fast_group(name) else encoder_lr
+        update = (mm / bc1) / (np.sqrt(vv / bc2) + tr.ADAM_EPS)
+        p.data = p.data - lr * update - lr * weight_decay * p.data
+
+
+def random_grads(rng, *registries):
+    """Give every registry the same gradients: a normal draw per
+    parameter, None for every fifth."""
+    names = registries[0].names()
+    for i, name in enumerate(names):
+        g = None if i % 5 == 0 else \
+            rng.normal(size=registries[0][name].shape) * 1e-2
+        for reg in registries:
+            reg[name].grad = None if g is None else g.copy()
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestAdamW:
+    # the tiny model's parameters in one chunk, and in chunks of 100
+    # with a short last one
+    @pytest.mark.parametrize("chunk", [tr.ADAM_CHUNK, 100])
+    def test_same_bits_as_per_parameter_loop(self, monkeypatch, chunk):
+        monkeypatch.setattr(tr, "ADAM_CHUNK", chunk)
+        cfg = tiny_train_config()
+        live, ref = PretrainModel(cfg).params, PretrainModel(cfg).params
+        opt = tr.AdamW(live, weight_decay=0.01)
+        m = {n: np.zeros_like(p.data) for n, p in ref.items()}
+        v = {n: np.zeros_like(p.data) for n, p in ref.items()}
+        rng = np.random.default_rng(7)
+        for t, (enc, fus) in enumerate([(1e-3, 5e-3), (2e-3, 1e-2),
+                                        (5e-4, 2.5e-3)], start=1):
+            random_grads(rng, live, ref)
+            opt.step(enc, fus)
+            per_param_adamw_step(ref, m, v, t, 0.01, enc, fus)
+            for name, p in ref.items():
+                assert same_bits(live[name].data, p.data)
+                assert same_bits(opt.m[name], m[name])
+                assert same_bits(opt.v[name], v[name])
+
+    def test_snapshot_taken_before_step_is_unchanged(self):
+        cfg = tiny_train_config()
+        model = PretrainModel(cfg)
+        opt = tr.AdamW(model.params)
+        rng = np.random.default_rng(8)
+        random_grads(rng, model.params)
+        opt.step(1e-3, 5e-3)
+        snap = tr.snapshot(model, opt, 1, cfg)
+        tables = (snap.params, snap.m, snap.v)
+        frozen = [{n: a.copy() for n, a in tb.items()} for tb in tables]
+        random_grads(rng, model.params)
+        opt.step(1e-3, 5e-3)
+        assert snap.t == 1
+        for table, kept in zip(tables, frozen):
+            assert all(same_bits(table[n], kept[n]) for n in kept)
+        assert any(not same_bits(opt.m[n], snap.m[n]) for n in snap.m)
+
+    def test_build_model_moments_hold_checkpoint_and_advance(self):
+        cfg = tiny_train_config()
+        model = PretrainModel(cfg)
+        opt = tr.AdamW(model.params, weight_decay=0.01)
+        rng = np.random.default_rng(9)
+        for _ in range(2):
+            random_grads(rng, model.params)
+            opt.step(1e-3, 5e-3)
+        ckpt = tr.snapshot(model, opt, 2, cfg)
+        live, opt = tr.build_model(ckpt)
+        ref, _ = tr.build_model(ckpt)
+        m = {n: a.copy() for n, a in ckpt.m.items()}
+        v = {n: a.copy() for n, a in ckpt.v.items()}
+        for name in m:
+            assert same_bits(opt.m[name], m[name])
+            assert same_bits(opt.v[name], v[name])
+        random_grads(rng, live.params, ref.params)
+        opt.step(2e-3, 1e-2)
+        per_param_adamw_step(ref.params, m, v, 3, 0.01, 2e-3, 1e-2)
+        assert opt.t == 3
+        for name, p in ref.params.items():
+            assert same_bits(live.params[name].data, p.data)
+            assert same_bits(opt.m[name], m[name])
+            assert same_bits(opt.v[name], v[name])
+        assert any(not same_bits(opt.m[n], ckpt.m[n]) for n in ckpt.m)
+
     def test_zero_grad_pure_decay(self):
         # decoupled decay: theta' = theta * (1 - lr*wd) when grad is 0
         reg = ParamRegistry()
