@@ -364,13 +364,11 @@ class FusionEncoder:
     the token axis, for a caller that reads no other row: the last
     layer's cross-attention still runs every query row, since its
     weights are kept, but its output projection, residuals, FFN and the
-    final norms run on the picked rows alone. A stream whose pick comes
-    to one row in all (batch 1, one row per sample) finishes every row
-    and is returned whole, for model.fused_globals to pick: numpy
-    computes a one-row product through gemv, which rounds differently
-    from the gemm of the other paths. Dropout masks are drawn at the
-    full shape either way, so the generator's stream does not depend on
-    the pick.
+    final norms run on the picked rows alone. BLAS may round those
+    smaller products otherwise than the full pass's, so the rows agree
+    with the full pass's to a few ulps, not to the bit. Dropout masks
+    are drawn at the full shape either way, so the generator's stream
+    does not depend on the pick.
     """
 
     def __init__(self, reg: ParamRegistry, cfg: TrainConfig):
@@ -427,15 +425,12 @@ class FusionEncoder:
                rng=None) -> FusionOut:
         """The rest of the pass after both layer-0 prefixes. rows, if
         given, is (vision row indices, text row indices): the rows to
-        finish, returned folded to (B * rows, D); a stream left unpicked
-        (one row in all, or no fusion layer) comes back whole."""
+        finish, returned folded to (B * rows, D); with no fusion layer
+        both streams come back whole."""
         reg, cfg = self.reg, self.cfg
         res = residual(cfg.dropout, train, rng)
-        b = pv.g.shape[0]
         # the last layer's picks; None finishes every row
-        last = (None, None)
-        if rows is not None:
-            last = tuple(idx if b * len(idx) > 1 else None for idx in rows)
+        last = (None, None) if rows is None else rows
         weights = []
         gv, gt = pv.g, pt.g
         for l in range(cfg.layers_f):

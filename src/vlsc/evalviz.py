@@ -10,9 +10,10 @@ directions are collected, and each distinct pair is scored once:
 match_scores calls of up to RERANK_ROW_BUDGET vision-token rows each
 gather their pairs' prefixes and finish only the rows the match head
 reads, dealt round-robin to one thread per usable core. Each query is
-then re-ranked from the table of scores. Every call holds a multiple of
-8 pairs, so each score equals, to the bit, the one an 8-pair call
-gives, as re-ranking one query at k=8 did.
+then re-ranked from the table of scores. The calls do not depend on
+the core count, so neither do the scores. A pair's score can differ in
+its last bits from the one a call of another size gives, since BLAS
+may round products of another shape otherwise.
 
 Heatmaps come from the text-[CLS] query row of the text-to-vision
 cross-attention in the last fusion layer: per-head weights are kept
@@ -40,16 +41,12 @@ from .model import PretrainModel
 from .synthdata import PAD_ID, write_atomic
 from .tensor import Tensor, no_grad
 
-# Re-ranking fuses its candidate pairs in match_scores calls of at most
-# RERANK_ROW_BUDGET vision-token rows: past that a bigger call costs
-# more per pair, not less. Each call holds a whole number of groups of
-# RERANK_PAIR_GROUP pairs, so every product in it is a stack of 8-pair
-# blocks of rows, and a pair's score equals the one an 8-pair call
-# gives. A call with a ragged tail does not: with OpenBLAS on x86-64, a
-# 30-pair call rounds the scores of its last pairs differently from
-# 8-pair calls, while calls of any multiple of 4 pairs agree with them.
+# Re-ranking fuses its candidate pairs in match_scores calls of a
+# multiple of 8 pairs within RERANK_ROW_BUDGET vision-token rows, and of
+# 8 pairs at least. The multiple of 8 is a speed choice: on a 2-core
+# Xeon, 16 video pairs (68 rows each) re-ranked at k=8 in 120 ms in
+# 8-pair calls and in 125 ms in 7-pair calls.
 RERANK_ROW_BUDGET = 512
-RERANK_PAIR_GROUP = 8
 
 
 @dataclass
@@ -161,26 +158,20 @@ def _recalls(orders: np.ndarray) -> tuple:
 
 def chunk_pairs(n_vis: int) -> int:
     """Pairs per re-ranking match_scores call, for n_vis vision tokens
-    per sample: whole RERANK_PAIR_GROUP groups within RERANK_ROW_BUDGET
-    vision-token rows, and one group at least."""
-    group = RERANK_PAIR_GROUP
-    return group * max(1, RERANK_ROW_BUDGET // (group * n_vis))
+    per sample: the most within RERANK_ROW_BUDGET vision-token rows,
+    rounded down to a multiple of 8, and 8 at least."""
+    return 8 * max(1, RERANK_ROW_BUDGET // (8 * n_vis))
 
 
 def score_pairs(model: PretrainModel, enc: EncodedCorpus,
                 text_idx: np.ndarray, vis_idx: np.ndarray) -> np.ndarray:
     """match_scores of every (text_idx[j], vis_idx[j]) pair, in calls of
-    chunk_pairs pairs (the last call filled up to a whole group with
-    copies of the last pair), dealt round-robin to one thread per usable
-    core. The calling thread scores its own share, so a 1-core host
-    starts no helper, and every helper has ended when this returns or
-    raises the first error a share met. Scores come back by call, so
-    the scheduling cannot move a bit of them."""
+    chunk_pairs pairs, dealt round-robin to one thread per usable core.
+    The calling thread scores its own share, so a 1-core host starts no
+    helper, and every helper has ended when this returns or raises the
+    first error a share met. Scores come back by call, so the scheduling
+    cannot move a bit of them."""
     size = chunk_pairs(enc.v_flat.shape[1])
-    keep = len(text_idx)
-    filled = np.minimum(np.arange(keep + -keep % RERANK_PAIR_GROUP),
-                        keep - 1)
-    text_idx, vis_idx = text_idx[filled], vis_idx[filled]
     starts = range(0, len(text_idx), size)
     scores = [None] * len(starts)
     workers = min(usable_cores(), len(starts))
@@ -208,7 +199,7 @@ def score_pairs(model: PretrainModel, enc: EncodedCorpus,
         h.join()
     if errors:
         raise errors[0]
-    return np.concatenate(scores)[:keep]
+    return np.concatenate(scores)
 
 
 def _candidate_scores(model: PretrainModel, enc: EncodedCorpus,

@@ -96,8 +96,8 @@ class PretrainModel:
         """Fusion + both fused globals for already-encoded streams.
         Returns (FusionOut, v_global, t_global). With globals_only the
         last fusion layer finishes only the rows the globals read (see
-        global_rows), and the FusionOut holds those rows alone, or a
-        stream whole where FusionEncoder.finish did not pick it."""
+        global_rows), and the FusionOut holds those rows alone, or both
+        streams whole where there is no fusion layer."""
         self._count_pass()
         rows = self.global_rows(v_flat.shape[1])
         fused = self.fusion(v_flat, t_tokens, text_mask, train=train,
@@ -151,8 +151,9 @@ class PretrainModel:
 def fused_globals(fused: FusionOut, rows) -> tuple:
     """(v_global, t_global), each (B, D): the mean of the vision rows and
     the text row that rows, as PretrainModel.global_rows gives them,
-    pick from fused. A stream still (B, L, D) is picked here; one that
-    finished those rows alone comes folded to (B * rows, D)."""
+    pick from fused. Streams still (B, L, D), every row finished, are
+    picked here; streams whose last fusion layer finished those rows
+    alone come folded to (B * rows, D)."""
     v, t = (T.take_rows(x, idx) if x.ndim == 3 else x
             for x, idx in zip((fused.vision_tokens, fused.text_tokens),
                               rows))

@@ -70,9 +70,6 @@ class Vocab:
             raise ValueError("duplicate words in vocab")
         self._w2i = {w: i for i, w in enumerate(self._i2w)}
 
-    def __len__(self):
-        return len(self._i2w)
-
     def id(self, word: str) -> int:
         try:
             return self._w2i[word]

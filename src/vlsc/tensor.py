@@ -134,18 +134,12 @@ class Tensor:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 \
             else float(self.data)  # raises for size > 1, as it should
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # -- autodiff --------------------------------------------------------
 
     def detach(self) -> "Tensor":
         """A view of the same data cut out of the graph; backward through
         it accumulates nothing into its producers."""
         return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Accumulate d(self)/d(t) into ``t.grad`` for every tensor t
@@ -232,9 +226,6 @@ class Tensor:
 
         return Tensor._from_op(out, (self, other), back)
 
-    def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) - self
-
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
         out = self.data * other.data
@@ -256,9 +247,6 @@ class Tensor:
                     _unbroadcast(-g * self.data / (other.data ** 2), other.shape))
 
         return Tensor._from_op(out, (self, other), back)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) / self
 
     def __pow__(self, p) -> "Tensor":
         if not isinstance(p, (int, float)):
@@ -651,12 +639,6 @@ class ParamRegistry:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)

@@ -31,29 +31,26 @@ any of them.
 Checkpoints and config files are written atomically (write_atomic): a
 failed or interrupted save never leaves a partial file at the target.
 
-A step runs in two sides. Side A is CL + VTM + MLM and runs in the
-calling process; side B is SCL. Each side encodes the complete inputs
-again on its own step_rngs(seed, step), so both see the draws one
-total_loss call would. The step's gradient is g_A + g_B, added per
-parameter in registry order; then come the finite-loss check,
-clipping, AdamW, the log and checkpoints, all in the calling process.
-Side B runs in a child forked once per train() call (ForkedSide) when
-the host has os.fork, two usable cores or more, this process runs no
-other thread, numpy's bundled OpenBLAS thread count can be set, and both
-sides have an objective on. The child and the caller then each run
-OpenBLAS on one thread: at its default of one thread per core the two
-processes fight over the cores, and the split was slower than one
-process. OpenBLAS ends its own worker threads before a fork, so the
-fork copies one thread. The fork leaves the caller's pages
+A step is one total_loss call in the calling process, unless both
+sides have an objective on and train() may fork (can_fork): the host
+has os.fork, two usable cores or more, this process runs no other
+thread, and numpy's bundled OpenBLAS thread count can be set. Then the
+step is split. Side A is CL + VTM + MLM and runs in the calling
+process; side B is SCL and runs in a child forked once per train() call
+(ForkedSide). Each side encodes the complete inputs again on its own
+step_rngs(seed, step), so both see the draws one total_loss call
+would. The step's gradient is g_A + g_B, added per parameter in
+registry order; then come the finite-loss check, clipping, AdamW, the
+log and checkpoints, all in the calling process. The child and the
+caller each run OpenBLAS on one thread: at its default of one thread
+per core the two processes fight over the cores, and the split was
+slower than one process. OpenBLAS ends its own worker threads before a
+fork, so the fork copies one thread. The fork leaves the caller's pages
 copy-on-write, so after train() returns, the caller's first write to
-each of them still takes a page fault. Otherwise side B runs first in
-the calling process (InProcessSide). Both executors sum the same two
-gradients in the same way, so they write the same bytes. The price is
-that the in-process executor encodes the complete inputs twice per
-step: on a 2-core Xeon it trained 9-11% fewer samples per second than
-one total_loss call per step, and peaked 11-20% lower in memory. A
-config with one side alone runs it in the calling process, as one
-total_loss call.
+each of them still takes a page fault. g_A + g_B rounds otherwise than
+one backward sweep, so a split step's gradient agrees with one
+total_loss call's to about 1e-12 of each array's largest entry, not to
+the bit.
 """
 
 from __future__ import annotations
@@ -617,35 +614,19 @@ def _check_unused(out_dir) -> None:
 # the two sides of a step
 
 
-def side_grads(model: PretrainModel, corpus, side: TrainConfig,
+def side_grads(model: PretrainModel, corpus, config: TrainConfig,
                step: int):
-    """Run the objectives side has on at step, on the model's current
+    """Run the objectives config has on at step, on the model's current
     parameters, from the step's own batch and generators. Leaves their
     gradient in the parameters' .grad (None where a parameter gets
     none) and returns their LossReport."""
-    idx = batch_indices(len(corpus), side.batch, side.seed, step)
+    idx = batch_indices(len(corpus), config.batch, config.seed, step)
     frames, captions = stack_batch(corpus, idx)
     model.zero_grad()
-    report, total = total_loss(model, frames, captions, side,
-                               step_rngs(side.seed, step), train=True)
+    report, total = total_loss(model, frames, captions, config,
+                               step_rngs(config.seed, step), train=True)
     total.backward()
     return report
-
-
-class InProcessSide:
-    """Side B run by the calling process, before side A."""
-
-    def __init__(self, model: PretrainModel, corpus, side: TrainConfig):
-        self.model, self.corpus, self.side = model, corpus, side
-
-    def start(self, step: int) -> None:
-        report = side_grads(self.model, self.corpus, self.side, step)
-        self._out = report.total, {n: p.grad
-                                   for n, p in self.model.params.items()}
-
-    def finish(self) -> tuple:
-        """(side B's loss, {name: gradient or None}) of the started step."""
-        return self._out
 
 
 class ForkedSide:
@@ -762,11 +743,11 @@ def can_fork() -> bool:
             and openblas_thread_calls() is not None)
 
 
-def split_step(model: PretrainModel, corpus, a: TrainConfig, other,
-               step: int):
-    """Run side A here and side B on other (an InProcessSide or a
-    ForkedSide), then leave g_A + g_B in the parameters' .grad, in
-    registry order, and return the step's LossReport."""
+def split_step(model: PretrainModel, corpus, a: TrainConfig,
+               other: ForkedSide, step: int):
+    """Run side A here and side B in other's child, then leave g_A + g_B
+    in the parameters' .grad, in registry order, and return the step's
+    LossReport."""
     other.start(step)
     report = side_grads(model, corpus, a, step)
     loss_b, grads_b = other.finish()
@@ -783,25 +764,22 @@ def step_runner(model: PretrainModel, corpus, config: TrainConfig):
     """A function of the step number that runs the step's objectives on
     the model's current parameters, leaves their summed gradient in the
     parameters' .grad and returns the step's LossReport. With both
-    sides on it splits the step, and forks side B where can_fork()
-    allows; any child has ended when the block ends."""
-    # side A: CL, VTM and MLM; side B: SCL; None for a side with none on
-    a = (dataclasses.replace(config, scl=False)
-         if config.cl or config.vtm or config.mlm else None)
-    b = (dataclasses.replace(config, cl=False, vtm=False, mlm=False)
-         if config.scl else None)
-    if a is None or b is None:
-        yield lambda step: side_grads(model, corpus, a or b, step)
-    elif not can_fork():
-        other = InProcessSide(model, corpus, b)
-        yield lambda step: split_step(model, corpus, a, other, step)
-    else:
-        with one_blas_thread():
-            other = ForkedSide(model, corpus, b)
-            try:
-                yield lambda step: split_step(model, corpus, a, other, step)
-            finally:
-                other.close()
+    sides on, where can_fork() allows, it splits the step and runs side
+    B in a forked child, which has ended when the block ends. Otherwise
+    a step is one total_loss call."""
+    if not (config.scl and (config.cl or config.vtm or config.mlm)
+            and can_fork()):
+        yield lambda step: side_grads(model, corpus, config, step)
+        return
+    # side A: CL, VTM and MLM; side B: SCL
+    a = dataclasses.replace(config, scl=False)
+    b = dataclasses.replace(config, cl=False, vtm=False, mlm=False)
+    with one_blas_thread():
+        other = ForkedSide(model, corpus, b)
+        try:
+            yield lambda step: split_step(model, corpus, a, other, step)
+        finally:
+            other.close()
 
 
 def train(config: TrainConfig, corpus, out_dir=None, resume=None,

@@ -293,8 +293,9 @@ class TestGlobals:
             assert np.abs(out - base).max() > 1e-9
 
     # globals_only finishes the last fusion layer on the rows the globals
-    # read alone; the globals must equal the full pass's to the bit, in
-    # eval mode and with dropout drawn from generators seeded alike
+    # read alone; the globals must equal the full pass's within rounding,
+    # at most 1e-12 of the largest entry, in eval mode and with dropout
+    # drawn from generators seeded alike
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("m", [1, 2, 4])
     @pytest.mark.parametrize("layers_f", [0, 1, 2])
@@ -320,7 +321,8 @@ class TestGlobals:
                 for g in (False, True))
             for a, c in zip(full, only):
                 assert a.shape == (b, cfg.embed_dim)
-                assert np.array_equal(a.data, c.data)
+                assert np.max(np.abs(c.data - a.data)) \
+                    <= 1e-12 * np.max(np.abs(a.data))
 
     def test_m1_framecls_equals_meanpooling_with_copied_weights(self):
         mp = PretrainModel(tiny_config(variant="MeanPooling", frames_m=1,

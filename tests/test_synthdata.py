@@ -16,10 +16,13 @@ class TestVocab:
         assert sd.VOCAB.id("[MASK]") == 2
 
     def test_size(self):
-        assert len(sd.VOCAB) == 64
+        assert sd.V_VOCAB == 64
+        sd.VOCAB.word(sd.V_VOCAB - 1)
+        with pytest.raises(VocabError):
+            sd.VOCAB.word(sd.V_VOCAB)
 
     def test_bijective(self):
-        words = [sd.VOCAB.word(i) for i in range(len(sd.VOCAB))]
+        words = [sd.VOCAB.word(i) for i in range(sd.V_VOCAB)]
         assert len(set(words)) == len(words)
         assert all(sd.VOCAB.id(w) == i for i, w in enumerate(words))
 

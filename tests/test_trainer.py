@@ -33,9 +33,9 @@ def tiny_train_config(**kw):
 
 
 def force_executor(monkeypatch, forked: bool) -> list:
-    """Make train() fork side B, even on a 1-core host, or run it in the
-    calling process, as on a host without os.fork. Returns the list that
-    every os.fork call appends to."""
+    """Make train() fork side B, even on a 1-core host, or run each step
+    as one total_loss call, as on a host without os.fork. Returns the
+    list that every os.fork call appends to."""
     forks = []
     if not forked:
         monkeypatch.delattr(os, "fork")
@@ -591,13 +591,12 @@ class TestTrainLoop:
     def test_nonfinite_gradient_aborts_before_update(self, tmp_path,
                                                      monkeypatch):
         # from step 2 on, one parameter's gradient is inf while the loss
-        # stays finite. Only side A's calls, which compute VTM, count the
-        # steps: side B runs in a forked child, or in this process first
+        # stays finite. Only the calls that compute VTM count the steps:
+        # side A of a forked step, or a step's one call
         real = tr.total_loss
         cfg = tiny_train_config(total_steps=3, checkpoint_interval=1)
-        _, clean = tr.train(cfg, small_corpus())
         for forked in (True, False):
-            out = tmp_path / ("forked" if forked else "in-process")
+            out = tmp_path / ("forked" if forked else "one-graph")
             steps = []
 
             def poisoned(model, frames, captions, cfg, rngs, train=False):
@@ -614,6 +613,8 @@ class TestTrainLoop:
 
             with monkeypatch.context() as mp:
                 force_executor(mp, forked)
+                # the two executors round the step's gradient otherwise
+                _, clean = tr.train(cfg, small_corpus())
                 mp.setattr(tr, "total_loss", poisoned)
                 with pytest.raises(NumericError,
                                    match="gradient norm inf at step 2"):
@@ -628,7 +629,9 @@ class TestTrainLoop:
                     assert np.array_equal(arr, getattr(prev, table)[name])
             # without the poison, a resume from the diagnostic replays
             # the failing step as a clean run takes it
-            _, resumed = tr.train(cfg, small_corpus(), resume=diag)
+            with monkeypatch.context() as mp:
+                force_executor(mp, forked)
+                _, resumed = tr.train(cfg, small_corpus(), resume=diag)
             assert resumed[0].split()[0] == "2"
             assert resumed[0] == clean[1]
 
@@ -674,7 +677,8 @@ class TestTrainPinned:
     # the encoders' residual sublayers went through one dropout path.
     # Every step-2 line and digest was re-recorded when a step's gradient
     # became g_A + g_B, the sum of its two sides' gradients, which rounds
-    # otherwise than one backward sweep; the step-1 lines did not move
+    # otherwise than one backward sweep; the step-1 lines did not move.
+    # They are the forked split step's, so the run forks on any host
     PINNED = {
         ("FrameCLS", 1): (
             ["1 1.6726954712589537 0.69334770659316081 4.1461306298858069 "
@@ -708,7 +712,8 @@ class TestTrainPinned:
 
     @pytest.mark.parametrize("variant, m", list(PINNED), ids=[
         "1", "2", "MeanPooling-2", "GlobalCLS-2"])
-    def test_train_run_pinned(self, tmp_path, variant, m):
+    def test_train_run_pinned(self, tmp_path, monkeypatch, variant, m):
+        force_executor(monkeypatch, True)
         cfg = tiny_train_config(total_steps=2, dropout=0.1, frames_m=m,
                                 variant=variant,
                                 phase="video" if m > 1 else "image")
@@ -719,17 +724,17 @@ class TestTrainPinned:
         assert (lines, digest) == self.PINNED[variant, m]
 
 
-def side_b_calls(monkeypatch, act):
-    """Patch total_loss so that its n-th side-B call (SCL alone on),
-    counted in the process that makes it, returns act(n, report, total)
-    instead of (report, total)."""
+def scl_calls(monkeypatch, act):
+    """Patch total_loss so that its n-th call with SCL on, side B's or a
+    step's one call, counted in the process that makes it, returns
+    act(n, report, total) instead of (report, total)."""
     real = tr.total_loss
     calls = []
 
     def patched(model, frames, captions, cfg, rngs, train=False):
         report, total = real(model, frames, captions, cfg, rngs,
                              train=train)
-        if cfg.cl or cfg.vtm or cfg.mlm:
+        if not cfg.scl:
             return report, total
         calls.append(None)
         return act(len(calls), report, total)
@@ -739,24 +744,47 @@ def side_b_calls(monkeypatch, act):
 class TestStepExecutors:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("m", [1, 4])
-    def test_forked_and_in_process_artifacts_identical(self, tmp_path,
-                                                       monkeypatch, variant,
-                                                       m):
-        cfg = tiny_train_config(total_steps=3, checkpoint_interval=2,
-                                dropout=0.1, variant=variant, frames_m=m,
+    def test_forked_and_one_graph_runs_agree(self, monkeypatch, variant, m):
+        # after 3 steps, every loss agrees within 1e-12 of itself, and
+        # every parameter and moment array within 1e-12 of its largest
+        # entry. Attention key biases are left out: their exact gradient
+        # is 0 (see test_split_gradient_matches_one_graph), so Adam turns
+        # the rounding noise both compute into steps of O(lr)
+        cfg = tiny_train_config(total_steps=3, dropout=0.1, variant=variant,
+                                frames_m=m,
                                 phase="video" if m > 1 else "image")
         corpus = small_corpus(frames_m=m)
         threads = blas_threads()
+        runs = {}
         for forked in (True, False):
             with monkeypatch.context() as mp:
                 forks = force_executor(mp, forked)
-                tr.train(cfg, corpus, out_dir=tmp_path / str(forked))
+                runs[forked] = tr.train(cfg, corpus)
             assert len(forks) == forked
             assert no_child_left()
             assert blas_threads() == threads
-        for name in ("metrics.txt", "ckpt_step2.vlsc", "ckpt_final.vlsc"):
-            assert (tmp_path / "True" / name).read_bytes() \
-                == (tmp_path / "False" / name).read_bytes(), name
+        (split, split_lines), (one, one_lines) = runs[True], runs[False]
+        for a, b in zip(split_lines, one_lines, strict=True):
+            for x, y in zip(map(float, a.split()), map(float, b.split()),
+                            strict=True):
+                assert abs(x - y) <= 1e-12 * abs(y), (a, b)
+        for table in ("params", "m", "v"):
+            for name, want in getattr(one, table).items():
+                if not name.endswith(".k.b"):
+                    got = getattr(split, table)[name]
+                    assert np.max(np.abs(got - want)) \
+                        <= 1e-12 * np.max(np.abs(want)), (table, name)
+
+    def test_unforked_step_is_one_total_loss_call(self, monkeypatch):
+        force_executor(monkeypatch, False)
+        real, calls = tr.total_loss, []
+
+        def counted(model, frames, captions, cfg, rngs, train=False):
+            calls.append((cfg.cl, cfg.vtm, cfg.mlm, cfg.scl))
+            return real(model, frames, captions, cfg, rngs, train=train)
+        monkeypatch.setattr(tr, "total_loss", counted)
+        tr.train(tiny_train_config(total_steps=2), small_corpus())
+        assert calls == [(True, True, True, True)] * 2
 
     @pytest.mark.parametrize("forked", [True, False])
     @pytest.mark.parametrize("variant, m", [("FrameCLS", 1),
@@ -814,7 +842,7 @@ class TestStepExecutors:
                 report.scl = report.total = math.nan
                 total = total * math.nan
             return report, total
-        side_b_calls(monkeypatch, nan_at_step_2)
+        scl_calls(monkeypatch, nan_at_step_2)
         cfg = tiny_train_config(total_steps=3, checkpoint_interval=1)
         with pytest.raises(NumericError,
                            match=r"non-finite loss at step 2: .*scl=nan"):
@@ -833,7 +861,7 @@ class TestStepExecutors:
 
         def fail(n, report, total):
             raise error
-        side_b_calls(monkeypatch, fail)
+        scl_calls(monkeypatch, fail)
         with pytest.raises(WorkerError,
                            match=f"{type(error).__name__}: side B broke"):
             tr.train(tiny_train_config(), small_corpus(),
@@ -843,7 +871,7 @@ class TestStepExecutors:
 
     def test_child_that_dies_is_reported(self, monkeypatch):
         force_executor(monkeypatch, True)
-        side_b_calls(monkeypatch, lambda n, report, total: os._exit(3))
+        scl_calls(monkeypatch, lambda n, report, total: os._exit(3))
         with pytest.raises(WorkerError, match="ended at step 1"):
             tr.train(tiny_train_config(), small_corpus())
         assert no_child_left()
@@ -874,7 +902,7 @@ class TestStepExecutors:
 
         def fail(n, report, total):
             raise RuntimeError("side B broke")
-        side_b_calls(monkeypatch, fail)
+        scl_calls(monkeypatch, fail)
         assert cli.main(["pretrain", "--corpus", str(corpus), "--out",
                          str(tmp_path / "run"), "--steps", "2",
                          "--batch", "2"]) == 2
