@@ -19,9 +19,9 @@ def grad_check(loss_fn, params: ParamRegistry, eps: float = 1e-4,
     ``loss_fn`` takes no arguments (close over the model) and must be
     deterministic. Every parameter element is probed when the registry is
     small; otherwise a seeded random subset of at least 64 elements is
-    used. The relative error per element is
-    ``|a - n| / max(|a|, |n|, 1e-8)``. Only the analytic pass builds a
-    graph; the finite-difference probes run under ``no_grad``.
+    used; an element is an index into params.flat. The relative error per
+    element is ``|a - n| / max(|a|, |n|, 1e-8)``. Only the analytic pass
+    builds a graph; the finite-difference probes run under ``no_grad``.
 
     The numeric side is a Richardson-extrapolated central difference,
     (4*d(h/2) - d(h)) / 3, which cancels the O(h^2) truncation term:
@@ -48,6 +48,7 @@ def grad_check(loss_fn, params: ParamRegistry, eps: float = 1e-4,
             raise NumericError("loss is not finite during grad_check")
         return val
 
+    flat = params.flat
     params.zero_grad()
     out = loss_fn()
     if not isinstance(out, Tensor):
@@ -55,10 +56,9 @@ def grad_check(loss_fn, params: ParamRegistry, eps: float = 1e-4,
     if not math.isfinite(out.item()):
         raise NumericError("loss is not finite during grad_check")
     out.backward()
+    grad = params.flat_grad()
 
-    names = params.names()
-    sizes = [params[n].size for n in names]
-    total = sum(sizes)
+    total = flat.size
     if max_elements is None:
         max_elements = 256
     n_probe = total if total <= max_elements else max(64, max_elements)
@@ -69,21 +69,17 @@ def grad_check(loss_fn, params: ParamRegistry, eps: float = 1e-4,
         rng = np.random.default_rng(seed)
         flat_indices = rng.choice(total, size=n_probe, replace=False)
 
-    offsets = np.cumsum([0] + sizes)
     max_rel = 0.0
-    for flat in flat_indices:
-        pi = int(np.searchsorted(offsets, flat, side="right") - 1)
-        j = int(flat - offsets[pi])
-        t = params[names[pi]]
-        analytic = 0.0 if t.grad is None else float(t.grad.flat[j])
+    for i in flat_indices:
+        analytic = float(grad[i])
 
         def central(h: float) -> float:
-            orig = float(t.data.flat[j])
-            t.data.flat[j] = orig + h
+            orig = float(flat[i])
+            flat[i] = orig + h
             f_plus = evaluate()
-            t.data.flat[j] = orig - h
+            flat[i] = orig - h
             f_minus = evaluate()
-            t.data.flat[j] = orig
+            flat[i] = orig
             return (f_plus - f_minus) / (2.0 * h)
 
         def estimate(h: float) -> float:

@@ -142,11 +142,6 @@ class PretrainModel:
     def mlm_logits(self, text_rows: Tensor) -> Tensor:
         return linear(self.params, "head.mlm", text_rows)
 
-    # bookkeeping
-
-    def zero_grad(self) -> None:
-        self.params.zero_grad()
-
 
 def fused_globals(fused: FusionOut, rows) -> tuple:
     """(v_global, t_global), each (B, D): the mean of the vision rows and

@@ -32,6 +32,10 @@ step that makes a new array, so values and gradients are those of the
 one-array-per-step form. Dropout keeps its mask as bool and scales by
 1 / (1 - p) after it: x * 1.0 * s and x * 0.0 * s are x * s and x * 0.0,
 sign included.
+
+ParamRegistry owns the one layout of a model's parameters: once laid
+out, each parameter's .data is a view of one flat float64 buffer, and
+gradients gather into a buffer of the same layout.
 """
 
 from __future__ import annotations
@@ -624,18 +628,53 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 # -- parameter containers ------------------------------------------------------
 
 class ParamRegistry:
-    """Name -> Tensor map with deterministic iteration order."""
+    """Name -> Tensor map with deterministic iteration order, and the one
+    owner of the parameters' flat layout: the first read of flat copies
+    every parameter, in registry order, into one float64 buffer and
+    makes its .data a view of its slot there. Registering after that
+    raises ValueError. views() and flat_grad() read and write other
+    buffers in the same layout."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self._flat: np.ndarray | None = None
 
     def register(self, name: str, value) -> Tensor:
+        if self._flat is not None:
+            raise ValueError(f"cannot register {name}: the parameters are "
+                             f"already laid out in flat")
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
         t = value if isinstance(value, Tensor) else Tensor(value)
         t.requires_grad = True
         self._params[name] = t
         return t
+
+    @property
+    def flat(self) -> np.ndarray:
+        if self._flat is None:
+            flat = np.empty(sum(t.data.size for t in self.values()))
+            for t, view in zip(self.values(), self.views(flat).values()):
+                view[...] = t.data
+                t.data = view
+            self._flat = flat
+        return self._flat
+
+    def views(self, buf: np.ndarray) -> dict:
+        """Name -> view of buf, a flat buffer in flat's layout, shaped as
+        the parameter, in registry order."""
+        out, lo = {}, 0
+        for name, t in self.items():
+            out[name] = buf[lo:lo + t.data.size].reshape(t.data.shape)
+            lo += t.data.size
+        return out
+
+    def flat_grad(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The parameters' .grad in flat's layout, 0 where a .grad is
+        None, written into out if given, else into a new array."""
+        return np.concatenate([np.zeros(t.data.shape) if t.grad is None
+                               else t.grad for t in self.values()],
+                              axis=None, out=out)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]

@@ -31,26 +31,27 @@ any of them.
 Checkpoints and config files are written atomically (write_atomic): a
 failed or interrupted save never leaves a partial file at the target.
 
-A step is one total_loss call in the calling process, unless both
-sides have an objective on and train() may fork (can_fork): the host
-has os.fork, two usable cores or more, this process runs no other
-thread, and numpy's bundled OpenBLAS thread count can be set. Then the
-step is split. Side A is CL + VTM + MLM and runs in the calling
-process; side B is SCL and runs in a child forked once per train() call
-(ForkedSide). Each side encodes the complete inputs again on its own
-step_rngs(seed, step), so both see the draws one total_loss call
-would. The step's gradient is g_A + g_B, added per parameter in
-registry order; then come the finite-loss check, clipping, AdamW, the
-log and checkpoints, all in the calling process. The child and the
-caller each run OpenBLAS on one thread: at its default of one thread
-per core the two processes fight over the cores, and the split was
-slower than one process. OpenBLAS ends its own worker threads before a
-fork, so the fork copies one thread. The fork leaves the caller's pages
-copy-on-write, so after train() returns, the caller's first write to
-each of them still takes a page fault. g_A + g_B rounds otherwise than
-one backward sweep, so a split step's gradient agrees with one
-total_loss call's to about 1e-12 of each array's largest entry, not to
-the bit.
+A step is one total_loss call in the calling process, unless both sides
+have an objective on and train() may fork (can_fork): the host has
+os.fork, two usable cores or more, this process runs no other thread,
+and numpy's bundled OpenBLAS thread count can be set. Then the step is
+split. Side A is CL + VTM + MLM and runs in the calling process; side B
+is SCL and runs in a child forked once per train() call (ForkedSide).
+Each side encodes the complete inputs again on its own
+step_rngs(seed, step), so both see the draws one total_loss call would.
+The step's gradient is g_A + g_B, two buffers in the layout of the
+model's ParamRegistry.flat added in one call. Then come the finite-loss
+check, clipping, which scales that buffer, AdamW, which updates flat in
+place, the log and checkpoints, all in the calling process. The child
+and the caller each run OpenBLAS on one thread: at its default of one
+thread per core the two processes fight over the cores, and the split
+was slower than one process. OpenBLAS ends its own worker threads
+before a fork, so the fork copies one thread. The fork leaves the
+caller's pages copy-on-write, so after train() returns, the caller's
+first write to each of them still takes a page fault. g_A + g_B rounds
+otherwise than one backward sweep, so a split step's gradient agrees
+with one total_loss call's to about 1e-12 of each array's largest
+entry, not to the bit.
 """
 
 from __future__ import annotations
@@ -312,31 +313,19 @@ def is_fast_group(name: str) -> bool:
 # optimizer
 
 
-def clip_global_norm(params: ParamRegistry, max_norm: float) -> float:
-    """Scale all gradients so their joint euclidean norm is at most
-    max_norm. Returns the pre-clip norm."""
+def clip_global_norm(params: ParamRegistry, grad: np.ndarray,
+                     max_norm: float) -> float:
+    """Scale grad, a gradient in params.flat's layout, so its euclidean
+    norm is at most max_norm. Returns the pre-clip norm. The squares are
+    summed per parameter and the sums added in registry order: the
+    pinned training values record that rounding."""
     sq = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            sq += float(np.sum(p.grad * p.grad))
+    for g in params.views(grad).values():
+        sq += float(np.sum(g * g))
     norm = float(np.sqrt(sq))
     if norm > max_norm:
-        scale = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
+        grad *= max_norm / norm
     return norm
-
-
-def param_slots(params: ParamRegistry) -> tuple[list, int]:
-    """The layout of all parameters in one flat float64 buffer:
-    (name, start, end, shape) of each, in registry order, and the
-    buffer's length."""
-    slots, n = [], 0
-    for name, p in params.items():
-        slots.append((name, n, n + p.data.size, p.data.shape))
-        n += p.data.size
-    return slots, n
 
 
 class AdamW:
@@ -345,41 +334,36 @@ class AdamW:
     theta * (1 - lr * wd) per step. The moment decays are ADAM_BETAS
     and the denominator's epsilon ADAM_EPS.
 
-    The moments live in two flat buffers laid out by param_slots; m and
-    v map each parameter name to its slot as a view of its shape, which
-    every step updates in place. A step gathers the parameters and
-    gradients into flat arrays (a missing gradient counts as zero) and
-    runs the per-parameter update's operations, in the same order, on
-    ADAM_CHUNK elements at a time, with each element's learning rate
-    taken from its group, so every value rounds as it would per
-    parameter. The parameters then get views of one new flat array: an
-    array taken from p.data before a step keeps its values."""
+    The moments live in two flat buffers in params.flat's layout; m and
+    v map each parameter name to its view of them. A step takes the
+    gradient as one buffer in that layout and updates params.flat and
+    both moment buffers in place: an array taken from p.data before a
+    step sees the step's values (snapshot copies). It runs the
+    per-parameter update's operations, in the same order, on ADAM_CHUNK
+    elements at a time, with each element's learning rate taken from
+    its group, so every value rounds as it would per parameter."""
 
     def __init__(self, params: ParamRegistry, weight_decay: float = 0.01):
         self.params = params
         self.weight_decay = weight_decay
-        self.slots, n = param_slots(params)
+        n = params.flat.size
         self._m, self._v = np.zeros(n), np.zeros(n)
-        self.m = {name: self._m[lo:hi].reshape(shape)
-                  for name, lo, hi, shape in self.slots}
-        self.v = {name: self._v[lo:hi].reshape(shape)
-                  for name, lo, hi, shape in self.slots}
+        self.m, self.v = params.views(self._m), params.views(self._v)
         self._fast = np.zeros(n, dtype=bool)
-        for name, lo, hi, _ in self.slots:
-            self._fast[lo:hi] = is_fast_group(name)
+        for name, view in params.views(self._fast).items():
+            view[...] = is_fast_group(name)
         self._scratch = np.empty((3, min(n, ADAM_CHUNK)))
         self.t = 0
 
-    def step(self, encoder_lr: float, fusion_lr: float) -> None:
+    def step(self, grad: np.ndarray, encoder_lr: float,
+             fusion_lr: float) -> None:
+        """One update from grad, in params.flat's layout; grad itself is
+        left as it was."""
         self.t += 1
         b1, b2 = ADAM_BETAS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        # registry order is slot order
-        params = list(self.params.values())
-        theta = np.concatenate([p.data for p in params], axis=None)
-        grad = np.concatenate([np.zeros(p.data.shape) if p.grad is None
-                               else p.grad for p in params], axis=None)
+        theta = self.params.flat
         for lo in range(0, theta.size, ADAM_CHUNK):
             m, v, g, th = (a[lo:lo + ADAM_CHUNK]
                            for a in (self._m, self._v, grad, theta))
@@ -388,10 +372,10 @@ class AdamW:
             m *= b1
             np.multiply(g, 1.0 - b1, out=t)
             m += t
-            g *= g
-            g *= 1.0 - b2
+            np.multiply(g, g, out=update)
+            update *= 1.0 - b2
             v *= b2
-            v += g
+            v += update
             # update = (m / bc1) / (sqrt(v / bc2) + eps)
             np.divide(v, bc2, out=t)
             np.sqrt(t, out=t)
@@ -406,8 +390,6 @@ class AdamW:
             lr *= th
             th -= update
             th -= lr
-        for name, lo, hi, shape in self.slots:
-            self.params[name].data = theta[lo:hi].reshape(shape)
 
 
 # checkpoints
@@ -451,9 +433,9 @@ def build_model(ckpt: Checkpoint):
             raise ShapeError(f"{name}: checkpoint shape "
                              f"{ckpt.params[name].shape} != model "
                              f"{p.data.shape}")
-        p.data = ckpt.params[name].copy()
     opt = AdamW(model.params, weight_decay=ckpt.config.weight_decay)
-    for name in opt.m:
+    for name, p in model.params.items():
+        p.data[...] = ckpt.params[name]
         opt.m[name][...] = ckpt.m[name]
         opt.v[name][...] = ckpt.v[name]
     opt.t = ckpt.t
@@ -615,43 +597,43 @@ def _check_unused(out_dir) -> None:
 
 
 def side_grads(model: PretrainModel, corpus, config: TrainConfig,
-               step: int):
+               step: int, out: np.ndarray | None = None):
     """Run the objectives config has on at step, on the model's current
-    parameters, from the step's own batch and generators. Leaves their
-    gradient in the parameters' .grad (None where a parameter gets
-    none) and returns their LossReport."""
+    parameters, from the step's own batch and generators. Returns their
+    LossReport and their gradient in model.params.flat's layout,
+    written into out when it is given."""
     idx = batch_indices(len(corpus), config.batch, config.seed, step)
     frames, captions = stack_batch(corpus, idx)
-    model.zero_grad()
+    model.params.zero_grad()
     report, total = total_loss(model, frames, captions, config,
                                step_rngs(config.seed, step), train=True)
     total.backward()
-    return report
+    return report, model.params.flat_grad(out=out)
 
 
 class ForkedSide:
     """Side B run by a child process, forked once, while the caller runs
     side A.
 
-    The child holds a copy of the model and no optimizer state. For each
-    step, start() writes the parameters into an anonymous shared mmap
-    and the step number down a pipe. The child copies the parameters
-    in, runs the side, writes back its gradients, a flag per parameter
-    that has one, and its loss, and replies with one status byte. An
-    error in the child is sent back as its type name and message
-    instead, and ends the child; the caller raises it as a WorkerError.
-    EOF on the pipe ends the child too, so it ends when close() closes
-    the pipe or the parent dies. The child leaves only through
-    os._exit, prints nothing, and touches none of the files it
-    inherits."""
+    The child holds a copy of the model and no optimizer state. An
+    anonymous shared mmap holds the parameters and the side's gradient,
+    each in params.flat's layout, then the side's loss. For each step,
+    start() copies params.flat into the mmap and writes the step number
+    down a pipe. The child copies the parameters into its own
+    params.flat, runs the side, writes its gradient and its loss into
+    the mmap, and replies with one status byte. An error in the child is
+    sent back as its type name and message instead, and ends the child;
+    the caller raises it as a WorkerError. EOF on the pipe ends the
+    child too, so it ends when close() closes the pipe or the parent
+    dies. The child leaves only through os._exit, prints nothing, and
+    touches none of the files it inherits."""
 
     def __init__(self, model: PretrainModel, corpus, side: TrainConfig):
         self.params = model.params
-        self.slots, n = param_slots(self.params)
-        # parameters | gradients | present flags | loss
-        self._mm = mmap.mmap(-1, 8 * (2 * n + len(self.slots) + 1))
+        self.n = n = self.params.flat.size
+        # parameters | gradient | loss
+        self._mm = mmap.mmap(-1, 8 * (2 * n + 1))
         self.buf = np.frombuffer(self._mm, dtype=np.float64)
-        self.grad_off, self.flag_off = n, 2 * n
         cmd_r, self._cmd = os.pipe()
         self._reply, reply_w = os.pipe()
         try:
@@ -678,23 +660,16 @@ class ForkedSide:
         """The child's loop, one side-B run per step number read."""
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent decides
         warnings.simplefilter("ignore")               # and never print
-        buf, n = self.buf, self.grad_off
+        buf, n = self.buf, self.n
         while len(msg := os.read(cmd_r, 8)) == 8:
             (step,) = struct.unpack("<q", msg)
-            for name, lo, hi, shape in self.slots:
-                self.params[name].data = buf[lo:hi].reshape(shape).copy()
-            report = side_grads(model, corpus, side, step)
-            for i, (name, lo, hi, _) in enumerate(self.slots):
-                g = self.params[name].grad
-                buf[self.flag_off + i] = g is not None
-                if g is not None:
-                    buf[n + lo:n + hi] = g.ravel()
-            buf[-1] = report.total
+            self.params.flat[...] = buf[:n]
+            buf[-1] = side_grads(model, corpus, side, step,
+                                 out=buf[n:2 * n])[0].total
             os.write(reply_w, b"\0")
 
     def start(self, step: int) -> None:
-        np.concatenate([p.data for p in self.params.values()], axis=None,
-                       out=self.buf[:self.grad_off])
+        self.buf[:self.n] = self.params.flat
         self.step = step
         try:
             os.write(self._cmd, struct.pack("<q", step))
@@ -703,17 +678,13 @@ class ForkedSide:
                               f"{step}") from None
 
     def finish(self) -> tuple:
-        """(side B's loss, {name: gradient or None}) of the started step;
-        the gradients are views of the shared mmap, valid until the next
-        start()."""
+        """(side B's loss, side B's gradient) of the started step; the
+        gradient, in params.flat's layout, is a view of the shared mmap,
+        valid until the next start()."""
         status = os.read(self._reply, 1)
         if status != b"\0":
             raise self._failure(status)
-        buf, n = self.buf, self.grad_off
-        grads = {name: (buf[n + lo:n + hi].reshape(shape)
-                        if buf[self.flag_off + i] else None)
-                 for i, (name, lo, hi, shape) in enumerate(self.slots)}
-        return float(buf[-1]), grads
+        return float(self.buf[-1]), self.buf[self.n:2 * self.n]
 
     def _failure(self, status: bytes) -> WorkerError:
         if not status:
@@ -745,25 +716,22 @@ def can_fork() -> bool:
 
 def split_step(model: PretrainModel, corpus, a: TrainConfig,
                other: ForkedSide, step: int):
-    """Run side A here and side B in other's child, then leave g_A + g_B
-    in the parameters' .grad, in registry order, and return the step's
-    LossReport."""
+    """Run side A here and side B in other's child. Returns the step's
+    LossReport and its gradient g_A + g_B, added as two buffers in
+    model.params.flat's layout."""
     other.start(step)
-    report = side_grads(model, corpus, a, step)
-    loss_b, grads_b = other.finish()
-    for name, p in model.params.items():
-        g = grads_b[name]
-        if g is not None:
-            p.grad = g.copy() if p.grad is None else p.grad + g
+    report, grad = side_grads(model, corpus, a, step)
+    loss_b, grad_b = other.finish()
+    grad += grad_b
     return dataclasses.replace(report, scl=loss_b,
-                               total=report.total + loss_b)
+                               total=report.total + loss_b), grad
 
 
 @contextlib.contextmanager
 def step_runner(model: PretrainModel, corpus, config: TrainConfig):
     """A function of the step number that runs the step's objectives on
-    the model's current parameters, leaves their summed gradient in the
-    parameters' .grad and returns the step's LossReport. With both
+    the model's current parameters and returns the step's LossReport and
+    its gradient, one new buffer in model.params.flat's layout. With both
     sides on, where can_fork() allows, it splits the step and runs side
     B in a forked child, which has ended when the block ends. Otherwise
     a step is one total_loss call."""
@@ -826,7 +794,7 @@ def train(config: TrainConfig, corpus, out_dir=None, resume=None,
             log.write(METRICS_HEADER)
             log.flush()
         for step in range(start + 1, config.total_steps + 1):
-            report = run_step(step)
+            report, grad = run_step(step)
             vals = [report.cl, report.vtm, report.mlm, report.scl,
                     report.total]
             if not all(np.isfinite(v) for v in vals if v is not None):
@@ -834,14 +802,16 @@ def train(config: TrainConfig, corpus, out_dir=None, resume=None,
                        f"non-finite loss at step {step}: "
                        f"cl={report.cl} vtm={report.vtm} mlm={report.mlm} "
                        f"scl={report.scl}")
-            norm = clip_global_norm(model.params, config.grad_clip)
+            norm = clip_global_norm(model.params, grad, config.grad_clip)
             if not math.isfinite(norm):
                 # clipping scaled an inf gradient by 0, which gives NaN;
                 # the parameters and moments are still those of step - 1
                 _abort(model, opt, step, config, out_dir,
                        f"non-finite gradient norm {norm} at step {step}")
             enc_lr, fus_lr = lr_at(step, config)
-            opt.step(enc_lr, fus_lr)
+            opt.step(grad, enc_lr, fus_lr)
+            # freed before the next step builds its graph
+            del grad
             line = metrics_line(step, report, enc_lr)
             metrics.append(line)
             if log is not None:

@@ -186,7 +186,7 @@ class TestMlm:
         out = model.forward(frames, np.stack(masked))
         picked = out.fusion.text_tokens[rows, cols]
         loss = T.cross_entropy(model.mlm_logits(picked), caps[rows, cols])
-        model.zero_grad()
+        model.params.zero_grad()
         loss.backward()
         g = out.fusion.text_tokens.grad
         assert g is not None
@@ -227,7 +227,7 @@ class TestScl:
         loss, pair = scl(model, frames, caps, 0.8, 0.4,
                          np.random.default_rng(3),
                          mvsc=True, mlsc=False)
-        model.zero_grad()
+        model.params.zero_grad()
         loss.backward()
 
         def no_grad(t):
@@ -247,7 +247,7 @@ class TestScl:
         loss, pair = scl(model, frames, caps, 0.8, 0.4,
                          np.random.default_rng(4),
                          mvsc=False, mlsc=True)
-        model.zero_grad()
+        model.params.zero_grad()
         loss.backward()
 
         def no_grad(t):

@@ -746,6 +746,39 @@ class TestParamRegistry:
         with pytest.raises(ValueError):
             reg.register("x", np.zeros(1))
 
+    def test_views_share_flat_in_registry_order(self):
+        reg = T.ParamRegistry()
+        b = reg.register("b", np.arange(6.0).reshape(2, 3))
+        a = reg.register("a", np.array([7.0]))
+        flat = reg.flat
+        assert np.array_equal(flat, [0, 1, 2, 3, 4, 5, 7])
+        slots = reg.views(flat)
+        assert list(slots) == ["b", "a"]
+        for t, view in zip((b, a), slots.values()):
+            assert t.data.__array_interface__ == view.__array_interface__
+        flat[6] = -1.0
+        assert a.data[0] == -1.0
+        other = reg.views(np.arange(7.0))
+        assert other["b"].shape == (2, 3) and other["a"][0] == 6.0
+
+    def test_flat_grad_zero_for_none_and_into_out(self):
+        reg = T.ParamRegistry()
+        a = reg.register("a", np.zeros((2, 2)))
+        reg.register("b", np.zeros(3))
+        a.grad = np.arange(4.0).reshape(2, 2).T  # gathered in C order
+        out = np.full(7, np.nan)
+        assert reg.flat_grad(out=out) is out
+        assert np.array_equal(out, [0, 2, 1, 3, 0, 0, 0])
+        assert np.array_equal(reg.flat_grad(), out)
+
+    def test_register_after_flat_raises(self):
+        reg = T.ParamRegistry()
+        reg.register("x", np.zeros(1))
+        assert reg.flat.shape == (1,)
+        with pytest.raises(ValueError):
+            reg.register("y", np.zeros(1))
+        assert reg.names() == ["x"]
+
     def test_trunc_normal_within_two_std(self):
         rng = np.random.default_rng(0)
         w = T.trunc_normal((1000,), rng)

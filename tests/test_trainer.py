@@ -7,6 +7,7 @@ import resource
 import signal
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -270,7 +271,10 @@ class TestAdamW:
         for t, (enc, fus) in enumerate([(1e-3, 5e-3), (2e-3, 1e-2),
                                         (5e-4, 2.5e-3)], start=1):
             random_grads(rng, live, ref)
-            opt.step(enc, fus)
+            grad = live.flat_grad()
+            kept = grad.copy()
+            opt.step(grad, enc, fus)
+            assert same_bits(grad, kept)
             per_param_adamw_step(ref, m, v, t, 0.01, enc, fus)
             for name, p in ref.items():
                 assert same_bits(live[name].data, p.data)
@@ -283,12 +287,12 @@ class TestAdamW:
         opt = tr.AdamW(model.params)
         rng = np.random.default_rng(8)
         random_grads(rng, model.params)
-        opt.step(1e-3, 5e-3)
+        opt.step(model.params.flat_grad(), 1e-3, 5e-3)
         snap = tr.snapshot(model, opt, 1, cfg)
         tables = (snap.params, snap.m, snap.v)
         frozen = [{n: a.copy() for n, a in tb.items()} for tb in tables]
         random_grads(rng, model.params)
-        opt.step(1e-3, 5e-3)
+        opt.step(model.params.flat_grad(), 1e-3, 5e-3)
         assert snap.t == 1
         for table, kept in zip(tables, frozen):
             assert all(same_bits(table[n], kept[n]) for n in kept)
@@ -301,7 +305,7 @@ class TestAdamW:
         rng = np.random.default_rng(9)
         for _ in range(2):
             random_grads(rng, model.params)
-            opt.step(1e-3, 5e-3)
+            opt.step(model.params.flat_grad(), 1e-3, 5e-3)
         ckpt = tr.snapshot(model, opt, 2, cfg)
         live, opt = tr.build_model(ckpt)
         ref, _ = tr.build_model(ckpt)
@@ -311,7 +315,7 @@ class TestAdamW:
             assert same_bits(opt.m[name], m[name])
             assert same_bits(opt.v[name], v[name])
         random_grads(rng, live.params, ref.params)
-        opt.step(2e-3, 1e-2)
+        opt.step(live.params.flat_grad(), 2e-3, 1e-2)
         per_param_adamw_step(ref.params, m, v, 3, 0.01, 2e-3, 1e-2)
         assert opt.t == 3
         for name, p in ref.params.items():
@@ -326,7 +330,7 @@ class TestAdamW:
         p = reg.register("w", np.array([2.0, -3.0]))
         p.grad = np.zeros(2)
         opt = tr.AdamW(reg, weight_decay=0.01)
-        opt.step(0.1, 0.5)
+        opt.step(reg.flat_grad(), 0.1, 0.5)
         expect = np.array([2.0, -3.0]) * (1.0 - 0.1 * 0.01)
         assert np.max(np.abs(p.data - expect)) <= 1e-15
 
@@ -335,7 +339,7 @@ class TestAdamW:
         p = reg.register("w", np.array([2.0]))
         p.grad = None
         opt = tr.AdamW(reg, weight_decay=0.01)
-        opt.step(0.1, 0.5)
+        opt.step(reg.flat_grad(), 0.1, 0.5)
         assert abs(p.data[0] - 2.0 * (1.0 - 0.001)) <= 1e-15
 
     def test_first_step_closed_form(self):
@@ -344,7 +348,7 @@ class TestAdamW:
         p = reg.register("w", np.array([2.0]))
         p.grad = np.array([3.0])
         opt = tr.AdamW(reg, weight_decay=0.0)
-        opt.step(0.1, 0.5)
+        opt.step(reg.flat_grad(), 0.1, 0.5)
         expect = 2.0 - 0.1 * (3.0 / (3.0 + 1e-8))
         assert abs(p.data[0] - expect) <= 1e-15
 
@@ -356,7 +360,7 @@ class TestAdamW:
         opt = tr.AdamW(reg, weight_decay=0.0)
         for _ in range(2):
             p.grad = np.array([2.0])
-            opt.step(0.01, 0.05)
+            opt.step(reg.flat_grad(), 0.01, 0.05)
         assert abs(p.data[0] - (1.0 - 2 * 0.01 * (2.0 / (2.0 + 1e-8)))) \
             <= 1e-12
 
@@ -367,7 +371,7 @@ class TestAdamW:
         a.grad = np.array([1.0])
         b.grad = np.array([1.0])
         opt = tr.AdamW(reg, weight_decay=0.0)
-        opt.step(0.01, 0.05)
+        opt.step(reg.flat_grad(), 0.01, 0.05)
         da, db = 1.0 - a.data[0], 1.0 - b.data[0]
         assert math.isclose(db / da, 5.0, rel_tol=1e-9)
 
@@ -386,23 +390,38 @@ class TestClip:
         b = reg.register("b", np.zeros(1))
         a.grad = np.array([3.0])
         b.grad = np.array([4.0])
-        norm = tr.clip_global_norm(reg, 1.0)
+        grad = reg.flat_grad()
+        norm = tr.clip_global_norm(reg, grad, 1.0)
         assert norm == 5.0
-        assert abs(a.grad[0] - 0.6) <= 1e-15
-        assert abs(b.grad[0] - 0.8) <= 1e-15
+        assert abs(grad[0] - 0.6) <= 1e-15
+        assert abs(grad[1] - 0.8) <= 1e-15
 
     def test_small_gradients_untouched(self):
         reg = ParamRegistry()
         a = reg.register("a", np.zeros(2))
         a.grad = np.array([0.3, 0.4])
-        norm = tr.clip_global_norm(reg, 1.0)
+        grad = reg.flat_grad()
+        norm = tr.clip_global_norm(reg, grad, 1.0)
         assert norm == 0.5
-        assert np.array_equal(a.grad, [0.3, 0.4])
+        assert np.array_equal(grad, [0.3, 0.4])
 
     def test_none_grads_skipped(self):
         reg = ParamRegistry()
         reg.register("a", np.zeros(2))
-        assert tr.clip_global_norm(reg, 1.0) == 0.0
+        assert tr.clip_global_norm(reg, reg.flat_grad(), 1.0) == 0.0
+
+    def test_norm_sums_per_parameter_in_registry_order(self):
+        # the squares are summed per parameter and the sums added in
+        # registry order, the rounding TestTrainPinned records
+        model = PretrainModel(tiny_train_config())
+        random_grads(np.random.default_rng(4), model.params)
+        sq = 0.0
+        for p in model.params.values():
+            if p.grad is not None:
+                sq += float(np.sum(p.grad * p.grad))
+        norm = tr.clip_global_norm(model.params, model.params.flat_grad(),
+                                   1e9)
+        assert norm == float(np.sqrt(sq))
 
 
 class TestCheckpointIO:
@@ -807,9 +826,9 @@ class TestStepExecutors:
         forks = force_executor(monkeypatch, forked)
         model = PretrainModel(cfg)
         with tr.step_runner(model, corpus, cfg) as run_step:
-            report = run_step(step)
+            report, grad = run_step(step)
         assert len(forks) == forked
-        split = {n: p.grad for n, p in model.params.items()}
+        split = model.params.views(grad)
 
         # the single-graph step the split replaces
         reference = PretrainModel(cfg)
@@ -820,16 +839,11 @@ class TestStepExecutors:
                                        train=True)
         total.backward()
         assert report == ref_report
-        largest = max(np.max(np.abs(p.grad))
-                      for p in reference.params.values()
-                      if p.grad is not None)
-        for name, p in reference.params.items():
-            assert (split[name] is None) == (p.grad is None), name
-            if p.grad is not None:
-                scale = largest if name.endswith(".k.b") \
-                    else np.max(np.abs(p.grad))
-                assert np.max(np.abs(split[name] - p.grad)) \
-                    <= 1e-12 * scale, name
+        ref = reference.params.flat_grad()
+        largest = np.max(np.abs(ref))
+        for name, g in reference.params.views(ref).items():
+            scale = largest if name.endswith(".k.b") else np.max(np.abs(g))
+            assert np.max(np.abs(split[name] - g)) <= 1e-12 * scale, name
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("forked", [True, False])
@@ -939,6 +953,66 @@ def keeping_backward(root: Tensor) -> None:
             if pg is None or not p.requires_grad:
                 continue
             pending[id(p)] = pending[id(p)] + pg if id(p) in pending else pg
+
+
+def recorded_models(monkeypatch) -> list:
+    """The list of every PretrainModel trainer builds from here on."""
+    made = []
+
+    class Recorded(PretrainModel):
+        def __init__(self, config):
+            super().__init__(config)
+            made.append(self)
+    monkeypatch.setattr(tr, "PretrainModel", Recorded)
+    return made
+
+
+def data_in_flat(params: ParamRegistry) -> bool:
+    """Whether each parameter's .data is its own slot of params.flat."""
+    slots = params.views(params.flat)
+    return all(p.data.__array_interface__ == slots[n].__array_interface__
+               for n, p in params.items())
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("forked", [True, False])
+    def test_train_keeps_data_in_flat(self, monkeypatch, forked):
+        force_executor(monkeypatch, forked)
+        made = recorded_models(monkeypatch)
+        tr.train(tiny_train_config(), small_corpus())
+        assert len(made) == 1 and data_in_flat(made[0].params)
+
+    def test_build_model_copies_into_flat(self):
+        ckpt = tr.init_checkpoint(tiny_train_config(seed=2))
+        model, _ = tr.build_model(ckpt)
+        assert data_in_flat(model.params)
+        for name, p in model.params.items():
+            assert same_bits(p.data, ckpt.params[name])
+
+    def test_curriculum_resume_keeps_data_in_flat(self, monkeypatch):
+        video_cfg = tiny_train_config(phase="video", frames_m=2, seed=11)
+        start = tr.curriculum_transfer(
+            tr.init_checkpoint(tiny_train_config(seed=3)), video_cfg)
+        made = recorded_models(monkeypatch)
+        tr.train(video_cfg, small_corpus(frames_m=2), resume=start)
+        assert len(made) == 1 and data_in_flat(made[0].params)
+
+    @pytest.mark.parametrize("forked", [True, False])
+    def test_step_gradient_freed_before_next_step(self, monkeypatch,
+                                                  forked):
+        # a step's flat gradient is dropped once AdamW has used it, so it
+        # does not add to the next step's peak
+        force_executor(monkeypatch, forked)
+        real, grads = tr.side_grads, []
+
+        def checked(*args, **kwargs):
+            assert all(g() is None for g in grads)
+            report, grad = real(*args, **kwargs)
+            grads.append(weakref.ref(grad))
+            return report, grad
+        monkeypatch.setattr(tr, "side_grads", checked)
+        tr.train(tiny_train_config(total_steps=3), small_corpus())
+        assert len(grads) == 3
 
 
 class TestBackwardFreesGraph:
