@@ -36,26 +36,33 @@ have an objective on and train() may fork (can_fork): the host has
 os.fork, two usable cores or more, this process runs no other thread,
 and numpy's bundled OpenBLAS thread count can be set. Then the step is
 split. Side A is CL + VTM + MLM and runs in the calling process; side B
-is SCL and runs in a child forked once per train() call (ForkedSide).
-Each side encodes the complete inputs again on its own
-step_rngs(seed, step), so both see the draws one total_loss call would.
-The step's gradient is g_A + g_B, two buffers in the layout of the
-model's ParamRegistry.flat added in one call. Then come the finite-loss
-check, clipping, which scales that buffer, AdamW, which updates flat in
-place, the log and checkpoints, all in the calling process. The child
-and the caller each run OpenBLAS on one thread: at its default of one
-thread per core the two processes fight over the cores, and the split
-was slower than one process. OpenBLAS ends its own worker threads
-before a fork, so the fork copies one thread. The fork leaves the
-caller's pages copy-on-write, so after train() returns, the caller's
-first write to each of them still takes a page fault. g_A + g_B rounds
-otherwise than one backward sweep, so a split step's gradient agrees
-with one total_loss call's to about 1e-12 of each array's largest
-entry, not to the bit.
+is SCL and runs in the process's one SCL worker (ForkedSide), a child
+forked at the first split step and kept across train() calls while their
+side-B config is the same. A call with another side-B config, or one
+that finds the worker dead, reaps it and forks a new one. An exception
+that leaves a call's steps ends the worker, and so does the
+interpreter's exit. The caller stacks each step's batch once and sends
+it to the worker with the parameters, so each side encodes the same
+batch again on its own step_rngs(seed, step) and sees the draws one
+total_loss call would. The step's gradient is g_A + g_B, two buffers in
+the layout of the model's ParamRegistry.flat added in one call. Then
+come the finite-loss check, clipping, which scales that buffer, AdamW,
+which updates flat in place, the log and checkpoints, all in the calling
+process. The worker runs OpenBLAS on one thread, and so does the caller
+while a call's steps run: at its default of one thread per core the two
+processes fight over the cores, and the split was slower than one
+process. OpenBLAS ends its own worker threads before a fork, so the fork
+copies one thread. The fork leaves the caller's pages copy-on-write, so
+the caller's first write to each of them afterwards takes a page fault;
+a process pays those faults after its one fork, not after every train()
+call. g_A + g_B rounds otherwise than one backward sweep, so a split
+step's gradient agrees with one total_loss call's to about 1e-12 of each
+array's largest entry, not to the bit.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import dataclasses
 import hashlib
@@ -596,14 +603,13 @@ def _check_unused(out_dir) -> None:
 # the two sides of a step
 
 
-def side_grads(model: PretrainModel, corpus, config: TrainConfig,
-               step: int, out: np.ndarray | None = None):
+def side_grads(model: PretrainModel, frames: np.ndarray,
+               captions: np.ndarray, config: TrainConfig, step: int,
+               out: np.ndarray | None = None):
     """Run the objectives config has on at step, on the model's current
-    parameters, from the step's own batch and generators. Returns their
-    LossReport and their gradient in model.params.flat's layout,
+    parameters, from the step's batch and its own generators. Returns
+    their LossReport and their gradient in model.params.flat's layout,
     written into out when it is given."""
-    idx = batch_indices(len(corpus), config.batch, config.seed, step)
-    frames, captions = stack_batch(corpus, idx)
     model.params.zero_grad()
     report, total = total_loss(model, frames, captions, config,
                                step_rngs(config.seed, step), train=True)
@@ -612,27 +618,39 @@ def side_grads(model: PretrainModel, corpus, config: TrainConfig,
 
 
 class ForkedSide:
-    """Side B run by a child process, forked once, while the caller runs
-    side A.
+    """The process's SCL worker: side B run by a child process while the
+    caller runs side A. side_worker() forks it at the first split step
+    of a process and keeps it across train() calls while their side-B
+    config equals side.
 
-    The child holds a copy of the model and no optimizer state. An
-    anonymous shared mmap holds the parameters and the side's gradient,
-    each in params.flat's layout, then the side's loss. For each step,
-    start() copies params.flat into the mmap and writes the step number
-    down a pipe. The child copies the parameters into its own
-    params.flat, runs the side, writes its gradient and its loss into
-    the mmap, and replies with one status byte. An error in the child is
-    sent back as its type name and message instead, and ends the child;
-    the caller raises it as a WorkerError. EOF on the pipe ends the
-    child too, so it ends when close() closes the pipe or the parent
-    dies. The child leaves only through os._exit, prints nothing, and
-    touches none of the files it inherits."""
+    The child holds a copy of the model of the call that forked it, and
+    no optimizer state and no corpus. An anonymous shared mmap holds the
+    parameters and the side's gradient, each in params.flat's layout,
+    then the side's loss, then the step's frames and captions. For each
+    step, start() copies the caller's parameters and the batch into the
+    mmap and writes the step number down a pipe. The child copies the
+    parameters into its own params.flat, runs the side on the batch in
+    the mmap, writes its gradient and its loss into the mmap, and
+    replies with one status byte. An error in the child is sent back as
+    its type name and message instead, and ends the child; the caller
+    raises it as a WorkerError. EOF on the pipe ends the child too, so
+    it ends when close() closes the pipe or the parent dies. The child
+    leaves only through os._exit, prints nothing, and touches none of
+    the files it inherits.
 
-    def __init__(self, model: PretrainModel, corpus, side: TrainConfig):
-        self.params = model.params
-        self.n = n = self.params.flat.size
-        # parameters | gradient | loss
-        self._mm = mmap.mmap(-1, 8 * (2 * n + 1))
+    Between calls the caller holds only the pid, the two pipe ends and
+    the mmap, so no model, registry or batch of a finished call stays
+    alive in it."""
+
+    def __init__(self, model: PretrainModel, side: TrainConfig):
+        self.side = side
+        self.n = model.params.flat.size
+        self.frames_shape = (side.batch, side.frames_m, CHANNELS,
+                             side.canvas, side.canvas)
+        # parameters | gradient | loss | frames | captions
+        self._mm = mmap.mmap(-1, 8 * (2 * self.n + 1
+                                      + math.prod(self.frames_shape)
+                                      + side.batch * side.k_max))
         self.buf = np.frombuffer(self._mm, dtype=np.float64)
         cmd_r, self._cmd = os.pipe()
         self._reply, reply_w = os.pipe()
@@ -646,7 +664,7 @@ class ForkedSide:
             try:
                 os.close(self._cmd)
                 os.close(self._reply)
-                self._serve(model, corpus, side, cmd_r, reply_w)
+                self._serve(model, cmd_r, reply_w)
             except BaseException as e:
                 with contextlib.suppress(BaseException):
                     os.write(reply_w, b"\1" + f"{type(e).__name__}\0{e}"
@@ -656,20 +674,43 @@ class ForkedSide:
         os.close(cmd_r)
         os.close(reply_w)
 
-    def _serve(self, model, corpus, side, cmd_r, reply_w) -> None:
+    def _regions(self) -> tuple:
+        """Views of the mmap: (parameters, gradient, loss, frames,
+        captions)."""
+        n, buf = self.n, self.buf
+        frames_end = 2 * n + 1 + math.prod(self.frames_shape)
+        return (buf[:n], buf[n:2 * n], buf[2 * n:2 * n + 1],
+                buf[2 * n + 1:frames_end].reshape(self.frames_shape),
+                buf[frames_end:].view(np.int64).reshape(
+                    self.side.batch, self.side.k_max))
+
+    def _serve(self, model, cmd_r, reply_w) -> None:
         """The child's loop, one side-B run per step number read."""
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent decides
         warnings.simplefilter("ignore")               # and never print
-        buf, n = self.buf, self.n
         while len(msg := os.read(cmd_r, 8)) == 8:
             (step,) = struct.unpack("<q", msg)
-            self.params.flat[...] = buf[:n]
-            buf[-1] = side_grads(model, corpus, side, step,
-                                 out=buf[n:2 * n])[0].total
+            params, grad, loss, frames, captions = self._regions()
+            model.params.flat[...] = params
+            loss[0] = side_grads(model, frames, captions, self.side, step,
+                                 out=grad)[0].total
             os.write(reply_w, b"\0")
 
-    def start(self, step: int) -> None:
-        self.buf[:self.n] = self.params.flat
+    def alive(self) -> bool:
+        """Whether the child still runs; one that has ended is reaped."""
+        try:
+            return os.waitpid(self.pid, os.WNOHANG) == (0, 0)
+        except ChildProcessError:  # reaped by another wait
+            return False
+
+    def start(self, flat: np.ndarray, frames: np.ndarray,
+              captions: np.ndarray, step: int) -> None:
+        """Send the child the step's parameters, flat in params.flat's
+        layout, and its batch, and let it run the step."""
+        params, _, _, frames_in, captions_in = self._regions()
+        params[...] = flat
+        frames_in[...] = frames
+        captions_in[...] = captions
         self.step = step
         try:
             os.write(self._cmd, struct.pack("<q", step))
@@ -684,7 +725,8 @@ class ForkedSide:
         status = os.read(self._reply, 1)
         if status != b"\0":
             raise self._failure(status)
-        return float(self.buf[-1]), self.buf[self.n:2 * self.n]
+        _, grad, loss, _, _ = self._regions()
+        return float(loss[0]), grad
 
     def _failure(self, status: bytes) -> WorkerError:
         if not status:
@@ -696,31 +738,62 @@ class ForkedSide:
                            f"{kind}: {message}")
 
     def close(self) -> None:
-        """End the child and wait for it, then free the mmap."""
+        """End the child and wait for it. The mmap is unmapped once no
+        view of it is left: an exception's traceback may still hold
+        finish()'s gradient."""
         os.close(self._cmd)
         os.close(self._reply)
-        os.waitpid(self.pid, 0)
-        self.buf = None
-        self._mm.close()
+        with contextlib.suppress(ChildProcessError):  # reaped already
+            os.waitpid(self.pid, 0)
+        self.buf = self._mm = None
+
+
+_worker: ForkedSide | None = None
+
+
+def side_worker(model: PretrainModel, side: TrainConfig) -> ForkedSide:
+    """The process's SCL worker for side-B config side. The running one
+    is kept if its config equals side and its child lives; otherwise it
+    is ended and reaped, and a new one forked from model."""
+    global _worker
+    if _worker is not None and not (_worker.side == side
+                                    and _worker.alive()):
+        end_worker()
+    if _worker is None:
+        _worker = ForkedSide(model, side)
+    return _worker
+
+
+def end_worker() -> None:
+    """End the process's SCL worker, if one runs, and wait for it."""
+    global _worker
+    worker, _worker = _worker, None
+    if worker is not None:
+        worker.close()
+
+
+# a worker outlives train(); the interpreter's exit ends it
+atexit.register(end_worker)
 
 
 def can_fork() -> bool:
-    """Whether train() may fork side B: the host has fork, two usable
-    cores or more, this process runs no other thread, and numpy's
-    OpenBLAS thread count can be set (it must be 1 while both sides
-    run)."""
+    """Whether train() may split a step and run side B in a forked
+    child: the host has fork, two usable cores or more, this process
+    runs no other thread, and numpy's OpenBLAS thread count can be set
+    (it must be 1 while both sides run)."""
     return (hasattr(os, "fork") and usable_cores() >= 2
             and threading.active_count() == 1
             and openblas_thread_calls() is not None)
 
 
-def split_step(model: PretrainModel, corpus, a: TrainConfig,
-               other: ForkedSide, step: int):
-    """Run side A here and side B in other's child. Returns the step's
-    LossReport and its gradient g_A + g_B, added as two buffers in
-    model.params.flat's layout."""
-    other.start(step)
-    report, grad = side_grads(model, corpus, a, step)
+def split_step(model: PretrainModel, frames: np.ndarray,
+               captions: np.ndarray, a: TrainConfig, other: ForkedSide,
+               step: int):
+    """Run side A here and side B in other's child, both on the batch
+    (frames, captions). Returns the step's LossReport and its gradient
+    g_A + g_B, added as two buffers in model.params.flat's layout."""
+    other.start(model.params.flat, frames, captions, step)
+    report, grad = side_grads(model, frames, captions, a, step)
     loss_b, grad_b = other.finish()
     grad += grad_b
     return dataclasses.replace(report, scl=loss_b,
@@ -729,25 +802,33 @@ def split_step(model: PretrainModel, corpus, a: TrainConfig,
 
 @contextlib.contextmanager
 def step_runner(model: PretrainModel, corpus, config: TrainConfig):
-    """A function of the step number that runs the step's objectives on
-    the model's current parameters and returns the step's LossReport and
-    its gradient, one new buffer in model.params.flat's layout. With both
-    sides on, where can_fork() allows, it splits the step and runs side
-    B in a forked child, which has ended when the block ends. Otherwise
-    a step is one total_loss call."""
+    """A function of the step number that stacks the step's batch from
+    corpus, runs the step's objectives on the model's current parameters
+    and returns the step's LossReport and its gradient, one new buffer
+    in model.params.flat's layout. With both sides on, where can_fork()
+    allows, it splits the step and runs side B in the process's SCL
+    worker (side_worker), which outlives the block. An exception that
+    leaves the block ends the worker, since a reply of its may still be
+    in flight. Otherwise a step is one total_loss call."""
+    def batch(step):
+        return stack_batch(corpus, batch_indices(
+            len(corpus), config.batch, config.seed, step))
+
     if not (config.scl and (config.cl or config.vtm or config.mlm)
             and can_fork()):
-        yield lambda step: side_grads(model, corpus, config, step)
+        yield lambda step: side_grads(model, *batch(step), config, step)
         return
     # side A: CL, VTM and MLM; side B: SCL
     a = dataclasses.replace(config, scl=False)
     b = dataclasses.replace(config, cl=False, vtm=False, mlm=False)
     with one_blas_thread():
-        other = ForkedSide(model, corpus, b)
+        other = side_worker(model, b)
         try:
-            yield lambda step: split_step(model, corpus, a, other, step)
-        finally:
-            other.close()
+            yield lambda step: split_step(model, *batch(step), a, other,
+                                          step)
+        except BaseException:
+            end_worker()
+            raise
 
 
 def train(config: TrainConfig, corpus, out_dir=None, resume=None,

@@ -4,6 +4,8 @@ import signal
 
 import pytest
 
+from vlsc import trainer
+
 
 @pytest.fixture()
 def file_size_limit():
@@ -20,3 +22,12 @@ def file_size_limit():
             resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
             signal.signal(signal.SIGXFSZ, handler)
     return limit
+
+
+@pytest.fixture(autouse=True)
+def end_scl_worker():
+    """End the process's SCL worker after every test: a worker forked in
+    one test holds that test's patches, a monkeypatched total_loss say,
+    which must not reach a later test's steps."""
+    yield
+    trainer.end_worker()

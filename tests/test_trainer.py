@@ -6,7 +6,10 @@ import os
 import resource
 import signal
 import struct
+import subprocess
+import sys
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -780,6 +783,10 @@ class TestStepExecutors:
                 forks = force_executor(mp, forked)
                 runs[forked] = tr.train(cfg, corpus)
             assert len(forks) == forked
+            # the forked run's SCL worker outlives the call as the only
+            # child, and none is left once it is ended
+            assert (tr._worker is not None and tr._worker.alive()) == forked
+            tr.end_worker()
             assert no_child_left()
             assert blas_threads() == threads
         (split, split_lines), (one, one_lines) = runs[True], runs[False]
@@ -895,18 +902,24 @@ class TestStepExecutors:
     def test_fork_leaves_one_thread(self, monkeypatch):
         # numpy's OpenBLAS ends its worker threads before any fork, so
         # right after the fork, where Python 3.12+ counts threads to
-        # warn that a fork may deadlock, the caller runs one thread
+        # warn that a fork may deadlock, the caller runs one thread.
+        # The warning is recorded, not made an error: CPython drops it
+        # unseen when a filter turns it into one
         force_executor(monkeypatch, True)
-        fork, threads = os.fork, []
+        fork, threads, warned = os.fork, [], []
 
         def counted():
-            pid = fork()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                pid = fork()
             if pid:
                 threads.append(len(os.listdir("/proc/self/task")))
+                warned.extend(str(w.message) for w in caught)
             return pid
         monkeypatch.setattr(os, "fork", counted)
         tr.train(tiny_train_config(), small_corpus())
         assert threads == [1]
+        assert warned == []
 
     def test_cli_reports_child_error_without_traceback(self, tmp_path,
                                                        monkeypatch, capsys):
@@ -923,6 +936,137 @@ class TestStepExecutors:
         err = capsys.readouterr().err
         assert "side B broke" in err and "Traceback" not in err
         assert no_child_left()
+
+
+def run_bytes(cfg, corpus, out) -> tuple:
+    """(metrics.txt bytes, ckpt_final.vlsc bytes) of a run into out."""
+    tr.train(cfg, corpus, out_dir=out)
+    return ((out / "metrics.txt").read_bytes(),
+            (out / "ckpt_final.vlsc").read_bytes())
+
+
+# run in a fresh interpreter; its exit handler is registered before
+# trainer's, so it runs after trainer's handler has ended the worker
+EXIT_SCRIPT = """
+import atexit, os
+
+def check():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child", flush=True)
+    else:
+        print("child left", flush=True)
+
+atexit.register(check)
+from vlsc import synthdata as sd
+from vlsc import trainer as tr
+tr.usable_cores = lambda: 2
+cfg = tr.TrainConfig(total_steps=2, batch=2, embed_dim=8, heads=2,
+                     layers_v=1, layers_t=1, layers_f=1)
+tr.train(cfg, sd.generate_corpus(4, seed=0))
+print("worker", tr._worker is not None and tr._worker.alive())
+"""
+
+
+class TestSclWorker:
+    # the process's one SCL worker: forked at the first split step and
+    # kept across train() calls with the same side-B config
+
+    def test_same_config_forks_once(self, tmp_path, monkeypatch):
+        forks = force_executor(monkeypatch, True)
+        cfg = tiny_train_config(total_steps=2, dropout=0.1)
+        first = run_bytes(cfg, small_corpus(), tmp_path / "first")
+        again = run_bytes(cfg, small_corpus(), tmp_path / "again")
+        assert len(forks) == 1
+        assert again == first
+
+    def test_other_corpus_gives_fresh_worker_bytes(self, tmp_path,
+                                                   monkeypatch):
+        # the worker runs each step on the batch the caller sends, never
+        # on one it kept from an earlier call
+        forks = force_executor(monkeypatch, True)
+        cfg = tiny_train_config(total_steps=2)
+        run_bytes(cfg, small_corpus(seed=0), tmp_path / "first")
+        reused = run_bytes(cfg, small_corpus(seed=1), tmp_path / "reused")
+        tr.end_worker()
+        fresh = run_bytes(cfg, small_corpus(seed=1), tmp_path / "fresh")
+        assert len(forks) == 2
+        assert reused == fresh
+
+    def test_new_config_reaps_old_worker(self, monkeypatch):
+        forks = force_executor(monkeypatch, True)
+        tr.train(tiny_train_config(total_steps=1), small_corpus())
+        old = tr._worker.pid
+        tr.train(tiny_train_config(total_steps=1, seed=6), small_corpus())
+        assert len(forks) == 2
+        assert tr._worker.pid != old and tr._worker.alive()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(old, os.WNOHANG)
+
+    def test_side_a_config_change_keeps_worker(self, monkeypatch):
+        # turning VTM off leaves side B's config as it was
+        forks = force_executor(monkeypatch, True)
+        tr.train(tiny_train_config(total_steps=1), small_corpus())
+        _, lines = tr.train(tiny_train_config(total_steps=1, vtm=False),
+                            small_corpus())
+        assert len(forks) == 1
+        tr.end_worker()
+        assert tr.train(tiny_train_config(total_steps=1, vtm=False),
+                        small_corpus())[1] == lines
+
+    @pytest.mark.skipif(not hasattr(os, "waitid"),
+                        reason="the host has no waitid")
+    def test_killed_worker_is_replaced(self, monkeypatch):
+        forks = force_executor(monkeypatch, True)
+        cfg = tiny_train_config(total_steps=2)
+        _, want = tr.train(cfg, small_corpus())
+        old = tr._worker.pid
+        os.kill(old, signal.SIGKILL)
+        # dead, and left for train() to reap
+        os.waitid(os.P_PID, old, os.WEXITED | os.WNOWAIT)
+        _, got = tr.train(cfg, small_corpus())
+        assert len(forks) == 2 and got == want
+        with pytest.raises(ChildProcessError):
+            os.waitpid(old, os.WNOHANG)
+
+    def test_side_a_error_ends_worker(self, monkeypatch):
+        # side A fails at step 2 while the worker runs side B of it, so
+        # a reply may be in flight: the worker is ended, and the next
+        # call forks a fresh one
+        forks = force_executor(monkeypatch, True)
+        threads = blas_threads()
+        cfg = tiny_train_config(total_steps=3)
+        _, want = tr.train(cfg, small_corpus())
+        real, steps = tr.total_loss, []
+
+        def fail_at_step_2(model, frames, captions, cfg, rngs, train=False):
+            if cfg.vtm:
+                steps.append(None)
+                if len(steps) == 2:
+                    raise RuntimeError("side A broke")
+            return real(model, frames, captions, cfg, rngs, train=train)
+        with monkeypatch.context() as mp:
+            mp.setattr(tr, "total_loss", fail_at_step_2)
+            with pytest.raises(RuntimeError, match="side A broke"):
+                tr.train(cfg, small_corpus())
+        assert tr._worker is None and no_child_left()
+        assert blas_threads() == threads
+        assert tr.train(cfg, small_corpus())[1] == want
+        assert len(forks) == 2
+
+    def test_exit_ends_worker(self):
+        if host.openblas_thread_calls() is None:
+            pytest.skip("numpy bundles no OpenBLAS whose threads can be set")
+        src = os.path.dirname(os.path.dirname(tr.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", EXIT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["worker True", "no child"]
+        assert proc.stderr == ""
 
 
 def keeping_backward(root: Tensor) -> None:
