@@ -157,12 +157,13 @@ def cmd_pretrain(args) -> int:
                               f"{source}; replay it with --init-from "
                               f"{source}")
     corpus = sd.load_corpus(args.corpus)
-    resume = None
+    resume = init_from = None
     if args.init_from:
-        image_ckpt = tr.load_checkpoint(args.init_from)
+        image_ckpt = tr.load_checkpoint(args.init_from, digest=True)
         resume = tr.curriculum_transfer(image_ckpt, config)
+        init_from = (args.init_from, image_ckpt.sha256)
     final, metrics = tr.train(config, corpus, out_dir=args.out,
-                              resume=resume, init_from=args.init_from)
+                              resume=resume, init_from=init_from)
     last = metrics[-1] if metrics else "(no steps)"
     print(f"finished at step {final.step}; last: {last}")
     print(f"checkpoint: {os.path.join(args.out, 'ckpt_final.vlsc')}")
@@ -170,7 +171,7 @@ def cmd_pretrain(args) -> int:
 
 
 def _model_from(path) -> PretrainModel:
-    model, _ = tr.build_model(tr.load_checkpoint(path))
+    model, _ = tr.build_model(tr.load_checkpoint(path), optimizer=False)
     return model
 
 
@@ -298,7 +299,7 @@ def ablate_point(name: str, config: tr.TrainConfig, train_split,
     """Train one grid point from scratch and evaluate both retrieval
     stages on the held-out split. Returns the CSV cell values."""
     final, metrics = tr.train(config, train_split)
-    model, _ = tr.build_model(final)
+    model, _ = tr.build_model(final, optimizer=False)
     depth = min(k, len(eval_split))
     r0 = ev.retrieve(model, eval_split, k=0)
     rk = ev.retrieve(model, eval_split, k=depth)

@@ -29,7 +29,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, InputError, ShapeError
 from .synthdata import CHANNELS, PAD_ID
-from .tensor import ParamRegistry, Tensor, trunc_normal
+from .tensor import ParamRegistry, Tensor
 
 if TYPE_CHECKING:
     from .trainer import TrainConfig
@@ -42,8 +42,15 @@ NEG_INF = -1e30  # additive mask value; true -inf breaks finite-difference probe
 # parameter helpers; every site registers under a unique dotted name
 
 
+def drawn(shape, rng) -> np.ndarray:
+    """A drawn parameter's initial value: T.trunc_normal off rng. With rng
+    None, an unset array of the shape, for a build whose every value is
+    then loaded (ParamRegistry.load)."""
+    return np.empty(shape) if rng is None else T.trunc_normal(shape, rng)
+
+
 def linear_params(reg: ParamRegistry, rng, name: str, d_in: int, d_out: int):
-    reg.register(f"{name}.w", trunc_normal((d_in, d_out), rng))
+    reg.register(f"{name}.w", drawn((d_in, d_out), rng))
     reg.register(f"{name}.b", np.zeros(d_out))
 
 
@@ -127,16 +134,7 @@ class VisionEncoder:
     def build(self, rng) -> None:
         reg, cfg = self.reg, self.cfg
         d = cfg.embed_dim
-        patch_dim = CHANNELS * cfg.patch_size ** 2
-        linear_params(reg, rng, "vision.patch_proj", patch_dim, d)
-        reg.register("vision.cls", trunc_normal((d,), rng))
-        reg.register("vision.mask_emb", trunc_normal((d,), rng))
-        reg.register("vision.pos_spatial",
-                     trunc_normal((cfg.n_patches + 1, d), rng))
-        reg.register("vision.pos_temporal",
-                     trunc_normal((cfg.frames_m, d), rng))
-        if cfg.variant == "GlobalCLS":
-            reg.register("vision.global_cls", trunc_normal((d,), rng))
+        self.build_embeddings(rng)
         for l in range(cfg.layers_v):
             p = f"vision.l{l}"
             ln_params(reg, f"{p}.ln1", d)
@@ -148,6 +146,22 @@ class VisionEncoder:
             ln_params(reg, f"{p}.ln2", d)
             ffn_params(reg, rng, f"{p}.ffn", d)
         ln_params(reg, "vision.ln_f", d)
+
+    def build_embeddings(self, rng) -> None:
+        """The patch projection, the token embeddings and the position
+        tables: the first draws off a model's init generator, so they can
+        be drawn alone (trainer.curriculum_transfer)."""
+        reg, cfg = self.reg, self.cfg
+        d = cfg.embed_dim
+        patch_dim = CHANNELS * cfg.patch_size ** 2
+        linear_params(reg, rng, "vision.patch_proj", patch_dim, d)
+        reg.register("vision.cls", drawn((d,), rng))
+        reg.register("vision.mask_emb", drawn((d,), rng))
+        reg.register("vision.pos_spatial",
+                     drawn((cfg.n_patches + 1, d), rng))
+        reg.register("vision.pos_temporal", drawn((cfg.frames_m, d), rng))
+        if cfg.variant == "GlobalCLS":
+            reg.register("vision.global_cls", drawn((d,), rng))
 
     def _patchify(self, frames: np.ndarray) -> np.ndarray:
         cfg = self.cfg
@@ -267,8 +281,8 @@ class TextEncoder:
     def build(self, rng) -> None:
         reg, cfg = self.reg, self.cfg
         d = cfg.embed_dim
-        reg.register("text.tok_emb", trunc_normal((cfg.vocab_size, d), rng))
-        reg.register("text.pos_emb", trunc_normal((cfg.k_max, d), rng))
+        reg.register("text.tok_emb", drawn((cfg.vocab_size, d), rng))
+        reg.register("text.pos_emb", drawn((cfg.k_max, d), rng))
         for l in range(cfg.layers_t):
             p = f"text.l{l}"
             ln_params(reg, f"{p}.ln1", d)

@@ -1,7 +1,8 @@
 """The pre-training model: both uni-modal encoders, the fusion encoder,
 and the objective heads, sharing one parameter registry. It is built
 from a trainer.TrainConfig, which fixes its shape and seeds its
-initialization."""
+initialization, or takes its parameters' values from a checkpoint and
+draws no initialization."""
 
 from __future__ import annotations
 
@@ -50,19 +51,25 @@ class PretrainModel:
     forward_count counts fused passes: every fuse_pair() or
     fuse_prefixes() call, inside forward() or not. Re-ranking makes one
     fuse_prefixes() call per chunk of candidate pairs, from several
-    threads at once, so the count is kept under a lock."""
+    threads at once, so the count is kept under a lock.
 
-    def __init__(self, config: TrainConfig):
+    values, when given, maps every parameter name to its value, a
+    checkpoint's say: the model then draws no initialization and copies
+    each value once into params.flat (ParamRegistry.load)."""
+
+    def __init__(self, config: TrainConfig, values: dict | None = None):
         self.config = config
         self.params = ParamRegistry()
         self.vision = VisionEncoder(self.params, config)
         self.text = TextEncoder(self.params, config)
         self.fusion = FusionEncoder(self.params, config)
-        rng = np.random.default_rng([config.seed, 0xC0DE])
+        rng = init_rng(config) if values is None else None
         self.vision.build(rng)
         self.text.build(rng)
         self.fusion.build(rng)
         self._build_heads(rng)
+        if values is not None:
+            self.params.load(values)
         self.forward_count = 0
         self._count_lock = threading.Lock()
 
@@ -141,6 +148,12 @@ class PretrainModel:
 
     def mlm_logits(self, text_rows: Tensor) -> Tensor:
         return linear(self.params, "head.mlm", text_rows)
+
+
+def init_rng(config: TrainConfig) -> np.random.Generator:
+    """The generator a model's initialization draws from, in build order:
+    vision, text, fusion, heads."""
+    return np.random.default_rng([config.seed, 0xC0DE])
 
 
 def fused_globals(fused: FusionOut, rows) -> tuple:

@@ -629,11 +629,11 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 class ParamRegistry:
     """Name -> Tensor map with deterministic iteration order, and the one
-    owner of the parameters' flat layout: the first read of flat copies
-    every parameter, in registry order, into one float64 buffer and
-    makes its .data a view of its slot there. Registering after that
-    raises ValueError. views() and flat_grad() read and write other
-    buffers in the same layout."""
+    owner of the parameters' flat layout: the first read of flat, or a
+    load(), copies every parameter's value, in registry order, into one
+    float64 buffer and makes its .data a view of its slot there.
+    Registering or loading after that raises ValueError. views() and
+    flat_grad() read and write other buffers in the same layout."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
@@ -653,12 +653,35 @@ class ParamRegistry:
     @property
     def flat(self) -> np.ndarray:
         if self._flat is None:
-            flat = np.empty(sum(t.data.size for t in self.values()))
-            for t, view in zip(self.values(), self.views(flat).values()):
-                view[...] = t.data
-                t.data = view
-            self._flat = flat
+            self.load({name: t.data for name, t in self.items()})
         return self._flat
+
+    def load(self, values: dict) -> None:
+        """Lay flat out from values (see gather): each parameter's .data
+        becomes a view of its slot, in place of its registered array."""
+        if self._flat is not None:
+            raise ValueError("the parameters are already laid out in flat")
+        flat = self.gather(values)
+        for t, view in zip(self.values(), self.views(flat).values()):
+            t.data = view
+        self._flat = flat
+
+    def gather(self, values: dict) -> np.ndarray:
+        """values, name -> array of each parameter's shape, as one new
+        float64 buffer in flat's layout, gathered in one call. Raises
+        ShapeError where the names or a shape differ from the registered
+        ones."""
+        if set(values) != set(self._params):
+            raise ShapeError(f"parameter sets differ: "
+                             f"{sorted(set(values) ^ set(self._params))[:4]}"
+                             f" ...")
+        for name, t in self.items():
+            if np.shape(values[name]) != t.data.shape:
+                raise ShapeError(f"{name}: given shape "
+                                 f"{np.shape(values[name])} != registered "
+                                 f"{t.data.shape}")
+        return np.concatenate([values[name] for name in self._params]
+                              or [np.empty(0)], axis=None, dtype=np.float64)
 
     def views(self, buf: np.ndarray) -> dict:
         """Name -> view of buf, a flat buffer in flat's layout, shaped as

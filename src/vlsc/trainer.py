@@ -18,7 +18,10 @@ File formats owned by this module:
   holding the config snapshot, step, Adam step counter and an array
   directory, then the raw little endian float64 bytes of every array
   in directory order. Saving a loaded checkpoint reproduces the file
-  byte for byte.
+  byte for byte. Neither direction moves the arrays one by one: the
+  saver writes the header and then each table gathered in one call, and
+  the loader reads the array region into one buffer and hands out views
+  of it.
 
 * Metrics log: text, one line per optimizer step:
   ``step cl vtm mlm scl total lr`` with %.17g floats, ``nan`` for
@@ -79,12 +82,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import VARIANTS
+from .encoders import VARIANTS, VisionEncoder
 from .errors import (ConfigError, InputError, NumericError, ShapeError,
                      WorkerError)
 from .host import one_blas_thread, openblas_thread_calls, usable_cores
 from .masking import FIRST_CONTENT_ID
-from .model import PretrainModel
+from .model import PretrainModel, init_rng
 from .objectives import total_loss
 from .synthdata import CHANNELS, write_atomic
 from .tensor import ParamRegistry
@@ -259,16 +262,14 @@ def load_config(path) -> TrainConfig:
 
 
 def save_config(config: TrainConfig, path, init_from=None) -> None:
-    """Write config as load_config reads it. init_from is the path of the
-    checkpoint the run was transferred from, if any; the file then
-    begins with a comment naming it and its sha256."""
-    if init_from:
-        with open(init_from, "rb") as f:
-            digest = hashlib.sha256(f.read()).hexdigest()
-
+    """Write config as load_config reads it. init_from is the checkpoint
+    the run was transferred from, if any, as (path, sha256 hex digest of
+    the bytes loaded from it); the file then begins with a comment
+    naming both."""
     def lines():
         if init_from:
-            yield (f"# init-from {os.fspath(init_from)} sha256 {digest}\n"
+            source, digest = init_from
+            yield (f"# init-from {os.fspath(source)} sha256 {digest}\n"
                    .encode())
         for fld in dataclasses.fields(config):
             val = getattr(config, fld.name)
@@ -342,23 +343,29 @@ class AdamW:
     and the denominator's epsilon ADAM_EPS.
 
     The moments live in two flat buffers in params.flat's layout; m and
-    v map each parameter name to its view of them. A step takes the
-    gradient as one buffer in that layout and updates params.flat and
-    both moment buffers in place: an array taken from p.data before a
-    step sees the step's values (snapshot copies). It runs the
-    per-parameter update's operations, in the same order, on ADAM_CHUNK
-    elements at a time, with each element's learning rate taken from
-    its group, so every value rounds as it would per parameter."""
+    v map each parameter name to its view of them. They start at 0, or
+    at moments, (m, v) as a Checkpoint holds them (ParamRegistry.gather).
+    A step takes the gradient as one buffer in that layout and updates
+    params.flat and both moment buffers in place: an array taken from
+    p.data before a step sees the step's values (snapshot copies). It
+    runs the per-parameter update's operations, in the same order, on
+    ADAM_CHUNK elements at a time, with each element's learning rate
+    taken from its group, so every value rounds as it would per
+    parameter."""
 
-    def __init__(self, params: ParamRegistry, weight_decay: float = 0.01):
+    def __init__(self, params: ParamRegistry, weight_decay: float = 0.01,
+                 moments: tuple | None = None):
         self.params = params
         self.weight_decay = weight_decay
         n = params.flat.size
-        self._m, self._v = np.zeros(n), np.zeros(n)
+        if moments is None:
+            self._m, self._v = np.zeros(n), np.zeros(n)
+        else:
+            self._m, self._v = (params.gather(table) for table in moments)
         self.m, self.v = params.views(self._m), params.views(self._v)
-        self._fast = np.zeros(n, dtype=bool)
-        for name, view in params.views(self._fast).items():
-            view[...] = is_fast_group(name)
+        self._fast = np.repeat([is_fast_group(name)
+                                for name in params.names()],
+                               [p.data.size for p in params.values()])
         self._scratch = np.empty((3, min(n, ADAM_CHUNK)))
         self.t = 0
 
@@ -404,12 +411,16 @@ class AdamW:
 
 @dataclass
 class Checkpoint:
+    """Parameters and AdamW moments, name -> array, with the counters and
+    config. sha256 is the hex digest of the file bytes load_checkpoint
+    read, when it was asked for one."""
     params: dict
     m: dict
     v: dict
     t: int
     step: int
     config: TrainConfig
+    sha256: str | None = None
 
 
 def snapshot(model: PretrainModel, opt: AdamW, step: int,
@@ -427,99 +438,112 @@ def init_checkpoint(config: TrainConfig) -> Checkpoint:
     return snapshot(model, opt, 0, config)
 
 
-def build_model(ckpt: Checkpoint):
-    """Live (model, optimizer) pair restored from a checkpoint."""
-    model = PretrainModel(ckpt.config)
-    live = set(model.params.names())
-    saved = set(ckpt.params)
-    if live != saved:
-        raise ShapeError("checkpoint/model parameter sets differ: "
-                         f"{sorted(live ^ saved)[:4]} ...")
-    for name, p in model.params.items():
-        if p.data.shape != ckpt.params[name].shape:
-            raise ShapeError(f"{name}: checkpoint shape "
-                             f"{ckpt.params[name].shape} != model "
-                             f"{p.data.shape}")
-    opt = AdamW(model.params, weight_decay=ckpt.config.weight_decay)
-    for name, p in model.params.items():
-        p.data[...] = ckpt.params[name]
-        opt.m[name][...] = ckpt.m[name]
-        opt.v[name][...] = ckpt.v[name]
+def build_model(ckpt: Checkpoint, optimizer: bool = True):
+    """(model, optimizer) restored from a checkpoint. The model takes
+    its parameters from ckpt and draws no initialization; the optimizer
+    is None unless asked for, which a model that only evaluates is not.
+    Raises ShapeError where ckpt does not fit its config's model."""
+    model = PretrainModel(ckpt.config, values=ckpt.params)
+    if not optimizer:
+        return model, None
+    opt = AdamW(model.params, weight_decay=ckpt.config.weight_decay,
+                moments=(ckpt.m, ckpt.v))
     opt.t = ckpt.t
     return model, opt
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ckpt to path atomically: the header, then each table's
+    arrays gathered into one buffer in one call."""
     if not (set(ckpt.params) == set(ckpt.m) == set(ckpt.v)):
         raise ShapeError("parameter / moment name sets differ")
-    arrays = [(kind, name, table[name])
+    tables = [(kind, [(name, table[name]) for name in sorted(table)])
               for kind, table in (("param", ckpt.params), ("m", ckpt.m),
-                                  ("v", ckpt.v))
-              for name in sorted(table)]
+                                  ("v", ckpt.v))]
     header = {"format": 1, "step": ckpt.step, "t": ckpt.t,
               "config": dataclasses.asdict(ckpt.config),
               "arrays": [{"kind": kind, "name": name,
                           "shape": list(np.shape(arr))}
-                         for kind, name, arr in arrays]}
+                         for kind, arrays in tables for name, arr in arrays]}
     raw = json.dumps(header, sort_keys=True,
                      separators=(",", ":")).encode()
 
     def chunks():
         yield CKPT_MAGIC + struct.pack("<Q", len(raw)) + raw
-        for _, _, arr in arrays:
-            yield np.ascontiguousarray(arr, dtype=np.float64).tobytes()
+        # one buffer per table, not one of the whole file, whose 3 MiB
+        # raised the peak RSS of a process that trains and saves
+        for _, arrays in tables:
+            if arrays:
+                yield np.concatenate([arr for _, arr in arrays], axis=None,
+                                     dtype="<f8")
     write_atomic(path, chunks())
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, digest: bool = False) -> Checkpoint:
+    """The checkpoint in the file at path. The file's array region is
+    read straight into one buffer, after every bound is checked against
+    the header, and each array is a view of it. With digest the
+    Checkpoint's sha256 names the bytes read. Raises InputError on a
+    malformed file."""
     with open(path, "rb") as f:
-        data = f.read()
-    if not data.startswith(CKPT_MAGIC):
-        raise InputError(f"{path}: not a checkpoint file")
-    off = len(CKPT_MAGIC)
-    if len(data) < off + 8:
-        raise InputError(f"{path}: truncated header length")
-    (hlen,) = struct.unpack_from("<Q", data, off)
-    off += 8
-    if len(data) < off + hlen:
-        raise InputError(f"{path}: truncated header")
-    tables: dict = {"param": {}, "m": {}, "v": {}}
-    try:
-        header = json.loads(data[off:off + hlen].decode())
-        entries = [(e["kind"], e["name"], tuple(int(d) for d in e["shape"]))
-                   for e in header["arrays"]]
-        t, step = int(header["t"]), int(header["step"])
-        config = TrainConfig(**header["config"])
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError,
-            ConfigError) as e:
-        raise InputError(f"{path}: malformed header: {e!r}") from e
-    off += hlen
-    for kind, name, shape in entries:
-        if kind not in ("param", "m", "v") or not isinstance(name, str) \
-                or any(d < 0 for d in shape):
-            raise InputError(f"{path}: malformed array entry "
-                             f"{(kind, name, shape)!r}")
-        count = math.prod(shape)
-        nbytes = count * 8
-        if len(data) < off + nbytes:
-            raise InputError(f"{path}: truncated array {name!r}")
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(len(CKPT_MAGIC) + 8)
+        if not head.startswith(CKPT_MAGIC):
+            raise InputError(f"{path}: not a checkpoint file")
+        if len(head) < len(CKPT_MAGIC) + 8:
+            raise InputError(f"{path}: truncated header length")
+        (hlen,) = struct.unpack_from("<Q", head, len(CKPT_MAGIC))
+        # checked before the read, so a huge length allocates nothing
+        raw = f.read(hlen) if hlen <= size - len(head) else b""
+        if len(raw) < hlen:
+            raise InputError(f"{path}: truncated header")
         try:
-            tables[kind][name] = np.frombuffer(
-                data, dtype="<f8", count=count,
-                offset=off).reshape(shape).copy()
+            header = json.loads(raw.decode())
+            entries = [(e["kind"], e["name"], tuple(map(int, e["shape"])))
+                       for e in header["arrays"]]
+            t, step = int(header["t"]), int(header["step"])
+            config = TrainConfig(**header["config"])
+        except (ValueError, KeyError, TypeError, OverflowError,
+                RecursionError, ConfigError) as e:
+            raise InputError(f"{path}: malformed header: {e!r}") from e
+        room = (size - len(head) - hlen) // 8
+        counts = []
+        for kind, name, shape in entries:
+            if kind not in ("param", "m", "v") or not isinstance(name, str) \
+                    or min(shape, default=0) < 0:
+                raise InputError(f"{path}: malformed array entry "
+                                 f"{(kind, name, shape)!r}")
+            counts.append(math.prod(shape))
+            room -= counts[-1]
+            if room < 0:
+                raise InputError(f"{path}: truncated array {name!r}")
+        region = np.empty(sum(counts), dtype="<f8")
+        if f.readinto(region) != region.nbytes:
+            raise InputError(f"{path}: truncated array region")
+        trailing = len(f.read())
+        if trailing:
+            raise InputError(f"{path}: {trailing} trailing bytes")
+    tables: dict = {"param": {}, "m": {}, "v": {}}
+    lo = 0
+    for (kind, name, shape), count in zip(entries, counts):
+        try:
+            tables[kind][name] = region[lo:lo + count].reshape(shape)
         except ValueError as e:  # an empty shape too large for numpy
             raise InputError(f"{path}: array {name!r}: {e}") from None
-        off += nbytes
-    if off != len(data):
-        raise InputError(f"{path}: {len(data) - off} trailing bytes")
+        lo += count
     params = tables["param"]
     for kind in ("m", "v"):
         if set(tables[kind]) != set(params) or any(
                 a.shape != params[n].shape for n, a in tables[kind].items()):
             raise InputError(f"{path}: {kind} table does not match the "
                              f"parameter names and shapes")
-    return Checkpoint(params=params, m=tables["m"],
-                      v=tables["v"], t=t, step=step, config=config)
+    sha256 = None
+    if digest:
+        read = hashlib.sha256(head + raw)
+        read.update(region)
+        sha256 = read.hexdigest()
+    return Checkpoint(params=params, m=tables["m"], v=tables["v"], t=t,
+                      step=step, config=config, sha256=sha256)
 
 
 # the loop
@@ -843,8 +867,10 @@ def train(config: TrainConfig, corpus, out_dir=None, resume=None,
     step next to the NumericError, which is raised before the optimizer
     moves. resume continues from a checkpoint's parameters, moments and
     step counter under the *passed* config, so an interval checkpoint
-    replays the rest of its own run bit-exactly. init_from is the path
-    of the checkpoint resume was transferred from, if any."""
+    replays the rest of its own run bit-exactly; its model draws no
+    initialization. init_from is the checkpoint resume was transferred
+    from, if any, as (path, sha256 of the bytes loaded), which config.txt
+    records."""
     _validate_corpus(config, corpus)
     if out_dir is not None:
         _check_unused(out_dir)
@@ -917,9 +943,12 @@ def curriculum_transfer(image_ckpt: Checkpoint,
                         video_config: TrainConfig) -> Checkpoint:
     """Video-phase initialization from a single-frame checkpoint.
 
-    Every shared parameter is copied. The temporal position table gets
-    the trained single-frame row in slot 0 and fresh truncated-normal
-    rows elsewhere. Optimizer moments and step counters reset."""
+    Every shared parameter is taken over. The temporal position table
+    gets the trained single-frame row in slot 0 and, elsewhere, the rows
+    a fresh video_config model would draw, which are all that is drawn.
+    Optimizer moments and step counters reset. The result shares the
+    image checkpoint's other arrays; nothing here or in train() writes
+    to them."""
     old = image_ckpt.config
     if old.frames_m != 1:
         raise ConfigError("source checkpoint must be single-frame")
@@ -927,13 +956,18 @@ def curriculum_transfer(image_ckpt: Checkpoint,
         a, b = getattr(old, fld), getattr(video_config, fld)
         if a != b:
             raise ConfigError(f"{fld} mismatch: image {a} vs video {b}")
-    fresh = init_checkpoint(video_config)
-    for name, arr in fresh.params.items():
-        src = image_ckpt.params[name]
-        if name == "vision.pos_temporal":
-            arr[0] = src[0]
-            continue
-        if src.shape != arr.shape:
-            raise ShapeError(f"{name}: {src.shape} vs {arr.shape}")
-        fresh.params[name] = src.copy()
-    return fresh
+    fresh = ParamRegistry()
+    VisionEncoder(fresh, video_config).build_embeddings(
+        init_rng(video_config))
+    temporal = fresh["vision.pos_temporal"].data
+    trained = image_ckpt.params.get("vision.pos_temporal")
+    if np.shape(trained) != (1, temporal.shape[1]):
+        raise ShapeError(f"vision.pos_temporal: {np.shape(trained)} vs "
+                         f"{(1, temporal.shape[1])}")
+    temporal[0] = trained[0]
+    params = dict(image_ckpt.params)
+    params["vision.pos_temporal"] = temporal
+    m, v = ({name: np.zeros(np.shape(arr)) for name, arr in params.items()}
+            for _ in range(2))
+    return Checkpoint(params=params, m=m, v=v, t=0, step=0,
+                      config=video_config)

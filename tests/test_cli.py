@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import struct
 
@@ -242,6 +243,34 @@ class TestPretrain:
         assert first == f"# init-from {source} sha256 {digest}"
         assert tr.load_config(out / "config.txt") == tr.load_checkpoint(
             out / "ckpt_final.vlsc").config
+
+    def test_config_txt_names_bytes_loaded(self, tmp_path, corpus_file,
+                                          monkeypatch):
+        # the source is replaced after --init-from loads it and before the
+        # run writes config.txt, which must name the bytes the run used
+        code, image_out = quick_pretrain(tmp_path, corpus_file)
+        assert code == 0
+        source = image_out / "ckpt_final.vlsc"
+        loaded = source.read_bytes()
+        real_train = tr.train
+
+        def replace_then_train(*args, **kwargs):
+            ckpt = tr.load_checkpoint(source)
+            tr.save_checkpoint(dataclasses.replace(ckpt, step=ckpt.step + 1),
+                               source)
+            return real_train(*args, **kwargs)
+        monkeypatch.setattr(tr, "train", replace_then_train)
+        video_corpus = tmp_path / "video.tsv"
+        assert run("gen-data", "--out", str(video_corpus), "--n", "4",
+                   "--frames", "2", "--seed", "3") == 0
+        out = tmp_path / "video_run"
+        assert run("pretrain", "--corpus", str(video_corpus), "--out",
+                   str(out), "--steps", "1", "--batch", "2", "--phase",
+                   "video", "--frames", "2", "--init-from", str(source)) == 0
+        assert source.read_bytes() != loaded
+        first = (out / "config.txt").read_text().splitlines()[0]
+        assert first == (f"# init-from {source} sha256 "
+                         f"{hashlib.sha256(loaded).hexdigest()}")
 
     def test_curriculum_config_txt_reproduces_run(self, tmp_path,
                                                   corpus_file):

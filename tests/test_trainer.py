@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import resource
 import signal
 import struct
@@ -17,8 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vlsc import cli, host
+from vlsc import cli, encoders, host
 from vlsc import synthdata as sd
+from vlsc import tensor as T
 from vlsc import trainer as tr
 from vlsc.encoders import VARIANTS
 from vlsc.errors import (ConfigError, InputError, NumericError, ShapeError,
@@ -1104,8 +1106,8 @@ def recorded_models(monkeypatch) -> list:
     made = []
 
     class Recorded(PretrainModel):
-        def __init__(self, config):
-            super().__init__(config)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             made.append(self)
     monkeypatch.setattr(tr, "PretrainModel", Recorded)
     return made
@@ -1157,6 +1159,142 @@ class TestFlatLayout:
         monkeypatch.setattr(tr, "side_grads", checked)
         tr.train(tiny_train_config(total_steps=3), small_corpus())
         assert len(grads) == 3
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden.vlsc"
+
+
+def golden_checkpoint() -> tr.Checkpoint:
+    """What tests/data/golden.vlsc holds, made without the loader: a tiny
+    model's parameter names and shapes, every array of the three tables
+    drawn in file order from one generator. The file was written by the
+    saver that wrote each array as its own chunk, so it pins the format
+    on any BLAS kernel."""
+    cfg = tr.TrainConfig(embed_dim=4, heads=1, layers_v=0, layers_t=0,
+                         layers_f=0, patch_size=2, canvas=2, k_max=4,
+                         vocab_size=8, total_steps=7, seed=19)
+    shapes = {n: p.data.shape for n, p in PretrainModel(cfg).params.items()}
+    rng = np.random.default_rng(2211)
+    params, m, v = ({n: rng.standard_normal(shapes[n]) for n in sorted(shapes)}
+                    for _ in range(3))
+    return tr.Checkpoint(params=params, m=m, v=v, t=3, step=5, config=cfg)
+
+
+class TestCheckpointFormat:
+    def test_golden_file_reads_back(self):
+        want, got = golden_checkpoint(), tr.load_checkpoint(GOLDEN)
+        assert got.config == want.config
+        assert (got.t, got.step) == (3, 5)
+        for kind in ("params", "m", "v"):
+            a, b = getattr(got, kind), getattr(want, kind)
+            assert set(a) == set(b)
+            assert all(same_bits(a[n], b[n]) for n in b)
+
+    def test_golden_file_resaves_byte_identical(self, tmp_path):
+        tr.save_checkpoint(tr.load_checkpoint(GOLDEN), tmp_path / "x.vlsc")
+        assert (tmp_path / "x.vlsc").read_bytes() == GOLDEN.read_bytes()
+
+    def test_saver_writes_golden_bytes(self, tmp_path):
+        tr.save_checkpoint(golden_checkpoint(), tmp_path / "x.vlsc")
+        assert (tmp_path / "x.vlsc").read_bytes() == GOLDEN.read_bytes()
+
+    def test_digest_names_bytes_read(self):
+        want = hashlib.sha256(GOLDEN.read_bytes()).hexdigest()
+        assert tr.load_checkpoint(GOLDEN, digest=True).sha256 == want
+        assert tr.load_checkpoint(GOLDEN).sha256 is None
+
+
+def no_init_draws(monkeypatch) -> None:
+    """Make every initialization draw raise, through the tensor module
+    and any binding the encoders module may hold of its trunc_normal."""
+    def refused(*args, **kwargs):
+        raise AssertionError("an initialization was drawn")
+    for module in (T, encoders):
+        monkeypatch.setattr(module, "trunc_normal", refused, raising=False)
+
+
+@pytest.fixture()
+def distinct_ckpt(tmp_path):
+    """(path, Checkpoint) of a saved tiny-model checkpoint at step 2 whose
+    parameters and moments are all distinct random values, so no
+    placeholder, init draw or other slot's value can stand in for one."""
+    ckpt = tr.init_checkpoint(tiny_train_config())
+    arrays = [table[n] for table in (ckpt.params, ckpt.m, ckpt.v)
+              for n in table]
+    values = np.random.default_rng(8).uniform(0.01, 0.02,
+                                              sum(a.size for a in arrays))
+    assert np.unique(values).size == values.size
+    lo = 0
+    for a in arrays:
+        a[...] = values[lo:lo + a.size].reshape(a.shape)
+        lo += a.size
+    ckpt.t, ckpt.step = 4, 2
+    path = tmp_path / "distinct.vlsc"
+    tr.save_checkpoint(ckpt, path)
+    return path, ckpt
+
+
+class TestLoadPath:
+    def test_build_holds_file_values(self, monkeypatch, distinct_ckpt):
+        path, want = distinct_ckpt
+        no_init_draws(monkeypatch)
+        model, opt = tr.build_model(tr.load_checkpoint(path))
+        assert data_in_flat(model.params)
+        assert opt.t == 4
+        for name, p in model.params.items():
+            assert same_bits(p.data, want.params[name])
+            assert same_bits(opt.m[name], want.m[name])
+            assert same_bits(opt.v[name], want.v[name])
+
+    def test_eval_build_makes_no_optimizer(self, monkeypatch, distinct_ckpt):
+        path, want = distinct_ckpt
+        no_init_draws(monkeypatch)
+        model, opt = tr.build_model(tr.load_checkpoint(path),
+                                    optimizer=False)
+        assert opt is None and data_in_flat(model.params)
+        for name, p in model.params.items():
+            assert same_bits(p.data, want.params[name])
+
+    def test_resume_draws_no_init(self, monkeypatch, distinct_ckpt):
+        path, _ = distinct_ckpt
+        no_init_draws(monkeypatch)
+        made = recorded_models(monkeypatch)
+        final, metrics = tr.train(tiny_train_config(), small_corpus(),
+                                  resume=tr.load_checkpoint(path))
+        assert len(made) == 1 and len(metrics) == 1
+
+    def test_curriculum_target_draws_no_init(self, monkeypatch):
+        video_cfg = tiny_train_config(phase="video", frames_m=2,
+                                      total_steps=1)
+        start = tr.curriculum_transfer(
+            tr.init_checkpoint(tiny_train_config(seed=3)), video_cfg)
+        no_init_draws(monkeypatch)
+        tr.train(video_cfg, small_corpus(frames_m=2), resume=start)
+
+    def test_transfer_draws_only_the_temporal_rows(self):
+        # the rows a fresh video model draws, without drawing the rest
+        video_cfg = tiny_train_config(phase="video", frames_m=3, seed=11)
+        out = tr.curriculum_transfer(
+            tr.init_checkpoint(tiny_train_config(seed=3)), video_cfg)
+        fresh = PretrainModel(video_cfg).params["vision.pos_temporal"].data
+        assert same_bits(out.params["vision.pos_temporal"][1:], fresh[1:])
+
+    @pytest.mark.parametrize("command", ["eval-retrieval",
+                                         "export-attention"])
+    def test_eval_commands_build_no_optimizer(self, monkeypatch, tmp_path,
+                                              distinct_ckpt, command):
+        path, _ = distinct_ckpt
+        corpus = tmp_path / "corpus.tsv"
+        sd.save_corpus(corpus, small_corpus())
+        no_init_draws(monkeypatch)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an optimizer was built")
+        monkeypatch.setattr(tr, "AdamW", refused)
+        out = ["--k", "2"] if command == "eval-retrieval" else [
+            "--out-dir", str(tmp_path / "maps")]
+        assert cli.main([command, "--ckpt", str(path), "--corpus",
+                         str(corpus), *out]) == 0
 
 
 class TestBackwardFreesGraph:
