@@ -68,8 +68,11 @@ def ln(reg, name: str, x: Tensor) -> Tensor:
 
 
 def attention_params(reg, rng, name: str, d: int):
-    for proj in ("q", "k", "v", "o"):
-        linear_params(reg, rng, f"{name}.{proj}", d, d)
+    # no key bias: softmax cancels the constant q·b it adds to a query row
+    linear_params(reg, rng, f"{name}.q", d, d)
+    reg.register(f"{name}.k.w", drawn((d, d), rng))
+    linear_params(reg, rng, f"{name}.v", d, d)
+    linear_params(reg, rng, f"{name}.o", d, d)
 
 
 def ffn_params(reg, rng, name: str, d: int):
@@ -88,7 +91,7 @@ def attention(reg, name: str, q_in: Tensor, kv_in: Tensor, heads: int,
               mask=None) -> Tensor:
     """Multi-head attention; q_in (..., Q, D), kv_in (..., K, D)."""
     out, _ = T.mha(linear(reg, f"{name}.q", q_in),
-                   linear(reg, f"{name}.k", kv_in),
+                   T.linear(kv_in, reg[f"{name}.k.w"]),
                    linear(reg, f"{name}.v", kv_in), heads, mask=mask)
     return linear(reg, f"{name}.o", out)
 
@@ -431,7 +434,7 @@ class FusionEncoder:
                               mask=text_mask if side == "t" else None))
         q = linear(reg, f"{own}.cross.q", ln(reg, f"{own}.ln2", g1))
         kv = ln(reg, f"{other}.lnkv", g1)
-        return FusionPrefix(g1, q, linear(reg, f"{other}.cross.k", kv),
+        return FusionPrefix(g1, q, T.linear(kv, reg[f"{other}.cross.k.w"]),
                             linear(reg, f"{other}.cross.v", kv))
 
     def finish(self, pv: FusionPrefix, pt: FusionPrefix,

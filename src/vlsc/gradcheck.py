@@ -9,18 +9,23 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .tensor import ParamRegistry, Tensor, no_grad
 
+# the relative error's least denominator, as a fraction of the largest
+# analytic gradient element: rounding noise is judged at that scale
+FLOOR_FRACTION = 1e-6
+
 
 def grad_check(loss_fn, params: ParamRegistry, eps: float = 1e-4,
-               max_elements: int | None = None, seed: int = 0) -> float:
+               max_elements: int = 256, seed: int = 0) -> float:
     """Compare the analytic gradient of ``loss_fn()`` against central
     differences over the parameters in ``params`` and return the maximum
     relative error.
 
     ``loss_fn`` takes no arguments (close over the model) and must be
-    deterministic. Every parameter element is probed when the registry is
-    small; otherwise a seeded random subset of at least 64 elements is
-    used; an element is an index into params.flat. The relative error per
-    element is ``|a - n| / max(|a|, |n|, 1e-8)``. Only the analytic pass
+    deterministic. A seeded random subset of max(64, max_elements)
+    elements is probed, or every element when the registry holds no
+    more; an element is an index into params.flat. The relative error per
+    element is ``|a - n| / max(|a|, |n|, FLOOR_FRACTION * max|g|)``, g the
+    whole analytic gradient, and 0 where a == n. Only the analytic pass
     builds a graph; the finite-difference probes run under ``no_grad``.
 
     The numeric side is a Richardson-extrapolated central difference,
@@ -37,13 +42,12 @@ def grad_check(loss_fn, params: ParamRegistry, eps: float = 1e-4,
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ConfigError(f"eps must be finite and positive, got {eps}")
-    if max_elements is not None and max_elements < 1:
+    if max_elements < 1:
         raise ConfigError(f"max_elements must be >= 1, got {max_elements}")
 
     def evaluate() -> float:
         with no_grad():
-            out = loss_fn()
-        val = out.item() if isinstance(out, Tensor) else float(out)
+            val = loss_fn().item()
         if not math.isfinite(val):
             raise NumericError("loss is not finite during grad_check")
         return val
@@ -57,17 +61,11 @@ def grad_check(loss_fn, params: ParamRegistry, eps: float = 1e-4,
         raise NumericError("loss is not finite during grad_check")
     out.backward()
     grad = params.flat_grad()
+    floor = FLOOR_FRACTION * float(np.max(np.abs(grad), initial=0.0))
 
-    total = flat.size
-    if max_elements is None:
-        max_elements = 256
-    n_probe = total if total <= max_elements else max(64, max_elements)
-
-    if n_probe >= total:
-        flat_indices = np.arange(total)
-    else:
-        rng = np.random.default_rng(seed)
-        flat_indices = rng.choice(total, size=n_probe, replace=False)
+    n_probe = min(flat.size, max(64, max_elements))
+    flat_indices = np.arange(n_probe) if n_probe == flat.size else \
+        np.random.default_rng(seed).choice(flat.size, n_probe, replace=False)
 
     max_rel = 0.0
     for i in flat_indices:
@@ -88,7 +86,8 @@ def grad_check(loss_fn, params: ParamRegistry, eps: float = 1e-4,
         numeric = estimate(eps)
         if abs(numeric) < 1e-6:
             numeric = estimate(16.0 * eps)
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-        if rel > max_rel:
-            max_rel = rel
+        err = abs(analytic - numeric)
+        if err > 0.0:
+            max_rel = max(max_rel,
+                          err / max(abs(analytic), abs(numeric), floor))
     return max_rel

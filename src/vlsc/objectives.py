@@ -44,9 +44,6 @@ class GlobalPair:
     i_co: Tensor    # detached
     t_re: Tensor
     t_co: Tensor    # detached
-    # pre-detach handles, kept for the gradient-isolation audit
-    i_co_pre_detach: Tensor = None
-    t_co_pre_detach: Tensor = None
 
 
 @dataclass
@@ -159,23 +156,18 @@ def scl_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
     vis_masked = model.vision(frames, visual_mask=visual_mask, train=train,
                               rng=rng)
     txt_masked = model.text(masked_caps, train=train, rng=rng)
-    _, i_re, t_co_live = model.fuse_pair(vis_masked.flat, txt.tokens,
-                                         txt.additive_mask, train=train,
-                                         rng=rng, globals_only=True)
-    _, i_co_live, t_re = model.fuse_pair(vis.flat, txt_masked.tokens,
-                                         txt_masked.additive_mask,
-                                         train=train, rng=rng,
-                                         globals_only=True)
+    _, i_re, t_co = model.fuse_pair(vis_masked.flat, txt.tokens,
+                                    txt.additive_mask, train=train, rng=rng,
+                                    globals_only=True)
+    _, i_co, t_re = model.fuse_pair(vis.flat, txt_masked.tokens,
+                                    txt_masked.additive_mask, train=train,
+                                    rng=rng, globals_only=True)
 
     if frozen_targets is None:
-        i_co = i_co_live.detach()
-        t_co = t_co_live.detach()
+        pair = GlobalPair(i_re, i_co.detach(), t_re, t_co.detach())
     else:
-        i_co = Tensor(np.asarray(frozen_targets[0], dtype=np.float64))
-        t_co = Tensor(np.asarray(frozen_targets[1], dtype=np.float64))
-    pair = GlobalPair(i_re=i_re, i_co=i_co, t_re=t_re, t_co=t_co,
-                      i_co_pre_detach=i_co_live,
-                      t_co_pre_detach=t_co_live)
+        pair = GlobalPair(i_re, Tensor(frozen_targets[0]), t_re,
+                          Tensor(frozen_targets[1]))
     loss = None
     if mvsc:
         loss = info_nce(pair.i_re, pair.i_co, SCL_TAU)

@@ -16,8 +16,9 @@ The op set is deliberately small: matmul, reshape, transpose, concat,
 slicing/gather, row picking, elementwise arithmetic, sum/mean,
 log-softmax, GELU, clip, dropout, embedding lookup, cosine similarity
 and cross-entropy, plus three fused single-node kernels with
-closed-form backward: linear (x @ W + b), layer norm and multi-head
-attention. Everything else in the package is composed from these.
+closed-form backward: linear (x @ W, plus a bias b when given), layer
+norm and multi-head attention. Everything else in the package is
+composed from these.
 
 Each fused forward runs the numpy operations of its composed equivalent
 in the same order, so forward values are bit-identical to composing the
@@ -480,21 +481,23 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
 # -- fused kernels ------------------------------------------------------------
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for x (..., d_in), w (d_in, d_out) and b (d_out,)."""
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w``, plus ``b`` when given, for x (..., d_in), w (d_in,
+    d_out) and b (d_out,)."""
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] \
-            or b.shape != (w.shape[1],):
+            or b is not None and b.shape != (w.shape[1],):
         raise ShapeError(f"linear shapes do not conform: x {x.shape}, "
-                         f"w {w.shape}, b {b.shape}")
+                         f"w {w.shape}, b {None if b is None else b.shape}")
     out = x.data @ w.data
-    out += b.data
+    if b is not None:
+        out += b.data
 
     def back(g):
         rows = g.reshape(-1, g.shape[-1])
-        return (g @ w.data.T, x.data.reshape(-1, x.shape[-1]).T @ rows,
-                rows.sum(axis=0))
+        grads = (g @ w.data.T, x.data.reshape(-1, x.shape[-1]).T @ rows)
+        return grads if b is None else grads + (rows.sum(axis=0),)
 
-    return Tensor._from_op(out, (x, w, b), back)
+    return Tensor._from_op(out, (x, w) if b is None else (x, w, b), back)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -671,10 +674,12 @@ class ParamRegistry:
         float64 buffer in flat's layout, gathered in one call. Raises
         ShapeError where the names or a shape differ from the registered
         ones."""
-        if set(values) != set(self._params):
-            raise ShapeError(f"parameter sets differ: "
-                             f"{sorted(set(values) ^ set(self._params))[:4]}"
-                             f" ...")
+        extra = sorted(set(values) - set(self._params))
+        missing = sorted(set(self._params) - set(values))
+        if extra or missing:
+            raise ShapeError(f"parameter sets differ: {len(extra)} names "
+                             f"the model lacks, first {extra[:3]}; "
+                             f"{len(missing)} missing, first {missing[:3]}")
         for name, t in self.items():
             if np.shape(values[name]) != t.data.shape:
                 raise ShapeError(f"{name}: given shape "

@@ -60,7 +60,10 @@ the caller's first write to each of them afterwards takes a page fault;
 a process pays those faults after its one fork, not after every train()
 call. g_A + g_B rounds otherwise than one backward sweep, so a split
 step's gradient agrees with one total_loss call's to about 1e-12 of each
-array's largest entry, not to the bit.
+array's largest entry, not to the bit. Training amplifies that: in a
+default image run on 128 pairs, split and unsplit runs' losses part by
+over 1e-12 at steps 38-53 and by 17-25% at step 300, so a host that
+cannot fork does not reproduce a long run's metrics.txt.
 """
 
 from __future__ import annotations
@@ -257,15 +260,11 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def load_config(path) -> TrainConfig:
-    return TrainConfig(**parse_config_file(path))
-
-
 def save_config(config: TrainConfig, path, init_from=None) -> None:
-    """Write config as load_config reads it. init_from is the checkpoint
-    the run was transferred from, if any, as (path, sha256 hex digest of
-    the bytes loaded from it); the file then begins with a comment
-    naming both."""
+    """Write config as a file that parse_config_file reads back into its
+    fields. init_from is the checkpoint the run was transferred from, if
+    any, as (path, sha256 hex digest of the bytes loaded from it); the
+    file then begins with a comment naming both."""
     def lines():
         if init_from:
             source, digest = init_from
@@ -860,7 +859,7 @@ def train(config: TrainConfig, corpus, out_dir=None, resume=None,
     """Run the loop; returns (final Checkpoint, metrics lines).
 
     out_dir, when given, must hold no earlier run. It receives
-    config.txt (the config, as load_config reads it, after a first line
+    config.txt (the config, as save_config writes it, after a first line
     naming init_from and its sha256 when given), metrics.txt,
     ckpt_final.vlsc, interval checkpoints, and on a non-finite loss or
     gradient norm a diagnostic checkpoint of the state before the failing
@@ -883,7 +882,8 @@ def train(config: TrainConfig, corpus, out_dir=None, resume=None,
                for fld in MODEL_FIELDS + ("frames_m", "dropout")):
             raise ConfigError("resume checkpoint has different model "
                               "dimensions than the passed config")
-        model, opt = build_model(resume)
+        # built under the passed config, weight decay included
+        model, opt = build_model(dataclasses.replace(resume, config=config))
         start = resume.step
         if start > config.total_steps:
             raise ConfigError(f"resume step {start} past total_steps "

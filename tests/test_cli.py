@@ -8,7 +8,8 @@ import pytest
 from vlsc import cli
 from vlsc import synthdata as sd
 from vlsc import trainer as tr
-from vlsc.errors import InputError
+from vlsc.errors import InputError, ShapeError
+from vlsc.model import PretrainModel
 
 
 def run(*argv):
@@ -241,8 +242,9 @@ class TestPretrain:
         digest = hashlib.sha256(source.read_bytes()).hexdigest()
         first = (out / "config.txt").read_text().splitlines()[0]
         assert first == f"# init-from {source} sha256 {digest}"
-        assert tr.load_config(out / "config.txt") == tr.load_checkpoint(
-            out / "ckpt_final.vlsc").config
+        assert tr.TrainConfig(**tr.parse_config_file(
+            out / "config.txt")) == tr.load_checkpoint(
+                out / "ckpt_final.vlsc").config
 
     def test_config_txt_names_bytes_loaded(self, tmp_path, corpus_file,
                                           monkeypatch):
@@ -324,8 +326,9 @@ class TestPretrain:
                    str(again), "--config", str(first / "config.txt")) == 0
         for name in ("config.txt", "metrics.txt", "ckpt_final.vlsc"):
             assert (again / name).read_bytes() == (first / name).read_bytes()
-        assert tr.load_config(first / "config.txt") == tr.load_checkpoint(
-            first / "ckpt_final.vlsc").config
+        assert tr.TrainConfig(**tr.parse_config_file(
+            first / "config.txt")) == tr.load_checkpoint(
+                first / "ckpt_final.vlsc").config
 
 
 class TestEvalRetrieval:
@@ -406,6 +409,61 @@ class TestExportAttention:
                    str(out / "ckpt_final.vlsc"), "--corpus",
                    str(corpus_file), "--index", "9", "--out-dir",
                    str(tmp_path / "m")) == 2
+
+
+class TestOldLayoutRefused:
+    # a checkpoint of the layout before the attention key projections
+    # lost their bias, which cannot change any attention's output: each
+    # table holds one zero bias per key projection too
+    EXTRA = sorted(name[:-1] + "b" for name in PretrainModel(
+        tr.TrainConfig()).params.names() if name.endswith(".k.w"))
+
+    @pytest.fixture()
+    def old_ckpt(self, tmp_path):
+        ckpt = tr.init_checkpoint(tr.TrainConfig())
+        for table in (ckpt.params, ckpt.m, ckpt.v):
+            table.update((name, np.zeros(ckpt.config.embed_dim))
+                         for name in self.EXTRA)
+        path = tmp_path / "old.vlsc"
+        tr.save_checkpoint(ckpt, path)
+        return path
+
+    def video_corpus(self, tmp_path):
+        path = tmp_path / "video.tsv"
+        assert run("gen-data", "--out", str(path), "--n", "4",
+                   "--frames", "2") == 0
+        return path
+
+    @pytest.mark.parametrize("command", ["eval-retrieval",
+                                         "export-attention", "pretrain"])
+    def test_cli_exits_2_and_writes_nothing(self, tmp_path, corpus_file,
+                                            old_ckpt, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "eval-retrieval": ("--ckpt", str(old_ckpt), "--corpus",
+                               str(corpus_file), "--out", str(out)),
+            "export-attention": ("--ckpt", str(old_ckpt), "--corpus",
+                                 str(corpus_file), "--out-dir", str(out)),
+            "pretrain": ("--init-from", str(old_ckpt), "--corpus",
+                         str(self.video_corpus(tmp_path)), "--out",
+                         str(out), "--phase", "video", "--frames", "2"),
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        assert run(command, *argv) == 2
+        assert sorted(tmp_path.iterdir()) == before
+        err = capsys.readouterr().err
+        assert (f"14 names the model lacks, first {self.EXTRA[:3]}; "
+                f"0 missing, first []") in err
+        assert "Traceback" not in err
+
+    def test_resume_raises_shape_error(self, tmp_path, corpus_file,
+                                       old_ckpt):
+        out = tmp_path / "run"
+        with pytest.raises(ShapeError, match="14 names the model lacks"):
+            tr.train(tr.TrainConfig(total_steps=1, batch=2),
+                     sd.load_corpus(corpus_file), out_dir=out,
+                     resume=tr.load_checkpoint(old_ckpt))
+        assert not out.exists()
 
 
 class TestGradcheckCommand:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vlsc import cli
 from vlsc import tensor as T
 from vlsc.errors import ConfigError, NumericError
 from vlsc.gradcheck import grad_check
@@ -113,3 +114,58 @@ def test_only_the_analytic_pass_builds_a_graph():
 
     grad_check(loss, reg)
     assert graphs[0] and not any(graphs[1:]) and len(graphs) > 1
+
+
+def inject(monkeypatch, op, edit):
+    """Make each graph node that T.<op> builds hand its parents
+    edit(args, g, grads) in place of grads, its backward's result for
+    the upstream gradient g; args are the op's arguments."""
+    real = getattr(T, op)
+
+    def faulty(*args, **kwargs):
+        res = real(*args, **kwargs)
+        node = res[0] if isinstance(res, tuple) else res
+        back = node._backward_fn
+        if back is not None:
+            node._backward_fn = lambda g: edit(args, g, back(g))
+        return res
+    monkeypatch.setattr(T, op, faulty)
+
+
+def ln_without_rowsum_term(args, g, grads):
+    x, gain = args[0].data, args[1].data
+    xc = x - x.mean(axis=-1, keepdims=True)
+    std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + T.LN_EPS)
+    xhat = xc / std
+    rowsum = (g * gain * xhat).mean(axis=-1, keepdims=True)
+    return (grads[0] + xhat * rowsum / std,) + grads[1:]
+
+
+def gelu_pdf_without_half(args, g, grads):
+    x = args[0].data
+    return (grads[0] + g * x * (np.exp(-x * x) - np.exp(-0.5 * x * x))
+            / np.sqrt(2.0 * np.pi),)
+
+
+WRONG_BACKWARDS = {
+    "mha-key-grad-scaled": ("mha", lambda args, g, grads: (
+        grads[0], grads[1] * (1.0 + 1e-3), grads[2])),
+    "layer-norm-no-rowsum": ("layer_norm", ln_without_rowsum_term),
+    "linear-bias-grad-doubled": ("linear", lambda args, g, grads: (
+        grads if len(grads) == 2 else grads[:2] + (2.0 * grads[2],))),
+    "gelu-pdf-exp-x2": ("gelu", gelu_pdf_without_half),
+}
+
+
+@pytest.mark.parametrize("fault", list(WRONG_BACKWARDS))
+def test_suite_catches_wrong_backward(monkeypatch, fault):
+    # the command's suite, at its default settings, must read above
+    # GRAD_TOL for a backward off by a small factor in one term
+    op, edit = WRONG_BACKWARDS[fault]
+    inject(monkeypatch, op, edit)
+    worst = 0.0
+    for _, err in cli.gradient_suite(seed=0, eps=2e-4, max_elements=64):
+        worst = max(worst, err)
+        if worst > cli.GRAD_TOL:
+            break
+    assert worst > cli.GRAD_TOL

@@ -2,6 +2,8 @@ import math
 import threading
 import weakref
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,9 @@ class TestOpGradients:
     @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4), (2, 2, 3, 4)])
     def test_linear(self, x_shape):
         check_op(T.linear, x_shape, (4, 5), (5,))
+
+    def test_linear_without_bias(self):
+        check_op(T.linear, (2, 3, 4), (4, 5))
 
     @pytest.mark.parametrize("heads", [1, 4])
     @pytest.mark.parametrize("lead,q_len,k_len,masked", [
@@ -423,6 +428,8 @@ class TestFusedMatchesReference:
 
     CASES = {
         "linear": (T.linear, ref_linear, [(2, 3, 5, 8), (8, 6), (6,)]),
+        "linear-no-bias": (T.linear, lambda x, w: x @ w,
+                           [(2, 3, 5, 8), (8, 6)]),
         "layer_norm": (T.layer_norm, ref_layer_norm, [(2, 5, 8), (8,), (8,)]),
         "mha": (lambda q, k, v: T.mha(q, k, v, 4)[0],
                 lambda q, k, v: ref_mha(q, k, v, 4)[0],
@@ -778,6 +785,20 @@ class TestParamRegistry:
         with pytest.raises(ValueError):
             reg.register("y", np.zeros(1))
         assert reg.names() == ["x"]
+
+    def test_gather_counts_and_names_differing_sets(self):
+        reg = T.ParamRegistry()
+        for name in "abcde":
+            reg.register(name, np.zeros(1))
+        values = {name: np.zeros(1) for name in "awxyz"}
+        with pytest.raises(ShapeError, match=re.escape(
+                "4 names the model lacks, first ['w', 'x', 'y']; "
+                "4 missing, first ['b', 'c', 'd']")):
+            reg.gather(values)
+        with pytest.raises(ShapeError, match=re.escape(
+                "1 names the model lacks, first ['w']; "
+                "0 missing, first []")):
+            reg.gather({name: np.zeros(1) for name in "abcdew"})
 
     def test_trunc_normal_within_two_std(self):
         rng = np.random.default_rng(0)
