@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 numeric failure (non-finite loss, gradient
 check over tolerance), 2 usage or input errors. SCL_SEED in the
-environment supplies the default --seed. --config reads key = value
-TrainConfig files; explicit flags win over the file.
+environment supplies --seed to a command that takes one and was given
+none; pretrain reads it only where --config sets no seed either.
+--config reads key = value TrainConfig files; flags win over the file.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ OBJECTIVE_ROWS = (
     ("cl+vtm+scl", dict(mlm=False)),
     ("cl+mlm+scl", dict(vtm=False)),
 )
+# ablate's grids: (name, config overrides) per grid point
+GRIDS = {
+    "objectives": OBJECTIVE_ROWS,
+    "mask-ratio": tuple((f"im{im}_tx{tx}",
+                         dict(image_mask_ratio=im, text_mask_ratio=tx))
+                        for im, tx in MASK_RATIO_GRID),
+    "variants": tuple((v, dict(variant=v)) for v in VARIANTS),
+}
 
 
 def _seed(raw: str, source: str) -> int:
@@ -49,7 +58,10 @@ def _seed(raw: str, source: str) -> int:
     return seed
 
 
-def default_seed() -> int:
+def seed_arg(args) -> int:
+    """--seed, or SCL_SEED's value where it was not given, or 0."""
+    if args.seed is not None:
+        return args.seed
     return _seed(os.environ.get("SCL_SEED", "0"), "SCL_SEED")
 
 
@@ -64,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument("--n", type=int, default=32)
     g.add_argument("--frames", type=int, default=1)
-    g.add_argument("--seed", type=int, default=default_seed())
+    g.add_argument("--seed", type=int)
 
     t = sub.add_parser("pretrain", help="run the training loop")
     t.add_argument("--corpus", required=True)
@@ -103,13 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("gradcheck", help="finite-difference audit of "
                                          "every objective and the total")
-    c.add_argument("--seed", type=int, default=default_seed())
+    c.add_argument("--seed", type=int)
     c.add_argument("--eps", type=float, default=2e-4)
-    c.add_argument("--max-elements", type=int, default=64)
+    c.add_argument("--max-elements", type=int, default=64,
+                   help="elements probed per check; 64 at least")
 
     a = sub.add_parser("ablate", help="train/eval a config grid")
-    a.add_argument("--grid", required=True,
-                   choices=("objectives", "mask-ratio", "variants"))
+    a.add_argument("--grid", required=True, choices=GRIDS)
     a.add_argument("--out", required=True)
     a.add_argument("--steps", type=int, default=200)
     a.add_argument("--pairs", type=int, default=32,
@@ -118,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--seeds", default=None,
                    help="comma-separated seeds, default the single "
                         "--seed value")
-    a.add_argument("--seed", type=int, default=default_seed())
+    a.add_argument("--seed", type=int)
     a.add_argument("--batch", type=int, default=8)
     a.add_argument("--k", type=int, default=8)
     return p
@@ -129,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen_data(args) -> int:
     corpus = sd.generate_corpus(args.n, frames_m=args.frames,
-                                seed=args.seed)
+                                seed=seed_arg(args))
     sd.save_corpus(args.out, corpus)
     print(f"wrote {len(corpus)} pairs to {args.out}")
     return 0
@@ -137,12 +149,15 @@ def cmd_gen_data(args) -> int:
 
 def _pretrain_config(args) -> tr.TrainConfig:
     """The config file's values, overridden by every flag given; each
-    pretrain flag stores under its TrainConfig field name."""
+    pretrain flag stores under its TrainConfig field name. SCL_SEED
+    supplies a seed that neither sets."""
     values = tr.parse_config_file(args.config) if args.config else {}
     for fld in dataclasses.fields(tr.TrainConfig):
         val = getattr(args, fld.name, None)
         if val is not None:
             values[fld.name] = val
+    if "seed" not in values and "SCL_SEED" in os.environ:
+        values["seed"] = seed_arg(args)
     return tr.TrainConfig(**values)
 
 
@@ -185,11 +200,16 @@ def cmd_eval_retrieval(args) -> int:
     print(f"TR  r@1 {r.tr_r1:.4f}  r@5 {r.tr_r5:.4f}  "
           f"r@10 {r.tr_r10:.4f}")
     if args.out:
+        header = (r.CSV_HEADER + "\n").encode()
         try:
             with open(args.out, "rb") as f:
-                old = f.read()
+                old = f.read() or header
         except FileNotFoundError:
-            old = (r.CSV_HEADER + "\n").encode()
+            old = header
+        if not (old.startswith(header) and old.endswith(b"\n")):
+            raise InputError(f"{args.out}: not a retrieval table; its first "
+                             f"line must be {r.CSV_HEADER!r}, its last end "
+                             f"in a newline")
         sd.write_atomic(args.out, [old, (r.csv_row() + "\n").encode()])
     return 0
 
@@ -258,7 +278,7 @@ def gradient_suite(seed: int, eps: float, max_elements: int):
 
 def cmd_gradcheck(args) -> int:
     worst = 0.0
-    for name, err in gradient_suite(args.seed, args.eps,
+    for name, err in gradient_suite(seed_arg(args), args.eps,
                                     args.max_elements):
         status = "ok" if err <= GRAD_TOL else "FAIL"
         print(f"{name:6s} max rel err {err:.3e}  {status}")
@@ -268,19 +288,6 @@ def cmd_gradcheck(args) -> int:
         return 1
     print("gradient suite passed")
     return 0
-
-
-def grid_rows(grid: str):
-    """(name, config overrides) per grid point."""
-    if grid == "objectives":
-        return OBJECTIVE_ROWS
-    if grid == "mask-ratio":
-        return tuple((f"im{im}_tx{tx}",
-                      dict(image_mask_ratio=im, text_mask_ratio=tx))
-                     for im, tx in MASK_RATIO_GRID)
-    if grid == "variants":
-        return tuple((v, dict(variant=v)) for v in VARIANTS)
-    raise InputError(f"unknown grid {grid!r}")
 
 
 ABLATE_HEADER = ("grid,name,seed,steps,pairs,cl,vtm,mlm,scl,total,"
@@ -319,7 +326,7 @@ def split_corpus(pairs: int, frames_m: int, seed: int):
 
 def cmd_ablate(args) -> int:
     seeds = ([_seed(s, "--seeds") for s in args.seeds.split(",")]
-             if args.seeds else [args.seed])
+             if args.seeds else [seed_arg(args)])
     # the depth and every grid point's config are checked before any
     # training or write: a rejected grid leaves --out as it was
     if args.k < 0:
@@ -327,7 +334,7 @@ def cmd_ablate(args) -> int:
     points = [(seed, [(name, tr.TrainConfig(total_steps=args.steps,
                                             batch=args.batch, seed=seed,
                                             **overrides))
-                      for name, overrides in grid_rows(args.grid)])
+                      for name, overrides in GRIDS[args.grid]])
               for seed in seeds]
     lines = [ABLATE_HEADER + "\n"]
     for seed, configs in points:

@@ -3,7 +3,8 @@ fusion.
 
 All blocks are pre-norm residual: every sublayer ends in the add that
 residual() builds once per public call, dropout on the sublayer's output
-(train mode only) then the sum. Masks come off the pass's generator in
+then the sum. A pass drops out exactly when it is handed a generator,
+as training passes are, and dropout > 0; the masks come off it in
 sublayer order, fusion stream v before t. The vision encoder keeps a fixed
 (M, N+1, D) token grid per sample, frame [CLS] at index 0 of each frame;
 masked patches are substituted with a learned mask embedding before the
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, InputError, ShapeError
+from .errors import InputError, ShapeError
 from .synthdata import CHANNELS, PAD_ID
 from .tensor import ParamRegistry, Tensor
 
@@ -96,14 +97,13 @@ def attention(reg, name: str, q_in: Tensor, kv_in: Tensor, heads: int,
     return linear(reg, f"{name}.o", out)
 
 
-def residual(p: float, train: bool, rng):
+def residual(p: float, rng):
     """The residual add of one pass, res(g, out, shape, rows) =
-    g + dropout(out), with shape and rows as in T.dropout. Dropout runs
-    in train mode only, so an eval pass needs no generator."""
-    if not (train and p > 0.0):
+    g + dropout(out), with shape and rows as in T.dropout. Masks are
+    drawn off rng, and only when there is one and p > 0: a pass handed
+    no generator drops nothing."""
+    if rng is None or p <= 0.0:
         return lambda g, out, shape=None, rows=None: g + out
-    if rng is None:
-        raise ConfigError("training forward needs an rng for dropout")
     return lambda g, out, shape=None, rows=None: \
         g + T.dropout(out, p, rng, shape=shape, rows=rows)
 
@@ -204,13 +204,13 @@ class VisionEncoder:
                  + reg["vision.pos_spatial"].reshape(1, 1, n + 1, d)
 
     def __call__(self, frames: np.ndarray, visual_mask=None,
-                 train: bool = False, rng=None) -> VisionOut:
+                 rng=None) -> VisionOut:
         reg, cfg = self.reg, self.cfg
         b, m = frames.shape[0], frames.shape[1]
         d = cfg.embed_dim
         n = cfg.n_patches
         g = self.embed(frames, visual_mask=visual_mask)
-        res = residual(cfg.dropout, train, rng)
+        res = residual(cfg.dropout, rng)
 
         glob = None
         if cfg.variant == "GlobalCLS":
@@ -294,8 +294,7 @@ class TextEncoder:
             ffn_params(reg, rng, f"{p}.ffn", d)
         ln_params(reg, "text.ln_f", d)
 
-    def __call__(self, ids: np.ndarray, train: bool = False,
-                 rng=None) -> TextOut:
+    def __call__(self, ids: np.ndarray, rng=None) -> TextOut:
         reg, cfg = self.reg, self.cfg
         ids = np.asarray(ids)
         if ids.ndim != 2:
@@ -313,7 +312,7 @@ class TextEncoder:
         g = T.embedding(reg["text.tok_emb"], ids) \
             + reg["text.pos_emb"][:k].reshape(1, k, d)
         mask = text_additive_mask(ids)
-        res = residual(cfg.dropout, train, rng)
+        res = residual(cfg.dropout, rng)
         for l in range(cfg.layers_t):
             p = f"text.l{l}"
             x = ln(reg, f"{p}.ln1", g)
@@ -409,17 +408,16 @@ class FusionEncoder:
         ln_params(reg, "fusion.t_ln_f", d)
 
     def __call__(self, gv: Tensor, gt: Tensor, text_mask: np.ndarray,
-                 train: bool = False, rng=None, rows=None) -> FusionOut:
-        pv = self.prefix(gv, "v", train=train, rng=rng)
-        pt = self.prefix(gt, "t", text_mask, train=train, rng=rng)
-        return self.finish(pv, pt, text_mask, rows=rows, train=train,
-                           rng=rng)
+                 rng=None, rows=None) -> FusionOut:
+        pv = self.prefix(gv, "v", rng=rng)
+        pt = self.prefix(gt, "t", text_mask, rng=rng)
+        return self.finish(pv, pt, text_mask, rows=rows, rng=rng)
 
     def prefix(self, g: Tensor, side: str, text_mask=None,
-               train: bool = False, rng=None) -> FusionPrefix:
+               rng=None) -> FusionPrefix:
         """Layer-0 prefix of the vision ("v") or text ("t") stream; the
         text stream's self-attention reads text_mask."""
-        res = residual(self.cfg.dropout, train, rng)
+        res = residual(self.cfg.dropout, rng)
         if self.cfg.layers_f == 0:
             return FusionPrefix(g)
         return self._prefix(g, side, 0, text_mask, res)
@@ -438,14 +436,13 @@ class FusionEncoder:
                             linear(reg, f"{other}.cross.v", kv))
 
     def finish(self, pv: FusionPrefix, pt: FusionPrefix,
-               text_mask: np.ndarray, rows=None, train: bool = False,
-               rng=None) -> FusionOut:
+               text_mask: np.ndarray, rows=None, rng=None) -> FusionOut:
         """The rest of the pass after both layer-0 prefixes. rows, if
         given, is (vision row indices, text row indices): the rows to
         finish, returned folded to (B * rows, D); with no fusion layer
         both streams come back whole."""
         reg, cfg = self.reg, self.cfg
-        res = residual(cfg.dropout, train, rng)
+        res = residual(cfg.dropout, rng)
         # the last layer's picks; None finishes every row
         last = (None, None) if rows is None else rows
         weights = []

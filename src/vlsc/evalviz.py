@@ -48,6 +48,10 @@ from .tensor import Tensor, no_grad
 # 8-pair calls and in 125 ms in 7-pair calls.
 RERANK_ROW_BUDGET = 512
 
+# pairs per batch of encode_corpus and with_prefixes; it bounds what a
+# batch's pass holds in memory, and moves no bit of their results
+ENCODE_BATCH = 16
+
 
 @dataclass
 class RetrievalResult:
@@ -80,14 +84,13 @@ class EncodedCorpus:
     t_prefix: FusionPrefix | None = None
 
 
-def encode_corpus(model: PretrainModel, corpus,
-                  batch_size: int = 16) -> EncodedCorpus:
+def encode_corpus(model: PretrainModel, corpus) -> EncodedCorpus:
     """Uni-modal encodings for every pair, in corpus order."""
     if not corpus:
         raise InputError("empty corpus")
     vp, tp, vf, tt, tm = [], [], [], [], []
-    for lo in range(0, len(corpus), batch_size):
-        chunk = corpus[lo:lo + batch_size]
+    for lo in range(0, len(corpus), ENCODE_BATCH):
+        chunk = corpus[lo:lo + ENCODE_BATCH]
         frames = np.stack([s.frames for s in chunk])
         caps = np.stack([s.caption for s in chunk])
         with no_grad():
@@ -112,14 +115,13 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return an @ bn.T
 
 
-def with_prefixes(model: PretrainModel, enc: EncodedCorpus,
-                  batch_size: int = 16) -> EncodedCorpus:
+def with_prefixes(model: PretrainModel, enc: EncodedCorpus) -> EncodedCorpus:
     """enc with the tables match_scores reads: the layer-0 fusion prefix
     of every vision stream and every caption, built batch by batch."""
     v_parts, t_parts = [], []
     with no_grad():
-        for lo in range(0, enc.v_flat.shape[0], batch_size):
-            hi = lo + batch_size
+        for lo in range(0, enc.v_flat.shape[0], ENCODE_BATCH):
+            hi = lo + ENCODE_BATCH
             v_parts.append(model.fusion.prefix(Tensor(enc.v_flat[lo:hi]),
                                                "v"))
             t_parts.append(model.fusion.prefix(
@@ -225,19 +227,18 @@ def _reranked(orders: np.ndarray, k: int, scores: np.ndarray) -> np.ndarray:
                      for order, row in zip(orders, scores)])
 
 
-def retrieve(model: PretrainModel, corpus, k: int = 0,
-             batch_size: int = 16) -> RetrievalResult:
+def retrieve(model: PretrainModel, corpus, k: int = 0) -> RetrievalResult:
     n = len(corpus)
     if n < 1:
         raise InputError("retrieval needs at least one pair")
     if k < 0 or k > n:
         raise InputError(f"re-rank depth {k} outside [0, {n}]")
-    enc = encode_corpus(model, corpus, batch_size=batch_size)
+    enc = encode_corpus(model, corpus)
     sims = cosine_matrix(enc.t_proj, enc.v_proj)  # rows: text queries
     t_orders = np.argsort(-sims, axis=1, kind="stable")
     v_orders = np.argsort(-sims.T, axis=1, kind="stable")
     if k > 0:
-        enc = with_prefixes(model, enc, batch_size=batch_size)
+        enc = with_prefixes(model, enc)
         scores = _candidate_scores(model, enc, t_orders[:, :k],
                                    v_orders[:, :k])
         t_orders = _reranked(t_orders, k, scores)
@@ -276,7 +277,7 @@ def cls_attention_row(model: PretrainModel, frames: np.ndarray,
     if np.all(caption == PAD_ID):
         raise InputError("caption is all padding")
     with no_grad():
-        fwd = model.forward(frames[None], caption[None], train=False)
+        fwd = model.forward(frames[None], caption[None])
     last = fwd.fusion.cross_attention[-1][0]  # (h, K, n_vis)
     return last[:, 0, :], fwd.token_frames, fwd.token_patches
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .tensor import ParamRegistry, Tensor, no_grad
+from .tensor import ParamRegistry, no_grad
 
 # the relative error's least denominator, as a fraction of the largest
 # analytic gradient element: rounding noise is judged at that scale
@@ -55,8 +55,6 @@ def grad_check(loss_fn, params: ParamRegistry, eps: float = 1e-4,
     flat = params.flat
     params.zero_grad()
     out = loss_fn()
-    if not isinstance(out, Tensor):
-        raise TypeError("loss_fn must return a Tensor scalar")
     if not math.isfinite(out.item()):
         raise NumericError("loss is not finite during grad_check")
     out.backward()

@@ -41,17 +41,17 @@ class ForwardOut:
 
 class PretrainModel:
     """forward() encodes vision, then text, then fuses them through
-    fuse_pair(); it masks no patch. Callers that reuse an encoding or
-    mask patches (the objectives) call self.vision and self.text
-    directly and fuse through fuse_pair();
-    re-ranking, which reuses each item's layer-0 fusion prefix too,
-    fuses through fuse_prefixes(). Both run the one FusionEncoder and
-    read the fused globals through fused_globals(), at the rows
-    global_rows() works out from the vision stream's width.
-    forward_count counts fused passes: every fuse_pair() or
-    fuse_prefixes() call, inside forward() or not. Re-ranking makes one
-    fuse_prefixes() call per chunk of candidate pairs, from several
-    threads at once, so the count is kept under a lock.
+    fuse_pair(); it masks no patch and drops out nothing. Callers that
+    reuse an encoding or mask patches (the objectives) call self.vision
+    and self.text directly and fuse through fuse_pair(); re-ranking,
+    which reuses each item's layer-0 fusion prefix too, fuses through
+    fuse_prefixes(). Both run the one FusionEncoder and read the fused
+    globals through fused_globals(), at the rows global_rows() works out
+    from the vision stream's width. forward_count counts fused passes:
+    every fuse_pair() or fuse_prefixes() call, inside forward() or not.
+    Re-ranking makes one fuse_prefixes() call per chunk of candidate
+    pairs, from several threads at once, so the count is kept under a
+    lock.
 
     values, when given, maps every parameter name to its value, a
     checkpoint's say: the model then draws no initialization and copies
@@ -83,12 +83,11 @@ class PretrainModel:
 
     # full pass
 
-    def forward(self, frames: np.ndarray, captions: np.ndarray,
-                train: bool = False, rng=None) -> ForwardOut:
-        vis = self.vision(frames, train=train, rng=rng)
-        txt = self.text(captions, train=train, rng=rng)
-        fused, v_global, t_global = self.fuse_pair(
-            vis.flat, txt.tokens, txt.additive_mask, train=train, rng=rng)
+    def forward(self, frames: np.ndarray, captions: np.ndarray) -> ForwardOut:
+        vis = self.vision(frames)
+        txt = self.text(captions)
+        fused, v_global, t_global = self.fuse_pair(vis.flat, txt.tokens,
+                                                   txt.additive_mask)
         return ForwardOut(v_enc_global=vis.enc_global,
                           t_enc_global=txt.enc_global,
                           v_flat=vis.flat, t_tokens=txt.tokens,
@@ -98,7 +97,7 @@ class PretrainModel:
                           token_patches=vis.token_patches)
 
     def fuse_pair(self, v_flat: Tensor, t_tokens: Tensor,
-                  text_mask: np.ndarray, train: bool = False, rng=None,
+                  text_mask: np.ndarray, rng=None,
                   globals_only: bool = False):
         """Fusion + both fused globals for already-encoded streams.
         Returns (FusionOut, v_global, t_global). With globals_only the
@@ -107,8 +106,8 @@ class PretrainModel:
         streams whole where there is no fusion layer."""
         self._count_pass()
         rows = self.global_rows(v_flat.shape[1])
-        fused = self.fusion(v_flat, t_tokens, text_mask, train=train,
-                            rng=rng, rows=rows if globals_only else None)
+        fused = self.fusion(v_flat, t_tokens, text_mask, rng=rng,
+                            rows=rows if globals_only else None)
         return (fused,) + fused_globals(fused, rows)
 
     def fuse_prefixes(self, pv: FusionPrefix, pt: FusionPrefix,

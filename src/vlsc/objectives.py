@@ -59,8 +59,6 @@ class LossReport:
 
 def info_nce(a: Tensor, b: Tensor, tau) -> Tensor:
     """-(1/B) sum_i log softmax_i of s(a_i, b_.)/tau at the diagonal."""
-    if isinstance(tau, float) and tau <= 0:
-        raise ConfigError("tau must be positive")
     n = a.shape[0]
     sims = T.cosine_similarity_matrix(a, b) / tau
     return T.cross_entropy(sims, np.arange(n))
@@ -83,8 +81,8 @@ def vtm_negative_indices(n: int, rng) -> np.ndarray:
     return (np.arange(n) + rng.integers(1, n, size=n)) % n
 
 
-def vtm_loss(model: PretrainModel, vis: VisionOut, txt: TextOut, rng,
-             train: bool = False) -> Tensor:
+def vtm_loss(model: PretrainModel, vis: VisionOut, txt: TextOut,
+             rng) -> Tensor:
     """Binary matched/mismatched classification on fused globals.
 
     Positives fuse each caption with its own vision stream; negatives
@@ -96,7 +94,7 @@ def vtm_loss(model: PretrainModel, vis: VisionOut, txt: TextOut, rng,
     logits = []
     for v_flat in (vis.flat, vis.flat[neg]):
         _, v_global, t_global = model.fuse_pair(
-            v_flat, txt.tokens, txt.additive_mask, train=train, rng=rng,
+            v_flat, txt.tokens, txt.additive_mask, rng=rng,
             globals_only=True)
         logits.append(model.vtm_logits(v_global, t_global))
     labels = np.concatenate([np.ones(n, dtype=np.int64),
@@ -104,8 +102,7 @@ def vtm_loss(model: PretrainModel, vis: VisionOut, txt: TextOut, rng,
     return T.cross_entropy(T.concat(logits, axis=0), labels)
 
 
-def mlm_loss(model: PretrainModel, vis: VisionOut, captions: np.ndarray,
-             rng, train: bool = False):
+def mlm_loss(model: PretrainModel, vis: VisionOut, captions: np.ndarray, rng):
     """Vocabulary cross-entropy at the MLM-masked positions.
 
     Each caption is masked by masking.plan_mlm_mask, the masked captions
@@ -116,9 +113,9 @@ def mlm_loss(model: PretrainModel, vis: VisionOut, captions: np.ndarray,
         c, rng, vocab_size=model.config.vocab_size) for c in captions))
     rows = np.repeat(np.arange(len(picks)), [p.size for p in picks])
     cols = np.concatenate(picks)
-    txt = model.text(np.stack(masked), train=train, rng=rng)
+    txt = model.text(np.stack(masked), rng=rng)
     fused, _, _ = model.fuse_pair(vis.flat, txt.tokens, txt.additive_mask,
-                                  train=train, rng=rng)
+                                  rng=rng)
     logits = model.mlm_logits(fused.text_tokens[rows, cols])
     return T.cross_entropy(logits, captions[rows, cols]), rows.size
 
@@ -126,7 +123,7 @@ def mlm_loss(model: PretrainModel, vis: VisionOut, captions: np.ndarray,
 def scl_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
              vis: VisionOut, txt: TextOut, image_ratio: float,
              text_ratio: float, rng, mvsc: bool = True, mlsc: bool = True,
-             train: bool = False, frozen_targets=None):
+             frozen_targets=None):
     """Semantic completion: exactly two fused passes.
 
     vis and txt are the encodings of the complete frames and captions.
@@ -153,15 +150,14 @@ def scl_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
     masked_caps = np.stack([mk.plan_scl_text_mask(c, text_ratio, rng)
                             for c in captions])
 
-    vis_masked = model.vision(frames, visual_mask=visual_mask, train=train,
-                              rng=rng)
-    txt_masked = model.text(masked_caps, train=train, rng=rng)
+    vis_masked = model.vision(frames, visual_mask=visual_mask, rng=rng)
+    txt_masked = model.text(masked_caps, rng=rng)
     _, i_re, t_co = model.fuse_pair(vis_masked.flat, txt.tokens,
-                                    txt.additive_mask, train=train, rng=rng,
+                                    txt.additive_mask, rng=rng,
                                     globals_only=True)
     _, i_co, t_re = model.fuse_pair(vis.flat, txt_masked.tokens,
-                                    txt_masked.additive_mask, train=train,
-                                    rng=rng, globals_only=True)
+                                    txt_masked.additive_mask, rng=rng,
+                                    globals_only=True)
 
     if frozen_targets is None:
         pair = GlobalPair(i_re, i_co.detach(), t_re, t_co.detach())
@@ -178,35 +174,33 @@ def scl_loss(model: PretrainModel, frames: np.ndarray, captions: np.ndarray,
 
 
 def total_loss(model: PretrainModel, frames: np.ndarray,
-               captions: np.ndarray, cfg: TrainConfig, rngs: dict,
-               train: bool = False):
+               captions: np.ndarray, cfg: TrainConfig, rngs: dict):
     """Unweighted sum of the enabled objectives.
 
     rngs holds one independent generator per component ("clean", "vtm",
     "mlm", "scl") so that toggling any objective never shifts another's
-    draws. The complete frames, then the complete captions, are encoded
-    once on "clean"; the captions only when an objective other than MLM
-    needs them. Returns (LossReport, total Tensor)."""
-    vis = model.vision(frames, train=train, rng=rngs["clean"])
+    draws, masks and dropout alike. The complete frames, then the
+    complete captions, are encoded once on "clean"; the captions only
+    when an objective other than MLM needs them. Returns (LossReport,
+    total Tensor)."""
+    vis = model.vision(frames, rng=rngs["clean"])
     txt = None
     if cfg.cl or cfg.vtm or cfg.scl:
-        txt = model.text(captions, train=train, rng=rngs["clean"])
+        txt = model.text(captions, rng=rngs["clean"])
 
     losses = {}
     if cfg.cl:
         losses["cl"] = contrastive_loss(model, vis.enc_global,
                                         txt.enc_global)
     if cfg.vtm:
-        losses["vtm"] = vtm_loss(model, vis, txt, rngs["vtm"], train=train)
+        losses["vtm"] = vtm_loss(model, vis, txt, rngs["vtm"])
     if cfg.mlm:
-        losses["mlm"], _ = mlm_loss(model, vis, captions, rngs["mlm"],
-                                    train=train)
+        losses["mlm"], _ = mlm_loss(model, vis, captions, rngs["mlm"])
     if cfg.scl:
         losses["scl"], _ = scl_loss(model, frames, captions, vis, txt,
                                     cfg.image_mask_ratio,
                                     cfg.text_mask_ratio, rngs["scl"],
-                                    mvsc=cfg.mvsc, mlsc=cfg.mlsc,
-                                    train=train)
+                                    mvsc=cfg.mvsc, mlsc=cfg.mlsc)
     parts = list(losses.values())
     total = sum(parts[1:], parts[0])
     report = LossReport(total=total.item(),

@@ -401,7 +401,7 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 def dropout(x: Tensor, p: float, rng: np.random.Generator,
             shape: tuple | None = None, rows=None) -> Tensor:
     """Inverted dropout. Its caller, encoders.residual, applies it to a
-    residual sublayer's output in train mode only.
+    residual sublayer's output.
 
     When x is ``take_rows`` of a tensor of ``shape`` at ``rows``, the
     mask is drawn at ``shape`` and its rows taken the same way, so the

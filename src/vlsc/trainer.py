@@ -25,7 +25,8 @@ File formats owned by this module:
 
 * Metrics log: text, one line per optimizer step:
   ``step cl vtm mlm scl total lr`` with %.17g floats, ``nan`` for
-  disabled objectives, after a ``#``-prefixed header line.
+  disabled objectives, after a ``#``-prefixed header line. The last
+  step's lr is 0 (lr_at), so it moves no parameter, only the moments.
 
 A run directory holds one run: train() writes its config.txt, then its
 metrics.txt and checkpoints, and refuses a directory that already holds
@@ -297,7 +298,9 @@ def lr_at(step, config: TrainConfig):
 
     Linear warmup from 0 to base_lr over the first warmup fraction of
     the run, then linear decay to 0 at total_steps. The fusion stack
-    runs at a constant multiple of the encoder rate."""
+    runs at a constant multiple of the encoder rate. train() runs step
+    total_steps too: its rate 0 scales the update and the weight decay
+    alike, so it advances the AdamW moments and moves no parameter."""
     if step < 0 or step > config.total_steps:
         raise InputError(f"step {step} outside [0, {config.total_steps}]")
     if config.total_steps == 0:
@@ -635,7 +638,7 @@ def side_grads(model: PretrainModel, frames: np.ndarray,
     written into out when it is given."""
     model.params.zero_grad()
     report, total = total_loss(model, frames, captions, config,
-                               step_rngs(config.seed, step), train=True)
+                               step_rngs(config.seed, step))
     total.backward()
     return report, model.params.flat_grad(out=out)
 

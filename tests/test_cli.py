@@ -9,6 +9,7 @@ from vlsc import cli
 from vlsc import synthdata as sd
 from vlsc import trainer as tr
 from vlsc.errors import InputError, ShapeError
+from vlsc.evalviz import RetrievalResult
 from vlsc.model import PretrainModel
 
 
@@ -352,7 +353,7 @@ class TestEvalRetrieval:
         _, out = quick_pretrain(tmp_path, corpus_file)
         csv = tmp_path / "r" / "r.csv"
         csv.parent.mkdir()
-        csv.write_text("n,k\n" + "4,0\n" * 2000)
+        csv.write_text(RetrievalResult.CSV_HEADER + "\n" + "4,0\n" * 2000)
         old = csv.read_bytes()
         with file_size_limit(len(old) + 8):
             assert run("eval-retrieval", "--ckpt",
@@ -361,6 +362,36 @@ class TestEvalRetrieval:
                        str(csv)) == 2
         assert csv.read_bytes() == old
         assert [p.name for p in csv.parent.iterdir()] == ["r.csv"]
+
+    def test_empty_out_file_gets_header(self, tmp_path, corpus_file):
+        _, out = quick_pretrain(tmp_path, corpus_file)
+        csv = tmp_path / "r.csv"
+        csv.write_bytes(b"")
+        assert run("eval-retrieval", "--ckpt", str(out / "ckpt_final.vlsc"),
+                   "--corpus", str(corpus_file), "--out", str(csv)) == 0
+        lines = csv.read_text().splitlines()
+        assert lines[0] == RetrievalResult.CSV_HEADER and len(lines) == 2
+
+    @pytest.mark.parametrize("old", [
+        cli.ABLATE_HEADER + "\nobjectives,cl+vtm+mlm+scl,0\n",
+        RetrievalResult.CSV_HEADER + "\n4,0,0.25,0.5,1,0.25,0.5,1",
+        RetrievalResult.CSV_HEADER,
+        "4,0,0.25,0.5,1,0.25,0.5,1\n",
+    ], ids=["ablate-table", "unterminated-row", "unterminated-header",
+            "no-header"])
+    def test_foreign_out_file_refused(self, tmp_path, corpus_file, capsys,
+                                      old):
+        # a row appended there would sit under another header, or be
+        # joined onto the file's last line
+        _, out = quick_pretrain(tmp_path, corpus_file)
+        csv = tmp_path / "r.csv"
+        csv.write_text(old)
+        capsys.readouterr()
+        assert run("eval-retrieval", "--ckpt", str(out / "ckpt_final.vlsc"),
+                   "--corpus", str(corpus_file), "--out", str(csv)) == 2
+        assert csv.read_text() == old
+        err = capsys.readouterr().err
+        assert str(csv) in err and "Traceback" not in err
 
     def test_k_too_deep(self, tmp_path, corpus_file):
         _, out = quick_pretrain(tmp_path, corpus_file)
@@ -409,6 +440,35 @@ class TestExportAttention:
                    str(out / "ckpt_final.vlsc"), "--corpus",
                    str(corpus_file), "--index", "9", "--out-dir",
                    str(tmp_path / "m")) == 2
+
+
+class TestEvalDrawsNoDropout:
+    def test_dropout_moves_no_eval_output(self, tmp_path):
+        # two checkpoints with the same parameters, whose configs differ
+        # in dropout alone, evaluate to the same bytes: no evaluation
+        # pass draws a dropout mask
+        corpus = tmp_path / "c.tsv"
+        assert run("gen-data", "--out", str(corpus), "--n", "8",
+                   "--seed", "2") == 0
+        _, out = quick_pretrain(tmp_path, corpus)
+        trained = tr.load_checkpoint(out / "ckpt_final.vlsc")
+        results = {}
+        for p in (0.0, 0.1):
+            ckpt = tmp_path / f"p{p}.vlsc"
+            tr.save_checkpoint(dataclasses.replace(
+                trained, config=dataclasses.replace(trained.config,
+                                                    dropout=p)), ckpt)
+            csv, maps = tmp_path / f"p{p}.csv", tmp_path / f"maps{p}"
+            for k in ("0", "8"):
+                assert run("eval-retrieval", "--ckpt", str(ckpt),
+                           "--corpus", str(corpus), "--k", k, "--out",
+                           str(csv)) == 0
+            assert run("export-attention", "--ckpt", str(ckpt), "--corpus",
+                       str(corpus), "--out-dir", str(maps)) == 0
+            results[p] = [csv.read_bytes()] + [
+                (f.name, f.read_bytes()) for f in sorted(maps.iterdir())]
+        assert len(results[0.1]) == 3
+        assert results[0.1] == results[0.0]
 
 
 class TestOldLayoutRefused:
@@ -557,12 +617,53 @@ class TestSeedEnv:
     def test_scl_seed_default(self, monkeypatch):
         monkeypatch.setenv("SCL_SEED", "77")
         args = cli.build_parser().parse_args(["gradcheck"])
-        assert args.seed == 77
+        assert cli.seed_arg(args) == 77
 
     def test_explicit_flag_wins(self, monkeypatch):
         monkeypatch.setenv("SCL_SEED", "77")
         args = cli.build_parser().parse_args(["gradcheck", "--seed", "3"])
-        assert args.seed == 3
+        assert cli.seed_arg(args) == 3
+
+    @pytest.mark.parametrize("command", ["eval-retrieval",
+                                         "export-attention", "pretrain"])
+    def test_command_without_seed_reads_no_scl_seed(
+            self, tmp_path, corpus_file, monkeypatch, command):
+        # eval-retrieval and export-attention take no seed, and this
+        # pretrain is given one
+        _, out = quick_pretrain(tmp_path, corpus_file)
+        ckpt = str(out / "ckpt_final.vlsc")
+        argv = {
+            "eval-retrieval": ("--ckpt", ckpt, "--corpus",
+                               str(corpus_file)),
+            "export-attention": ("--ckpt", ckpt, "--corpus",
+                                 str(corpus_file), "--out-dir",
+                                 str(tmp_path / "maps")),
+            "pretrain": ("--corpus", str(corpus_file), "--out",
+                         str(tmp_path / "again"), "--steps", "0",
+                         "--seed", "1"),
+        }[command]
+        monkeypatch.setenv("SCL_SEED", "abc")
+        assert run(command, *argv) == 0
+
+    def test_pretrain_seed_order(self, tmp_path, corpus_file, monkeypatch):
+        # --seed, then the --config file's seed, then SCL_SEED, then 0
+        seeded, plain = tmp_path / "seeded.cfg", tmp_path / "plain.cfg"
+        seeded.write_text("seed = 5\n")
+        plain.write_text("batch = 2\n")
+        cases = [((), "7", 7), (("--config", str(plain)), "7", 7),
+                 (("--config", str(seeded)), "7", 5),
+                 (("--config", str(seeded), "--seed", "3"), "7", 3),
+                 (("--seed", "3"), "7", 3), ((), None, 0)]
+        for i, (flags, env, want) in enumerate(cases):
+            if env is None:
+                monkeypatch.delenv("SCL_SEED", raising=False)
+            else:
+                monkeypatch.setenv("SCL_SEED", env)
+            out = tmp_path / f"run{i}"
+            assert run("pretrain", "--corpus", str(corpus_file), "--out",
+                       str(out), "--steps", "0", *flags) == 0
+            assert tr.parse_config_file(out / "config.txt")["seed"] \
+                == want, flags
 
     def test_non_integer_scl_seed_is_usage_error(self, monkeypatch, capsys,
                                                  tmp_path):

@@ -227,9 +227,9 @@ class TestFusion:
 
 
 class TestDropoutRng:
-    # a train-mode pass with dropout on must be handed its generator; an
-    # eval-mode pass draws nothing and needs none
-    def passes(self, train):
+    # with dropout on, a pass handed no generator draws nothing and needs
+    # none
+    def passes(self):
         cfg = tiny_config(dropout=0.1, seed=14)
         model = PretrainModel(cfg)
         frames, caps = batch(2, 2, cfg)
@@ -239,26 +239,19 @@ class TestDropoutRng:
         pt = model.fusion.prefix(txt.tokens, "t", txt.additive_mask)
         fusion, mask = model.fusion, txt.additive_mask
         return {
-            "vision": lambda: model.vision(frames, train=train, rng=None),
-            "text": lambda: model.text(caps, train=train, rng=None),
-            "prefix-v": lambda: fusion.prefix(vis.flat, "v", train=train,
-                                              rng=None),
+            "vision": lambda: model.vision(frames, rng=None),
+            "text": lambda: model.text(caps, rng=None),
+            "prefix-v": lambda: fusion.prefix(vis.flat, "v", rng=None),
             "prefix-t": lambda: fusion.prefix(txt.tokens, "t", mask,
-                                              train=train, rng=None),
-            "finish": lambda: fusion.finish(pv, pt, mask, train=train,
-                                            rng=None),
+                                              rng=None),
+            "finish": lambda: fusion.finish(pv, pt, mask, rng=None),
         }
 
     SITES = ["vision", "text", "prefix-v", "prefix-t", "finish"]
 
     @pytest.mark.parametrize("site", SITES)
-    def test_train_without_rng_rejected(self, site):
-        with pytest.raises(ConfigError, match="needs an rng for dropout"):
-            self.passes(train=True)[site]()
-
-    @pytest.mark.parametrize("site", SITES)
     def test_eval_without_rng_runs(self, site):
-        self.passes(train=False)[site]()
+        self.passes()[site]()
 
 
 def vision_global(model, tokens):
@@ -294,8 +287,8 @@ class TestGlobals:
 
     # globals_only finishes the last fusion layer on the rows the globals
     # read alone; the globals must equal the full pass's within rounding,
-    # at most 1e-12 of the largest entry, in eval mode and with dropout
-    # drawn from generators seeded alike
+    # at most 1e-12 of the largest entry, with no generator and with
+    # dropout drawn from generators seeded alike
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("m", [1, 2, 4])
     @pytest.mark.parametrize("layers_f", [0, 1, 2])
@@ -314,10 +307,11 @@ class TestGlobals:
             want = np.flatnonzero(vis.token_patches == -1)
         v_rows, t_rows = model.global_rows(n_vis)
         assert v_rows.tolist() == want.tolist() and t_rows.tolist() == [0]
-        for train in (False, True):
+        for drops in (False, True):
             full, only = (model.fuse_pair(
-                vis.flat, txt.tokens, txt.additive_mask, train=train,
-                rng=np.random.default_rng(5), globals_only=g)[1:]
+                vis.flat, txt.tokens, txt.additive_mask,
+                rng=np.random.default_rng(5) if drops else None,
+                globals_only=g)[1:]
                 for g in (False, True))
             for a, c in zip(full, only):
                 assert a.shape == (b, cfg.embed_dim)

@@ -70,26 +70,30 @@ class TestRetrieve:
         assert 0.0 <= r.ir_r1 <= r.ir_r10 <= 1.0
         assert r.k == 6
 
-    def test_batching_invariance(self):
+    def test_batching_invariance(self, monkeypatch):
         # chunk size is an implementation detail and must not move
         # any recall
         model = small_model(seed=4)
         c = corpus(9)
-        a = ev.retrieve(model, c, k=3, batch_size=2)
-        b = ev.retrieve(model, c, k=3, batch_size=9)
+        monkeypatch.setattr(ev, "ENCODE_BATCH", 2)
+        a = ev.retrieve(model, c, k=3)
+        monkeypatch.setattr(ev, "ENCODE_BATCH", 9)
+        b = ev.retrieve(model, c, k=3)
         assert a == b
 
-    def test_encode_corpus_runs_no_fusion(self):
+    def test_encode_corpus_runs_no_fusion(self, monkeypatch):
+        monkeypatch.setattr(ev, "ENCODE_BATCH", 2)
         model = small_model(seed=5)
-        ev.encode_corpus(model, corpus(5), batch_size=2)
+        ev.encode_corpus(model, corpus(5))
         assert model.forward_count == 0
 
-    def test_match_scores_same_with_graph(self):
+    def test_match_scores_same_with_graph(self, monkeypatch):
         # match_scores runs under no_grad; the same fusion with a graph
         # built gives the same logits to the bit
+        monkeypatch.setattr(ev, "ENCODE_BATCH", 3)
         model = small_model(seed=6)
         enc = ev.with_prefixes(model, ev.encode_corpus(
-            model, corpus(4, frames_m=2), batch_size=3))
+            model, corpus(4, frames_m=2)))
         t_idx, v_idx = np.array([0, 1, 2, 3]), np.array([2, 0, 3, 3])
         _, v_g, t_g = model.fuse_pair(Tensor(enc.v_flat[v_idx]),
                                       Tensor(enc.t_tokens[t_idx]),
@@ -107,14 +111,15 @@ class TestRetrieve:
             calls.append(None)
             return real(self, *args, **kw)
         monkeypatch.setattr(FusionEncoder, "prefix", counted)
+        monkeypatch.setattr(ev, "ENCODE_BATCH", 2)
         model = small_model(seed=12)
         c = corpus(5)
-        ev.retrieve(model, c, k=0, batch_size=2)
+        ev.retrieve(model, c, k=0)
         assert calls == [] and model.forward_count == 0
         # k > 0: one vision and one text prefix per batch, one fused
         # pass per match_scores call; the at most 2 * 5 * 2 distinct
         # candidate pairs fit in one call of 24
-        ev.retrieve(model, c, k=2, batch_size=2)
+        ev.retrieve(model, c, k=2)
         assert len(calls) == 2 * 3 and model.forward_count == 1
 
     def test_forward_count_exact_across_threads(self):
@@ -165,12 +170,13 @@ class TestMatchScoresExact:
                                          "GlobalCLS"])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("layers_f", [0, 1, 2])
-    def test_equals_full_fusion(self, variant, m, layers_f):
+    def test_equals_full_fusion(self, monkeypatch, variant, m, layers_f):
         n = 5
+        monkeypatch.setattr(ev, "ENCODE_BATCH", 2)
         model = small_model(seed=13, variant=variant, layers_f=layers_f,
                             embed_dim=32, heads=4)
         enc = ev.with_prefixes(model, ev.encode_corpus(
-            model, corpus(n, frames_m=m), batch_size=2), batch_size=2)
+            model, corpus(n, frames_m=m)))
         for k in (1, n):
             query = np.full(k, 3)
             cands = np.arange(n)[::-1][:k]
@@ -343,7 +349,7 @@ class TestAttentionRows:
     def test_rows_sum_to_one(self):
         model = small_model(seed=5)
         s = corpus(1, frames_m=2)[0]
-        fwd = model.forward(s.frames[None], s.caption[None], train=False)
+        fwd = model.forward(s.frames[None], s.caption[None])
         for layer in fwd.fusion.cross_attention:
             sums = layer.sum(axis=-1)
             assert np.max(np.abs(sums - 1.0)) <= 1e-12

@@ -304,15 +304,15 @@ class TestTotal:
         cfg = tiny_config(dropout=0.1, seed=19)
         frames, caps = make_batch(4, seed=19)
 
-        def run(train=True, **off):
-            model = PretrainModel(cfg)
+        def run(model_cfg=cfg, **off):
+            model = PretrainModel(model_cfg)
             report, _ = obj.total_loss(model, frames, caps,
                                        dataclasses.replace(cfg, **off),
-                                       rngs(8), train=train)
+                                       rngs(8))
             return report
 
         full = run()
-        assert run(train=False).cl != full.cl
+        assert run(dataclasses.replace(cfg, dropout=0.0)).cl != full.cl
         names = ("cl", "vtm", "mlm", "scl")
         for off in names:
             part = run(**{off: False})
@@ -324,8 +324,8 @@ class TestTotal:
         # the complete inputs are encoded on "clean": vision, then text
         model = PretrainModel(cfg)
         clean = rngs(8)["clean"]
-        vis = model.vision(frames, train=True, rng=clean)
-        txt = model.text(caps, train=True, rng=clean)
+        vis = model.vision(frames, rng=clean)
+        txt = model.text(caps, rng=clean)
         cl = obj.contrastive_loss(model, vis.enc_global, txt.enc_global)
         assert cl.item() == full.cl
 

@@ -637,9 +637,8 @@ class TestTrainLoop:
             out = tmp_path / ("forked" if forked else "one-graph")
             steps = []
 
-            def poisoned(model, frames, captions, cfg, rngs, train=False):
-                report, total = real(model, frames, captions, cfg, rngs,
-                                     train=train)
+            def poisoned(model, frames, captions, cfg, rngs):
+                report, total = real(model, frames, captions, cfg, rngs)
                 if cfg.vtm:
                     steps.append(None)
                 if cfg.vtm and len(steps) >= 2:
@@ -772,9 +771,8 @@ def scl_calls(monkeypatch, act):
     real = tr.total_loss
     calls = []
 
-    def patched(model, frames, captions, cfg, rngs, train=False):
-        report, total = real(model, frames, captions, cfg, rngs,
-                             train=train)
+    def patched(model, frames, captions, cfg, rngs):
+        report, total = real(model, frames, captions, cfg, rngs)
         if not cfg.scl:
             return report, total
         calls.append(None)
@@ -821,9 +819,9 @@ class TestStepExecutors:
         force_executor(monkeypatch, False)
         real, calls = tr.total_loss, []
 
-        def counted(model, frames, captions, cfg, rngs, train=False):
+        def counted(model, frames, captions, cfg, rngs):
             calls.append((cfg.cl, cfg.vtm, cfg.mlm, cfg.scl))
-            return real(model, frames, captions, cfg, rngs, train=train)
+            return real(model, frames, captions, cfg, rngs)
         monkeypatch.setattr(tr, "total_loss", counted)
         tr.train(tiny_train_config(total_steps=2), small_corpus())
         assert calls == [(True, True, True, True)] * 2
@@ -854,8 +852,7 @@ class TestStepExecutors:
         frames, captions = tr.stack_batch(corpus, tr.batch_indices(
             len(corpus), cfg.batch, cfg.seed, step))
         ref_report, total = total_loss(reference, frames, captions, cfg,
-                                       tr.step_rngs(cfg.seed, step),
-                                       train=True)
+                                       tr.step_rngs(cfg.seed, step))
         total.backward()
         assert report == ref_report
         ref = reference.params.flat_grad()
@@ -1051,12 +1048,12 @@ class TestSclWorker:
         _, want = tr.train(cfg, small_corpus())
         real, steps = tr.total_loss, []
 
-        def fail_at_step_2(model, frames, captions, cfg, rngs, train=False):
+        def fail_at_step_2(model, frames, captions, cfg, rngs):
             if cfg.vtm:
                 steps.append(None)
                 if len(steps) == 2:
                     raise RuntimeError("side A broke")
-            return real(model, frames, captions, cfg, rngs, train=train)
+            return real(model, frames, captions, cfg, rngs)
         with monkeypatch.context() as mp:
             mp.setattr(tr, "total_loss", fail_at_step_2)
             with pytest.raises(RuntimeError, match="side A broke"):
@@ -1337,7 +1334,7 @@ class TestBackwardFreesGraph:
         for sweep in (keeping_backward, Tensor.backward):
             model = PretrainModel(cfg)
             _, total = total_loss(model, frames, captions, cfg,
-                                  tr.step_rngs(cfg.seed, 1), train=True)
+                                  tr.step_rngs(cfg.seed, 1))
             sweep(total)
             grads.append({n: p.grad for n, p in model.params.items()})
         kept, consumed = grads
