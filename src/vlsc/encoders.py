@@ -347,22 +347,10 @@ class FusionPrefix:
     k: Tensor | None = None
     v: Tensor | None = None
 
-    def _fields(self):
-        return (self.g, self.q, self.k, self.v)
-
     def take(self, idx) -> FusionPrefix:
         """The prefix of the samples idx picks, outside any graph."""
         return FusionPrefix(*(None if t is None else Tensor(t.data[idx])
-                              for t in self._fields()))
-
-    @staticmethod
-    def concat(parts: list) -> FusionPrefix:
-        """Batches of prefixes joined along the sample axis, outside
-        any graph."""
-        return FusionPrefix(*(
-            None if ts[0] is None
-            else Tensor(np.concatenate([t.data for t in ts]))
-            for ts in zip(*(p._fields() for p in parts))))
+                              for t in (self.g, self.q, self.k, self.v)))
 
 
 class FusionEncoder:

@@ -2,9 +2,10 @@
 
 Retrieval runs in two stages: a cosine shortlist over the projected
 uni-modal globals, then an optional re-ranking of the top k candidates
-by the match head's positive-class logit. k=0 skips re-ranking and
-runs no fusion work. For k > 0 the layer-0 fusion prefix of every
-vision stream and every caption (FusionEncoder.prefix) is built once.
+by the match head's positive-class logit. The whole corpus is encoded
+in one pass per encoder. k=0 skips re-ranking and runs no fusion work.
+For k > 0 the layer-0 fusion prefix of every vision stream and every
+caption (FusionEncoder.prefix) is built once, in one pass per stream.
 Then the (text, vision) candidate pairs of every query in both
 directions are collected, and each distinct pair is scored once:
 match_scores calls of up to RERANK_ROW_BUDGET vision-token rows each
@@ -48,10 +49,6 @@ from .tensor import Tensor, no_grad
 # 8-pair calls and in 125 ms in 7-pair calls.
 RERANK_ROW_BUDGET = 512
 
-# pairs per batch of encode_corpus and with_prefixes; it bounds what a
-# batch's pass holds in memory, and moves no bit of their results
-ENCODE_BATCH = 16
-
 
 @dataclass
 class RetrievalResult:
@@ -88,25 +85,13 @@ def encode_corpus(model: PretrainModel, corpus) -> EncodedCorpus:
     """Uni-modal encodings for every pair, in corpus order."""
     if not corpus:
         raise InputError("empty corpus")
-    vp, tp, vf, tt, tm = [], [], [], [], []
-    for lo in range(0, len(corpus), ENCODE_BATCH):
-        chunk = corpus[lo:lo + ENCODE_BATCH]
-        frames = np.stack([s.frames for s in chunk])
-        caps = np.stack([s.caption for s in chunk])
-        with no_grad():
-            vis = model.vision(frames)
-            txt = model.text(caps)
-            pv, pt = model.project_globals(vis.enc_global, txt.enc_global)
-        vp.append(pv.data)
-        tp.append(pt.data)
-        vf.append(vis.flat.data)
-        tt.append(txt.tokens.data)
-        tm.append(txt.additive_mask)
-    return EncodedCorpus(v_proj=np.concatenate(vp),
-                         t_proj=np.concatenate(tp),
-                         v_flat=np.concatenate(vf),
-                         t_tokens=np.concatenate(tt),
-                         text_mask=np.concatenate(tm))
+    with no_grad():
+        vis = model.vision(np.stack([s.frames for s in corpus]))
+        txt = model.text(np.stack([s.caption for s in corpus]))
+        pv, pt = model.project_globals(vis.enc_global, txt.enc_global)
+    return EncodedCorpus(v_proj=pv.data, t_proj=pt.data,
+                         v_flat=vis.flat.data, t_tokens=txt.tokens.data,
+                         text_mask=txt.additive_mask)
 
 
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,17 +102,12 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def with_prefixes(model: PretrainModel, enc: EncodedCorpus) -> EncodedCorpus:
     """enc with the tables match_scores reads: the layer-0 fusion prefix
-    of every vision stream and every caption, built batch by batch."""
-    v_parts, t_parts = [], []
+    of every vision stream and every caption, in one pass per stream."""
     with no_grad():
-        for lo in range(0, enc.v_flat.shape[0], ENCODE_BATCH):
-            hi = lo + ENCODE_BATCH
-            v_parts.append(model.fusion.prefix(Tensor(enc.v_flat[lo:hi]),
-                                               "v"))
-            t_parts.append(model.fusion.prefix(
-                Tensor(enc.t_tokens[lo:hi]), "t", enc.text_mask[lo:hi]))
-    return dataclasses.replace(enc, v_prefix=FusionPrefix.concat(v_parts),
-                               t_prefix=FusionPrefix.concat(t_parts))
+        v_prefix = model.fusion.prefix(Tensor(enc.v_flat), "v")
+        t_prefix = model.fusion.prefix(Tensor(enc.t_tokens), "t",
+                                       enc.text_mask)
+    return dataclasses.replace(enc, v_prefix=v_prefix, t_prefix=t_prefix)
 
 
 def match_scores(model: PretrainModel, enc: EncodedCorpus,
@@ -276,6 +256,9 @@ def cls_attention_row(model: PretrainModel, frames: np.ndarray,
     text-to-vision attention, plus the token layout arrays."""
     if np.all(caption == PAD_ID):
         raise InputError("caption is all padding")
+    if model.config.layers_f == 0:
+        raise InputError("the model has no fusion layer, so no "
+                         "cross-attention to export")
     with no_grad():
         fwd = model.forward(frames[None], caption[None])
     last = fwd.fusion.cross_attention[-1][0]  # (h, K, n_vis)

@@ -249,7 +249,7 @@ def write_atomic(path, chunks) -> None:
     """Write the byte strings chunks yields to a temporary file in
     path's directory, then rename it over path. On any failure the
     temporary file is removed and a file already at path is left as it
-    was."""
+    was; an OSError about the temporary file names path instead."""
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path),
                        f".{os.path.basename(path)}.{os.getpid()}.tmp")
@@ -258,9 +258,11 @@ def write_atomic(path, chunks) -> None:
             for chunk in chunks:
                 f.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:
+            raise type(e)(e.errno, e.strerror, path) from e
         raise
 
 

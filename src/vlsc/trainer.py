@@ -243,6 +243,7 @@ def parse_config_file(path) -> dict:
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
     out: dict = {}
+    set_on: dict = {}  # key -> the line that set it
     for ln, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -253,6 +254,10 @@ def parse_config_file(path) -> dict:
         key, raw = key.strip(), raw.strip()
         if key not in types:
             raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{ln}: {key!r} is set again; line "
+                              f"{set_on[key]} set it first")
+        set_on[key] = ln
         try:
             out[key] = _PARSERS[types[key]](raw)
         except ValueError as e:

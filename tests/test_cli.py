@@ -92,6 +92,14 @@ class TestGenData:
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["c.tsv"]
 
+    def test_missing_directory_names_target(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.txt"
+        assert run("gen-data", "--out", str(path), "--n", "2") == 2
+        err = capsys.readouterr().err
+        assert f"No such file or directory: '{path}'" in err
+        assert ".tmp" not in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_multiframe(self, tmp_path):
         path = tmp_path / "c.tsv"
         assert run("gen-data", "--out", str(path), "--n", "2",
@@ -138,10 +146,11 @@ class TestPretrain:
         ((), "embed_dim = 0\n"),
         ((), "layers_v = -1\n"),
         ((), "variant = Frame\udcffCLS\n"),
+        ((), "batch = 4\nbatch = 5\n"),
         (("--image-mask-ratio", "1.5", "--steps", "0"), ""),
         (("--no-cl", "--no-vtm", "--no-mlm", "--no-scl"), ""),
     ], ids=["heads", "patch-size", "embed-dim", "layers-v", "not-utf8",
-            "mask-ratio", "no-objective"])
+            "key-twice", "mask-ratio", "no-objective"])
     def test_bad_config_writes_nothing(self, tmp_path, corpus_file, flags,
                                        config):
         cfg = tmp_path / "train.cfg"
@@ -440,6 +449,21 @@ class TestExportAttention:
                    str(out / "ckpt_final.vlsc"), "--corpus",
                    str(corpus_file), "--index", "9", "--out-dir",
                    str(tmp_path / "m")) == 2
+
+    def test_no_fusion_layer(self, tmp_path, corpus_file, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("layers_f = 0\n")
+        code, out = quick_pretrain(tmp_path, corpus_file, "--config",
+                                   str(cfg))
+        assert code == 0
+        capsys.readouterr()
+        maps = tmp_path / "maps"
+        assert run("export-attention", "--ckpt",
+                   str(out / "ckpt_final.vlsc"), "--corpus",
+                   str(corpus_file), "--out-dir", str(maps)) == 2
+        err = capsys.readouterr().err
+        assert "no fusion layer" in err and "Traceback" not in err
+        assert not maps.exists()
 
 
 class TestEvalDrawsNoDropout:

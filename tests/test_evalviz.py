@@ -70,27 +70,14 @@ class TestRetrieve:
         assert 0.0 <= r.ir_r1 <= r.ir_r10 <= 1.0
         assert r.k == 6
 
-    def test_batching_invariance(self, monkeypatch):
-        # chunk size is an implementation detail and must not move
-        # any recall
-        model = small_model(seed=4)
-        c = corpus(9)
-        monkeypatch.setattr(ev, "ENCODE_BATCH", 2)
-        a = ev.retrieve(model, c, k=3)
-        monkeypatch.setattr(ev, "ENCODE_BATCH", 9)
-        b = ev.retrieve(model, c, k=3)
-        assert a == b
-
-    def test_encode_corpus_runs_no_fusion(self, monkeypatch):
-        monkeypatch.setattr(ev, "ENCODE_BATCH", 2)
+    def test_encode_corpus_runs_no_fusion(self):
         model = small_model(seed=5)
         ev.encode_corpus(model, corpus(5))
         assert model.forward_count == 0
 
-    def test_match_scores_same_with_graph(self, monkeypatch):
+    def test_match_scores_same_with_graph(self):
         # match_scores runs under no_grad; the same fusion with a graph
         # built gives the same logits to the bit
-        monkeypatch.setattr(ev, "ENCODE_BATCH", 3)
         model = small_model(seed=6)
         enc = ev.with_prefixes(model, ev.encode_corpus(
             model, corpus(4, frames_m=2)))
@@ -111,16 +98,15 @@ class TestRetrieve:
             calls.append(None)
             return real(self, *args, **kw)
         monkeypatch.setattr(FusionEncoder, "prefix", counted)
-        monkeypatch.setattr(ev, "ENCODE_BATCH", 2)
         model = small_model(seed=12)
         c = corpus(5)
         ev.retrieve(model, c, k=0)
         assert calls == [] and model.forward_count == 0
-        # k > 0: one vision and one text prefix per batch, one fused
-        # pass per match_scores call; the at most 2 * 5 * 2 distinct
-        # candidate pairs fit in one call of 24
+        # k > 0: one vision and one text prefix for the whole corpus,
+        # one fused pass per match_scores call; the at most 2 * 5 * 2
+        # distinct candidate pairs fit in one call of 24
         ev.retrieve(model, c, k=2)
-        assert len(calls) == 2 * 3 and model.forward_count == 1
+        assert len(calls) == 2 and model.forward_count == 1
 
     def test_forward_count_exact_across_threads(self):
         # more threads than cores, switching as often as the interpreter
@@ -170,9 +156,8 @@ class TestMatchScoresExact:
                                          "GlobalCLS"])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("layers_f", [0, 1, 2])
-    def test_equals_full_fusion(self, monkeypatch, variant, m, layers_f):
+    def test_equals_full_fusion(self, variant, m, layers_f):
         n = 5
-        monkeypatch.setattr(ev, "ENCODE_BATCH", 2)
         model = small_model(seed=13, variant=variant, layers_f=layers_f,
                             embed_dim=32, heads=4)
         enc = ev.with_prefixes(model, ev.encode_corpus(
@@ -185,6 +170,33 @@ class TestMatchScoresExact:
                 got = ev.match_scores(model, enc, t_idx, v_idx)
                 assert np.max(np.abs(got - want)) \
                     <= 1e-12 * np.max(np.abs(want))
+
+
+class TestItemsDoNotMix:
+    # the corpus is encoded and prefixed in one pass; each item's rows
+    # must be those of a pass over any part of the corpus holding it:
+    # at most 1e-12 of the largest entry apart, as BLAS may round
+    # products of another shape otherwise
+    @pytest.mark.parametrize("variant", ["FrameCLS", "MeanPooling",
+                                         "GlobalCLS"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_whole_equals_halves(self, variant, m):
+        model = small_model(seed=4, variant=variant, embed_dim=32, heads=4)
+        c = corpus(9, frames_m=m, seed=m)
+        whole = ev.with_prefixes(model, ev.encode_corpus(model, c))
+        halves = [ev.with_prefixes(model, ev.encode_corpus(model, part))
+                  for part in (c[:4], c[4:])]
+
+        def tables(enc):
+            return [enc.v_proj, enc.t_proj, enc.v_flat, enc.t_tokens,
+                    enc.text_mask] + [
+                t.data for p in (enc.v_prefix, enc.t_prefix)
+                for t in (p.g, p.q, p.k, p.v)]
+        for got, *parts in zip(*map(tables, [whole] + halves)):
+            ref = np.concatenate(parts)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) \
+                <= 1e-12 * np.max(np.abs(ref))
 
 
 def serial_retrieve(model, c, k):
@@ -360,6 +372,12 @@ class TestAttentionRows:
         bad = np.zeros_like(s.caption)
         with pytest.raises(InputError):
             ev.cls_attention_row(model, s.frames, bad)
+
+    def test_no_fusion_layer_rejected(self):
+        model = small_model(layers_f=0)
+        s = corpus(1)[0]
+        with pytest.raises(InputError, match="no fusion layer"):
+            ev.cls_attention_row(model, s.frames, s.caption)
 
 
 class TestNormalize:

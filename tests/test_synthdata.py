@@ -204,6 +204,22 @@ class TestCorpusIO:
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.tsv"]
 
+    @pytest.mark.parametrize("where", ["missing-dir", "dir-at-path"])
+    def test_failed_write_names_target(self, tmp_path, where):
+        # the open of the temporary file, or its rename over a directory,
+        # fails: the error names the path asked for, and no temporary
+        # file is left
+        path = tmp_path / "missing" / "c.tsv"
+        if where == "dir-at-path":
+            path = tmp_path / "c.tsv"
+            path.mkdir()
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(OSError) as info:
+            sd.write_atomic(path, [b"x\n"])
+        assert info.value.filename == str(path)
+        assert ".tmp" not in str(info.value)
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("1\t1\tred square\n")

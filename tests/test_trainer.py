@@ -223,6 +223,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             tr.parse_config_file(p)
 
+    def test_key_set_twice(self, tmp_path):
+        # save_config writes each key once, so a second line is a mistake
+        # in a hand-written file, not a newer value
+        p = tmp_path / "run.cfg"
+        p.write_text("batch = 4\n# batch = 6\n\nbatch = 5\n")
+        with pytest.raises(ConfigError,
+                           match=r"run\.cfg:4: 'batch' is set again; "
+                                 r"line 1 set it first"):
+            tr.parse_config_file(p)
+
     def test_missing_equals(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("total_steps 10\n")
