@@ -186,7 +186,8 @@ def cmd_pretrain(args) -> int:
 
 
 def _model_from(path) -> PretrainModel:
-    model, _ = tr.build_model(tr.load_checkpoint(path), optimizer=False)
+    model, _ = tr.build_model(tr.load_checkpoint(path, moments=False),
+                              optimizer=False)
     return model
 
 

@@ -304,7 +304,12 @@ def export_attention(model: PretrainModel, sample, out_dir,
                      prefix: str = "attn"):
     """Write one .pgm and one .csv per frame, each atomically; returns
     (heatmaps, paths). Output is a pure function of checkpoint and
-    sample."""
+    sample. Raises InputError, before any directory is made, on an
+    empty prefix or one that names a directory."""
+    if not prefix or any(sep and sep in prefix
+                         for sep in (os.sep, os.altsep)):
+        raise InputError(f"--prefix {prefix!r} must be a non-empty file "
+                         f"name prefix, without a path separator")
     maps = sample_heatmaps(model, sample)
     os.makedirs(out_dir, exist_ok=True)
     paths = []

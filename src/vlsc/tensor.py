@@ -34,6 +34,16 @@ one-array-per-step form. Dropout keeps its mask as bool and scales by
 1 / (1 - p) after it: x * 1.0 * s and x * 0.0 * s are x * s and x * 0.0,
 sign included.
 
+GELU's erf is Cephes's (ndtr.c; Moshier, Methods and Programs for
+Mathematical Functions, 1989), the code SciPy runs, ported to numpy so
+the package needs numpy alone. For |x| <= 1 it is a rational function
+of x * x evaluated by Horner as Cephes does, one rounded multiply or
+add per numpy call, so it is SciPy's erf bit for bit. For 1 < |x| < 6
+it is 1 - exp(-x * x) P(|x|) / Q(|x|) with x's sign, computed on those
+elements only; np.exp stands in for libm's exp there, so a result can
+differ from SciPy's by 1 ulp. From |x| >= 6 on both give exactly +-1,
+and NaN stays NaN.
+
 ParamRegistry owns the one layout of a model's parameters: once laid
 out, each parameter's .data is a view of one flat float64 buffer, and
 gradients gather into a buffer of the same layout.
@@ -46,7 +56,6 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import GraphError, NumericError, ShapeError
 
@@ -364,14 +373,132 @@ def as_tensor(x) -> Tensor:
 
 # -- elementwise functions --------------------------------------------------
 
+def _consts(*values):
+    # read-only 0-d arrays: a ufunc takes one as an operand in about 60%
+    # of the time it takes to convert a Python float
+    out = tuple(np.array(v) for v in values)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+# Cephes ndtr.c (Moshier, Methods and Programs for Mathematical
+# Functions, 1989): erf(u) = u T(u^2) / U(u^2) for |u| <= 1, and
+# 1 - exp(-a^2) P(a) / Q(a) with a = |u| above, u's sign kept. U and Q
+# are monic; their leading 1 is implied.
+_ERF_T = _consts(9.60497373987051638749e0, 9.00260197203842689217e1,
+                 2.23200534594684319226e3, 7.00332514112805075473e3,
+                 5.55923013010394962768e4)
+_ERF_U = _consts(3.35617141647503099647e1, 5.21357949780152679795e2,
+                 4.59432382970980127987e3, 2.26290000613890934246e4,
+                 4.92673942608635921086e4)
+_ERFC_P = _consts(2.46196981473530512524e-10, 5.64189564831068821977e-1,
+                  7.46321056442269912687e0, 4.86371970985681366614e1,
+                  1.96520832956077098242e2, 5.26445194995477358631e2,
+                  9.34528527171957607540e2, 1.02755188689515710272e3,
+                  5.57535335369399327526e2)
+_ERFC_Q = _consts(1.32281951154744992508e1, 8.67072140885989742329e1,
+                  3.54937778887819891062e2, 9.75708501743205489753e2,
+                  1.82390916687909736289e3, 2.24633760818710981792e3,
+                  1.65666309194161350182e3, 5.57535340817727675546e2)
+# 1 - erfc(a) rounds to 1 from 6 on: erfc(6) ~ 2e-17 is below half an
+# ulp of 1
+_ONE, _SIX = _consts(1.0, 6.0)
+
+# the erf kernels make many short calls; positional out= is the
+# cheapest form of each
+_mul, _add, _div = np.multiply, np.add, np.divide
+
+
+def _polevl(x, coef, out=None):
+    """coef[0] x^N + ... + coef[N] by Horner, as Cephes's polevl: each
+    step a multiply, then an add, each rounded once."""
+    ans = _mul(x, coef[0], out)
+    _add(ans, coef[1], ans)
+    for c in coef[2:]:
+        _mul(ans, x, ans)
+        _add(ans, c, ans)
+    return ans
+
+
+def _p1evl(x, coef, out=None):
+    """x^N + coef[0] x^(N-1) + ... + coef[N-1], as Cephes's p1evl."""
+    ans = _add(x, coef[0], out)
+    for c in coef[1:]:
+        _mul(ans, x, ans)
+        _add(ans, c, ans)
+    return ans
+
+
+def _erf_far(s: np.ndarray) -> np.ndarray:
+    """erf of a 1-d array whose every |s| > 1, in a new array."""
+    # clamped, P and Q stay finite for any a and 1 - erfc(a) is still 1
+    a = np.abs(s)
+    np.minimum(a, _SIX, out=a)
+    p = _polevl(a, _ERFC_P)
+    q = _p1evl(a, _ERFC_Q)
+    y = _mul(a, a, a)
+    np.exp(np.negative(y, y), y)
+    _mul(y, p, y)
+    _div(y, q, y)
+    return np.copysign(np.subtract(_ONE, y, y), s, y)
+
+
+class _Scratch(threading.local):
+    # each thread's erf numerator, grown to the largest input it has
+    # seen. A fresh temporary per call is faulted in again whenever
+    # malloc has handed its pages back: 12.8k against 1.0k minor faults
+    # per cycle of the image benchmark. Every call writes it before
+    # reading it, so no call sees another's values
+    buf = np.empty(0)
+
+
+_scratch = _Scratch()
+
+
+def _erf_into(u: np.ndarray, work: np.ndarray) -> None:
+    """u = erf(u) in place; work, of u's shape, is overwritten. Both are
+    C-contiguous float64 arrays."""
+    u, z = u.reshape(-1), work.reshape(-1)
+    if _scratch.buf.size < u.size:
+        _scratch.buf = np.empty(u.size)
+    # a huge |u| overflows u * u, and inf / inf follows; the elements
+    # they reach are overwritten by the far branch
+    with np.errstate(over="ignore", invalid="ignore"):
+        _mul(u, u, z)
+        num = _polevl(z, _ERF_T, _scratch.buf[:u.size])
+        _mul(num, u, num)
+        # taken before u holds the denominator; z > 1 exactly where
+        # |u| > 1, and a NaN stays NaN through the near branch
+        far = None
+        if not z.max(initial=0.0) <= 1.0:
+            far = np.flatnonzero(np.greater(z, _ONE))
+            s = u.take(far)
+        _div(num, _p1evl(z, _ERF_U, u), u)
+    if far is not None:
+        u.put(far, _erf_far(s))
+
+
+def erf(x) -> np.ndarray:
+    """The error function of x, elementwise, as a new float64 array. It
+    is Cephes's erf, the one SciPy runs, computed with numpy: bit for
+    bit SciPy's wherever |x| <= 1. Beyond, only np.exp stands in for
+    libm's exp, so a result can differ from SciPy's by 1 ulp; from
+    |x| >= 6 on both are exactly +-1."""
+    u = np.array(x, dtype=np.float64, order="C")
+    _erf_into(u, np.empty_like(u))
+    return u
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
-    # phi = 0.5 * (1 + erf(x / sqrt 2))
-    phi = x.data * _INV_SQRT2
-    erf(phi, out=phi)
+    # phi = 0.5 * (1 + erf(x / sqrt 2)); out is erf's scratch until the end
+    phi = np.multiply(x.data, _INV_SQRT2, out=np.empty(x.shape))
+    out = np.empty(x.shape)
+    _erf_into(phi, out)
     phi += 1.0
     phi *= 0.5
-    out = x.data * phi
+    np.multiply(x.data, phi, out=out)
 
     def back(g):
         # g * (phi + x * pdf), pdf = exp(-x * x / 2) / sqrt(2 pi)

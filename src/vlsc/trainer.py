@@ -73,6 +73,7 @@ import atexit
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import mmap
@@ -486,12 +487,17 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     write_atomic(path, chunks())
 
 
-def load_checkpoint(path, digest: bool = False) -> Checkpoint:
+def load_checkpoint(path, digest: bool = False,
+                    moments: bool = True) -> Checkpoint:
     """The checkpoint in the file at path. The file's array region is
     read straight into one buffer, after every bound is checked against
-    the header, and each array is a view of it. With digest the
-    Checkpoint's sha256 names the bytes read. Raises InputError on a
-    malformed file."""
+    the header and the file's size, and each array is a view of it.
+    Without moments, for a model that only evaluates, m and v are empty
+    and the region is read only up to the end of the last parameter
+    entry: in a file save_checkpoint wrote, the parameter bytes alone.
+    The header's moment entries are checked all the same. With digest
+    the Checkpoint's sha256 names the bytes read, which are then all of
+    them. Raises InputError on a malformed file."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(len(CKPT_MAGIC) + 8)
@@ -524,24 +530,33 @@ def load_checkpoint(path, digest: bool = False) -> Checkpoint:
             room -= counts[-1]
             if room < 0:
                 raise InputError(f"{path}: truncated array {name!r}")
-        region = np.empty(sum(counts), dtype="<f8")
-        if f.readinto(region) != region.nbytes:
-            raise InputError(f"{path}: truncated array region")
-        trailing = len(f.read())
+        trailing = size - len(head) - hlen - 8 * sum(counts)
         if trailing:
             raise InputError(f"{path}: {trailing} trailing bytes")
+        kinds = ("param", "m", "v") if moments or digest else ("param",)
+        ends = list(itertools.accumulate(counts))
+        upto = max((end for end, (kind, _, _) in zip(ends, entries)
+                    if kind in kinds), default=0)
+        # sized for the whole region even when less is read: the unread
+        # part is never touched, so never resident, and freeing a buffer
+        # this size raises glibc's mmap threshold as a whole read does. A
+        # buffer of the parameters alone left an evaluation-only process
+        # re-faulting its heap: 22k minor faults per image k=8 call
+        region = np.empty(sum(counts), dtype="<f8")[:upto]
+        if f.readinto(region) != region.nbytes:
+            raise InputError(f"{path}: truncated array region")
     tables: dict = {"param": {}, "m": {}, "v": {}}
-    lo = 0
-    for (kind, name, shape), count in zip(entries, counts):
+    shapes: dict = {"param": {}, "m": {}, "v": {}}
+    for (kind, name, shape), count, end in zip(entries, counts, ends):
+        shapes[kind][name] = shape
+        if kind not in kinds:
+            continue
         try:
-            tables[kind][name] = region[lo:lo + count].reshape(shape)
+            tables[kind][name] = region[end - count:end].reshape(shape)
         except ValueError as e:  # an empty shape too large for numpy
             raise InputError(f"{path}: array {name!r}: {e}") from None
-        lo += count
-    params = tables["param"]
     for kind in ("m", "v"):
-        if set(tables[kind]) != set(params) or any(
-                a.shape != params[n].shape for n, a in tables[kind].items()):
+        if shapes[kind] != shapes["param"]:
             raise InputError(f"{path}: {kind} table does not match the "
                              f"parameter names and shapes")
     sha256 = None
@@ -549,8 +564,8 @@ def load_checkpoint(path, digest: bool = False) -> Checkpoint:
         read = hashlib.sha256(head + raw)
         read.update(region)
         sha256 = read.hexdigest()
-    return Checkpoint(params=params, m=tables["m"], v=tables["v"], t=t,
-                      step=step, config=config, sha256=sha256)
+    return Checkpoint(params=tables["param"], m=tables["m"], v=tables["v"],
+                      t=t, step=step, config=config, sha256=sha256)
 
 
 # the loop

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -465,6 +468,21 @@ class TestExportAttention:
         assert "no fusion layer" in err and "Traceback" not in err
         assert not maps.exists()
 
+    @pytest.mark.parametrize("prefix", ["a/b", ""])
+    def test_prefix_that_is_no_file_name(self, tmp_path, corpus_file,
+                                         capsys, prefix):
+        # refused before --out-dir is made, so no empty directory stays
+        _, out = quick_pretrain(tmp_path, corpus_file)
+        capsys.readouterr()
+        maps = tmp_path / "newdir"
+        assert run("export-attention", "--ckpt",
+                   str(out / "ckpt_final.vlsc"), "--corpus",
+                   str(corpus_file), "--out-dir", str(maps), "--prefix",
+                   prefix) == 2
+        err = capsys.readouterr().err
+        assert "--prefix" in err and "Traceback" not in err
+        assert not maps.exists()
+
 
 class TestEvalDrawsNoDropout:
     def test_dropout_moves_no_eval_output(self, tmp_path):
@@ -548,6 +566,49 @@ class TestOldLayoutRefused:
                      sd.load_corpus(corpus_file), out_dir=out,
                      resume=tr.load_checkpoint(old_ckpt))
         assert not out.exists()
+
+
+# every command a run needs, in an interpreter where importing scipy fails
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from vlsc import cli
+d = sys.argv[1]
+ckpt, corpus = d + "/run/ckpt_final.vlsc", d + "/c.tsv"
+codes = [cli.main(argv) for argv in (
+    ["gen-data", "--out", corpus, "--n", "8", "--seed", "1"],
+    ["pretrain", "--corpus", corpus, "--out", d + "/run", "--steps", "2",
+     "--batch", "2"],
+    ["eval-retrieval", "--ckpt", ckpt, "--corpus", corpus, "--k", "8"],
+    ["export-attention", "--ckpt", ckpt, "--corpus", corpus,
+     "--out-dir", d + "/maps"])]
+print("exit codes", codes)
+"""
+
+
+def python_with_src(*args, **kw):
+    """subprocess.run of this interpreter, in dev mode, with the package
+    importable."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-X", "dev", *args], env=env,
+                          capture_output=True, text=True, timeout=300, **kw)
+
+
+class TestWithoutScipy:
+    def test_every_command_runs(self, tmp_path):
+        proc = python_with_src("-c", WITHOUT_SCIPY, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0, 0]"
+        assert "Traceback" not in proc.stderr
+
+    def test_import_loads_no_scipy(self):
+        proc = python_with_src("-c", "import sys, vlsc.cli; print(sorted("
+                               "m for m in sys.modules "
+                               "if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestGradcheckCommand:

@@ -457,6 +457,14 @@ class TestHeatmapExport:
         assert names == ["x_frame0.csv", "x_frame0.pgm",
                          "x_frame1.csv", "x_frame1.pgm"]
 
+    @pytest.mark.parametrize("prefix", ["", "a/b", "/abs"])
+    def test_prefix_must_be_a_file_name(self, tmp_path, prefix):
+        model = small_model(seed=9)
+        with pytest.raises(InputError, match="--prefix"):
+            ev.export_attention(model, corpus(1)[0], tmp_path / "new",
+                                prefix=prefix)
+        assert not (tmp_path / "new").exists()
+
     def test_grid_values_in_unit_interval(self):
         model = small_model(seed=10)
         s = corpus(1)[0]

@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 import weakref
 
 import re
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
 
 from vlsc import tensor as T
 from vlsc.errors import GraphError, NumericError, ShapeError
@@ -299,6 +299,83 @@ class TestNumericContracts:
             T.cosine_similarity_matrix(a, b)
 
 
+def ulps_apart(a, b) -> np.ndarray:
+    """|a - b| in units in the last place, for float64 arrays whose
+    elements agree in sign."""
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+ERF_EDGES = np.array([
+    0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+    -np.nextafter(1.0, 2.0), 6.0, -6.0, np.nextafter(6.0, 0.0), 1e308,
+    -1e308, 1.3e154, 1.4e154, np.inf, -np.inf, 5e-324, -5e-324, 1e-310,
+    np.finfo(np.float64).tiny, 1e-30, 3.0, -2.5])
+
+
+class TestErf:
+    """The numpy port of Cephes's erf against SciPy's, which runs the
+    same Cephes code: bit for bit where |x| <= 1, within 1 ulp beyond
+    (np.exp stands in for libm's exp there)."""
+
+    def test_matches_scipy(self):
+        scipy_erf = pytest.importorskip("scipy.special").erf
+        rng = np.random.default_rng(24)
+        x = np.concatenate([rng.normal(scale=s, size=200_000)
+                            for s in (1e-6, 0.1, 0.3, 0.7, 1.0, 2.0, 4.0)]
+                           + [rng.uniform(-1.0, 1.0, 400_000)])
+        got, want = T.erf(x), scipy_erf(x)
+        near = np.abs(x) <= 1.0
+        assert near.sum() >= 1_000_000
+        assert got[near].tobytes() == want[near].tobytes()
+        assert ulps_apart(got, want).max() <= 1
+
+    def test_edges(self):
+        scipy_erf = pytest.importorskip("scipy.special").erf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = T.erf(ERF_EDGES)
+        want = scipy_erf(ERF_EDGES)
+        assert ulps_apart(got, want).max() <= 1
+        exact = (np.abs(ERF_EDGES) <= 1.0) | (np.abs(ERF_EDGES) >= 6.0)
+        assert got[exact].tobytes() == want[exact].tobytes()
+        assert np.array_equal(got[np.abs(ERF_EDGES) >= 6.0],
+                              np.sign(ERF_EDGES[np.abs(ERF_EDGES) >= 6.0]))
+        assert np.signbit(T.erf(-0.0)) and T.erf(0.0) == 0.0
+        assert np.isnan(T.erf(np.array([np.nan, 0.5, 2.0]))[0])
+
+    @pytest.mark.parametrize("make", [
+        lambda x: x.reshape(6, 50)[:, ::3],
+        lambda x: x.reshape(6, 50).T,
+        lambda x: x[7],
+        lambda x: x[:0],
+        lambda x: x[:0].reshape(0, 3),
+    ], ids=["strided", "transposed", "0-d", "empty", "empty-2d"])
+    def test_any_layout(self, make):
+        # erf: the values of a contiguous copy, in the input's shape, with
+        # no warning from a NaN, an infinity or an overflowing x * x; gelu
+        # forward and backward on the same layout of finite inputs, 0-d
+        # aside
+        rng = np.random.default_rng(3)
+        clean = rng.normal(scale=2.0, size=300)
+        odd = clean.copy()
+        odd[[1, 5, 9, 20]] = [np.nan, np.inf, -1e200, 1e300]
+        for x in (odd, clean):
+            view = make(x)
+            before = view.copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = T.erf(view)
+                if x is clean and view.ndim:
+                    y = T.gelu(Tensor(view, requires_grad=True))
+                    (gx,) = y._backward_fn(np.ones(y.shape))
+                    assert y.shape == gx.shape == view.shape
+            assert got.shape == view.shape
+            want = T.erf(np.ascontiguousarray(view).reshape(-1))
+            assert got.reshape(-1).tobytes() == want.tobytes()
+            assert view.tobytes() == before.tobytes()
+
+
 class TestAttentionExamples:
     def test_identity_rows_are_convex_combinations(self):
         q = k = v = Tensor(np.eye(2))
@@ -512,7 +589,7 @@ def oop_layer_norm(x, gain, bias):
 
 
 def oop_gelu(x):
-    phi = 0.5 * (1.0 + erf(x.data * (1.0 / math.sqrt(2.0))))
+    phi = 0.5 * (1.0 + T.erf(x.data * (1.0 / math.sqrt(2.0))))
     out = x.data * phi
 
     def back(g):

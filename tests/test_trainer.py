@@ -1313,6 +1313,119 @@ class TestLoadPath:
                          str(corpus), *out]) == 0
 
 
+class _CountedFile:
+    """A file whose reads count the bytes they return."""
+
+    def __init__(self, f, counts):
+        self._f, self._counts = f, counts
+
+    def read(self, *args):
+        data = self._f.read(*args)
+        self._counts.append(len(data))
+        return data
+
+    def readinto(self, buf):
+        got = self._f.readinto(buf)
+        self._counts.append(got)
+        return got
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def parameter_bytes_end(data: bytes) -> int:
+    """The file offset where a saved checkpoint's parameter table ends."""
+    header, body = split_ckpt(data)
+    return len(data) - len(body) + 8 * sum(
+        math.prod(e["shape"]) for e in header["arrays"]
+        if e["kind"] == "param")
+
+
+class TestParamsOnlyLoad:
+    # evaluation reads the header and the parameter table, and no byte of
+    # the moments; every check of the header and the file size still runs
+
+    @pytest.mark.parametrize("command", ["eval-retrieval",
+                                         "export-attention"])
+    def test_eval_reads_no_moment_byte(self, monkeypatch, tmp_path,
+                                       distinct_ckpt, command):
+        path, _ = distinct_ckpt
+        corpus = tmp_path / "corpus.tsv"
+        sd.save_corpus(corpus, small_corpus())
+        counts = []
+        monkeypatch.setattr(tr, "open", lambda *a: _CountedFile(
+            open(*a), counts), raising=False)
+        out = ["--k", "2"] if command == "eval-retrieval" else [
+            "--out-dir", str(tmp_path / "maps")]
+        assert cli.main([command, "--ckpt", str(path), "--corpus",
+                         str(corpus), *out]) == 0
+        assert sum(counts) == parameter_bytes_end(path.read_bytes())
+
+    def test_moment_bytes_move_no_evaluation(self, tmp_path, distinct_ckpt):
+        path, want = distinct_ckpt
+        data = path.read_bytes()
+        end = parameter_bytes_end(data)
+        nan = tmp_path / "nan.vlsc"
+        nan.write_bytes(data[:end] + np.full((len(data) - end) // 8,
+                                             np.nan).tobytes())
+        got = tr.load_checkpoint(nan, moments=False)
+        assert got.m == {} and got.v == {} and (got.t, got.step) == (4, 2)
+        assert set(got.params) == set(want.params)
+        assert all(same_bits(got.params[n], a)
+                   for n, a in want.params.items())
+        corpus = tmp_path / "corpus.tsv"
+        sd.save_corpus(corpus, small_corpus(n=8))
+        outputs = []
+        for ckpt in (path, nan):
+            csv, maps = tmp_path / f"{ckpt.stem}.csv", tmp_path / ckpt.stem
+            for k in ("0", "8"):
+                assert cli.main(["eval-retrieval", "--ckpt", str(ckpt),
+                                 "--corpus", str(corpus), "--k", k,
+                                 "--out", str(csv)]) == 0
+            assert cli.main(["export-attention", "--ckpt", str(ckpt),
+                             "--corpus", str(corpus), "--out-dir",
+                             str(maps)]) == 0
+            outputs.append([csv.read_bytes()] + [
+                (f.name, f.read_bytes()) for f in sorted(maps.iterdir())])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("edit", [
+        lambda h, b: (h, b[:-16]),
+        lambda h, b: (h, b + b"\x00" * 8),
+        lambda h, b: (h, b + b"\x00" * 3),
+        lambda h, b: (_first_moment(h).update(name="no.such.param"), b),
+        lambda h, b: (_first_moment(h).update(
+            shape=[1] + _first_moment(h)["shape"]), b),
+        lambda h, b: (h["arrays"][-1].update(kind="q"), b),
+        lambda h, b: (h["arrays"].pop(), b),
+        lambda h, b: (h["arrays"][0].update(shape=[0, 10 ** 20]), b),
+    ])
+    def test_refuses_what_a_full_load_refuses(self, tmp_path, edit):
+        p = tmp_path / "x.vlsc"
+        tr.save_checkpoint(tr.init_checkpoint(tiny_train_config()), p)
+        header, body = split_ckpt(p.read_bytes())
+        edited = edit(header, body)[1]
+        p.write_bytes(join_ckpt(header, edited))
+        messages = []
+        for moments in (True, False):
+            with pytest.raises(InputError) as e:
+                tr.load_checkpoint(p, moments=moments)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
+
+    def test_digest_reads_every_byte(self):
+        got = tr.load_checkpoint(GOLDEN, digest=True, moments=False)
+        assert got.sha256 == hashlib.sha256(GOLDEN.read_bytes()).hexdigest()
+        want = golden_checkpoint()
+        assert all(same_bits(got.m[n], a) for n, a in want.m.items())
+
+
 class TestBackwardFreesGraph:
     def test_peak_memory_flat_across_steps(self):
         # a step's graph is freed by its own backward, not by the next
