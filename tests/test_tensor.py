@@ -347,7 +347,7 @@ class TestErf:
     @pytest.mark.parametrize("make", [
         lambda x: x.reshape(6, 50)[:, ::3],
         lambda x: x.reshape(6, 50).T,
-        lambda x: x[7],
+        lambda x: x[7, ...],
         lambda x: x[:0],
         lambda x: x[:0].reshape(0, 3),
     ], ids=["strided", "transposed", "0-d", "empty", "empty-2d"])
