@@ -299,6 +299,8 @@ class TextEncoder:
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ShapeError("caption batch must be (B, K)")
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise ShapeError(f"token ids must be integers, not {ids.dtype}")
         b, k = ids.shape
         if k > cfg.k_max:
             raise ShapeError(f"caption length {k} exceeds k_max={cfg.k_max}")
@@ -309,8 +311,7 @@ class TextEncoder:
         d = cfg.embed_dim
         h = cfg.heads
 
-        g = T.embedding(reg["text.tok_emb"], ids) \
-            + reg["text.pos_emb"][:k].reshape(1, k, d)
+        g = reg["text.tok_emb"][ids] + reg["text.pos_emb"][:k].reshape(1, k, d)
         mask = text_additive_mask(ids)
         res = residual(cfg.dropout, rng)
         for l in range(cfg.layers_t):

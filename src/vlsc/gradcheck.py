@@ -32,10 +32,11 @@ def grad_check(loss_fn, params: ParamRegistry, eps: float = 1e-4,
     (4*d(h/2) - d(h)) / 3, which cancels the O(h^2) truncation term:
     elements whose gradient is small relative to their curvature
     otherwise fail on truncation alone. Near-flat elements (estimate
-    below 1e-6 in magnitude) are re-probed once at 16x the step, since
-    their limit is cancellation noise ~|loss|*ulp/eps instead. Both
-    refinements sharpen the derivative estimate; neither can pull it
-    toward a wrong analytic value.
+    below 1e-6 in magnitude, and not equal to the analytic value) are
+    re-probed once at 16x the step, since their limit is cancellation
+    noise ~|loss|*ulp/eps instead. Both refinements sharpen the
+    derivative estimate; neither can pull it toward a wrong analytic
+    value.
 
     An eps that is not finite and positive, or a max_elements below 1,
     raises ConfigError.
@@ -82,7 +83,9 @@ def grad_check(loss_fn, params: ParamRegistry, eps: float = 1e-4,
             return (4.0 * central(0.5 * h) - central(h)) / 3.0
 
         numeric = estimate(eps)
-        if abs(numeric) < 1e-6:
+        # an exact match has no error to sharpen: a parameter the loss
+        # never reads is 0 on both sides
+        if abs(numeric) < 1e-6 and numeric != analytic:
             numeric = estimate(16.0 * eps)
         err = abs(analytic - numeric)
         if err > 0.0:

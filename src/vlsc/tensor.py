@@ -1,9 +1,14 @@
 """Minimal float64 tensor with reverse-mode autodiff.
 
 Every value is a dense numpy array in row-major order. Ops record their
-parents and a backward closure; ``Tensor.backward()`` runs a topological
-sweep and accumulates gradients into every reachable tensor that has
-``requires_grad`` set. The sweep consumes the graph as it goes: once a
+parents and a backward closure; ``Tensor.backward()`` sweeps the graph
+and accumulates gradients into every reachable tensor that has
+``requires_grad`` set. Each Tensor carries its creation index, and the
+sweep runs nodes in reverse creation order, latest-made first, a reverse
+Wengert list (Griewank & Walther, Evaluating Derivatives, 2008). That
+order is valid because an op's parents are made before its result, so a
+node runs only after every consumer that passes it a gradient. The
+sweep keeps only its frontier and consumes the graph as it goes: once a
 node's backward has run, the node drops its parents and closure, so an
 intermediate array lives only while the rest of the sweep needs it or
 the caller holds its Tensor. A held Tensor keeps its ``.data`` and
@@ -13,12 +18,12 @@ built on the same parameters add up. Inside ``no_grad()`` ops record
 nothing; the mode is kept per thread.
 
 The op set is deliberately small: matmul, reshape, transpose, concat,
-slicing/gather, row picking, elementwise arithmetic, sum/mean,
-log-softmax, GELU, clip, dropout, embedding lookup, cosine similarity
-and cross-entropy, plus three fused single-node kernels with
-closed-form backward: linear (x @ W, plus a bias b when given), layer
-norm and multi-head attention. Everything else in the package is
-composed from these.
+slicing/gather (an embedding lookup is ``weight[ids]``), row picking,
+elementwise arithmetic, sum/mean, log-softmax, GELU, clip, dropout,
+cosine similarity and cross-entropy, plus three fused single-node
+kernels with closed-form backward: linear (x @ W, plus a bias b when
+given), layer norm and multi-head attention. Everything else in the
+package is composed from these.
 
 Each fused forward runs the numpy operations of its composed equivalent
 in the same order, so forward values are bit-identical to composing the
@@ -51,6 +56,8 @@ gradients gather into a buffer of the same layout.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import threading
 from contextlib import contextmanager
@@ -76,6 +83,9 @@ _grad_mode = _GradMode()
 
 # the _backward_fn of a node whose backward a sweep has run
 _CONSUMED = object()
+
+# each Tensor's creation index; next() on a count is atomic under the GIL
+_next_index = itertools.count().__next__
 
 
 @contextmanager
@@ -110,7 +120,7 @@ class Tensor:
     """Dense multi-dimensional float64 array participating in autodiff."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn",
-                 "__weakref__")
+                 "_index", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -118,6 +128,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple = ()
         self._backward_fn = None
+        self._index = _next_index()
 
     # -- construction ----------------------------------------------------
 
@@ -159,61 +170,51 @@ class Tensor:
         """Accumulate d(self)/d(t) into ``t.grad`` for every tensor t
         reachable from self that has ``requires_grad`` set.
 
-        The sweep consumes the graph: each node drops its parents and
-        backward closure once its backward has run, so the graph's
-        intermediate arrays are freed as the sweep goes, unless the
-        caller still holds their Tensors. A held Tensor keeps its
-        ``.data`` and gets its ``.grad``. Leaves are left as they were.
-        A later sweep that reaches a consumed node raises GraphError
-        before it changes any ``.grad``; build the graph again instead.
-        self must be a scalar (ShapeError otherwise); its own gradient
-        is 1.
+        Nodes run latest-made first. The sweep consumes the graph: each
+        node drops its parents and backward closure once its backward
+        has run, so the graph's intermediate arrays are freed as the
+        sweep goes, unless the caller still holds their Tensors. A held
+        Tensor keeps its ``.data`` and gets its ``.grad`` when it runs.
+        Leaves are never consumed; their ``.grad`` is written, or added
+        to, only once the whole sweep has run. A sweep that reaches a
+        consumed node raises GraphError and leaves every leaf's
+        ``.grad`` as it was; build the graph again instead. self must
+        be a scalar (ShapeError otherwise); its own gradient is 1.
         """
         if self.size != 1:
             raise ShapeError("backward() requires a scalar tensor")
         if not self.requires_grad:
             return
 
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
+        # the frontier, keyed by creation index: a node is made after its
+        # parents, so the latest-made node pops only once every consumer
+        # that passes it a gradient has run
+        heap = [(-self._index, self)]
+        pending = {self._index: np.ones_like(self.data)}
+        leaves = []
+        while heap:
+            node = heapq.heappop(heap)[1]
+            g = pending.pop(node._index)
+            fn = node._backward_fn
+            if fn is None:
+                leaves.append((node, g))
                 continue
-            if id(node) in visited:
-                continue
-            if node._backward_fn is _CONSUMED:
+            if fn is _CONSUMED:
                 raise GraphError("backward() reached a node whose graph an "
                                  "earlier backward() consumed")
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
-                    stack.append((p, False))
-
-        # keyed by nodes topo still holds, so no key is the id of a node
-        # already freed
-        pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        while topo:
-            node = topo.pop()
-            g = pending.pop(id(node), None)
-            if g is None:
-                continue
-            node.grad = g if node.grad is None else node.grad + g
-            if node._backward_fn is None:
-                continue
-            parent_grads = node._backward_fn(g)
-            for p, pg in zip(node._parents, parent_grads):
+            node.grad = g
+            for p, pg in zip(node._parents, fn(g)):
                 if pg is None or not p.requires_grad:
                     continue
-                if id(p) in pending:
-                    pending[id(p)] = pending[id(p)] + pg
+                if p._index in pending:
+                    pending[p._index] = pending[p._index] + pg
                 else:
-                    pending[id(p)] = pg
+                    pending[p._index] = pg
+                    heapq.heappush(heap, (-p._index, p))
             node._parents = ()
             node._backward_fn = _CONSUMED
+        for leaf, g in leaves:
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
 
     # -- elementwise arithmetic -------------------------------------------
 
@@ -589,21 +590,6 @@ def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
         return (gx,)
 
     return Tensor._from_op(out, (x,), back)
-
-
-def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup ``weight[ids]`` with scatter-add backward."""
-    ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ShapeError("embedding ids must be integers")
-    out = weight.data[ids]
-
-    def back(g):
-        gw = np.zeros_like(weight.data)
-        np.add.at(gw, ids, g)
-        return (gw,)
-
-    return Tensor._from_op(out, (weight,), back)
 
 
 # -- fused kernels ------------------------------------------------------------

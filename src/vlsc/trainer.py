@@ -497,7 +497,9 @@ def load_checkpoint(path, digest: bool = False,
     entry: in a file save_checkpoint wrote, the parameter bytes alone.
     The header's moment entries are checked all the same. With digest
     the Checkpoint's sha256 names the bytes read, which are then all of
-    them. Raises InputError on a malformed file."""
+    them. Raises InputError on a malformed file, and on a header no
+    save writes: a format other than 1, or a step or t that is not a
+    non-negative int."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(len(CKPT_MAGIC) + 8)
@@ -514,11 +516,17 @@ def load_checkpoint(path, digest: bool = False,
             header = json.loads(raw.decode())
             entries = [(e["kind"], e["name"], tuple(map(int, e["shape"])))
                        for e in header["arrays"]]
-            t, step = int(header["t"]), int(header["step"])
+            fmt, t, step = header["format"], header["t"], header["step"]
             config = TrainConfig(**header["config"])
         except (ValueError, KeyError, TypeError, OverflowError,
                 RecursionError, ConfigError) as e:
             raise InputError(f"{path}: malformed header: {e!r}") from e
+        # a bool is an int, and 1.0 == 1: only the values a save writes
+        if type(fmt) is not int or fmt != 1:
+            raise InputError(f"{path}: checkpoint format {fmt!r} is not 1")
+        if type(t) is not int or type(step) is not int or min(t, step) < 0:
+            raise InputError(f"{path}: step {step!r} and t {t!r} must be "
+                             f"non-negative integers")
         room = (size - len(head) - hlen) // 8
         counts = []
         for kind, name, shape in entries:

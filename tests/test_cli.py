@@ -484,6 +484,39 @@ class TestExportAttention:
         assert not maps.exists()
 
 
+class TestCorpusDoesNotFitCheckpoint:
+    # checkpoint config, corpus frames per sample, the one error line
+    CASES = {
+        "frames": (dict(), 2, "error: M=2 exceeds frames_m=1"),
+        "caption": (dict(k_max=8), 1,
+                    "error: caption length 16 exceeds k_max=8"),
+        "canvas": (dict(canvas=8), 1, "error: frames (C,H,W)=(3,16,16) do "
+                                      "not match the config (3,8,8)"),
+    }
+
+    @pytest.mark.parametrize("command", ["eval-retrieval",
+                                         "export-attention"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command,
+                                        case):
+        kw, frames, line = self.CASES[case]
+        ckpt, corpus = tmp_path / "c.vlsc", tmp_path / "c.tsv"
+        tr.save_checkpoint(tr.init_checkpoint(tr.TrainConfig(**kw)), ckpt)
+        assert run("gen-data", "--out", str(corpus), "--n", "4",
+                   "--frames", str(frames)) == 0
+        table = tmp_path / "r.csv"
+        table.write_text(RetrievalResult.CSV_HEADER + "\n")
+        maps = tmp_path / "maps"
+        capsys.readouterr()
+        out = ("--out", str(table)) if command == "eval-retrieval" \
+            else ("--out-dir", str(maps))
+        assert run(command, "--ckpt", str(ckpt), "--corpus", str(corpus),
+                   *out) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert table.read_text() == RetrievalResult.CSV_HEADER + "\n"
+        assert not maps.exists()
+
+
 class TestEvalDrawsNoDropout:
     def test_dropout_moves_no_eval_output(self, tmp_path):
         # two checkpoints with the same parameters, whose configs differ

@@ -157,6 +157,14 @@ class TestTextEncoder:
         real = ids[0] != sd.PAD_ID
         np.testing.assert_allclose(base[0][real], after[0][real], atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, bool])
+    def test_non_integer_ids_refused(self, dtype):
+        cfg = tiny_config(seed=8)
+        model = PretrainModel(cfg)
+        ids = np.stack([sd.tokenize("red square", cfg.k_max)]).astype(dtype)
+        with pytest.raises(ShapeError, match="token ids must be integers"):
+            model.text(ids)
+
     def test_identical_captions_identical_outputs(self):
         cfg = tiny_config(seed=9)
         model = PretrainModel(cfg)

@@ -31,6 +31,23 @@ def test_constant_loss_zero_error():
     assert grad_check(loss, reg) == 0.0
 
 
+def test_unread_parameter_is_not_reprobed():
+    reg = ParamRegistry()
+    reg.register("x", np.array([1.0, 2.0]))
+    reg.register("unread", np.array([0.5, -1.0, 3.0]))
+    calls = []
+
+    def loss():
+        calls.append(1)
+        x = reg["x"]
+        return (x * x).sum()
+
+    assert grad_check(loss, reg) < 1e-8
+    # one analytic pass, then 4 evaluations for each of the 5 elements:
+    # the unread ones match their analytic 0 exactly
+    assert len(calls) == 1 + 4 * 5
+
+
 def test_info_nce_style_loss():
     rng = np.random.default_rng(0)
     reg = ParamRegistry()

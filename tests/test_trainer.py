@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import resource
 import signal
 import struct
@@ -520,6 +521,16 @@ class TestCheckpointIO:
         lambda h: _first_moment(h).update(name="no.such.param"),
         lambda h: _first_moment(h).update(
             shape=[1] + _first_moment(h)["shape"]),
+        # values no save writes
+        lambda h: h.update(format=7),
+        lambda h: h.pop("format"),
+        lambda h: h.update(format=True),
+        lambda h: h.update(format=1.0),
+        lambda h: h.update(step=-3),
+        lambda h: h.update(t=-2),
+        lambda h: h.update(step=1.9),
+        lambda h: h.update(t=True),
+        lambda h: h.update(step="3"),
     ])
     def test_malformed_header(self, tmp_path, edit):
         p = tmp_path / "x.vlsc"
@@ -527,7 +538,7 @@ class TestCheckpointIO:
         header, body = split_ckpt(p.read_bytes())
         edit(header)
         p.write_bytes(join_ckpt(header, body))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=re.escape(str(p))):
             tr.load_checkpoint(p)
 
     def test_build_model_bit_exact(self):
@@ -728,36 +739,40 @@ class TestTrainPinned:
     # They are the forked split step's, so the run forks on any host.
     # The digests alone were re-recorded when the attention key biases
     # were deleted, since no table of the file holds them any more; every
-    # metrics line stayed as it was
+    # metrics line stayed as it was. Every step-2 line and digest was
+    # re-recorded when the backward sweep came to run nodes in reverse
+    # creation order in place of a depth-first topological order, which
+    # sums a multi-consumer node's gradients in another order; the
+    # step-1 lines, and GlobalCLS's step-2 line, did not move
     PINNED = {
         ("FrameCLS", 1): (
             ["1 1.6726954712589537 0.69334770659316081 4.1461306298858069 "
              "1.3785228225971766 7.890696630335098 0.00055555555555555556",
-             "2 1.4323359296860094 0.69334901916193337 4.100965814781631 "
-             "1.453786448986409 7.680437212615983 0"],
-            "0a4e0339dc30a05f4f6a66214f22c754"
-            "b66496a50c0f4dbe39bca8f68a9c2db3"),
+             "2 1.4323359296860088 0.69334901916193359 4.100965814781631 "
+             "1.4537864489864107 7.6804372126159839 0"],
+            "f1216257dd9713fdb073fe7ad8306624"
+            "c6b4876a6144b43dd141479e6d3686ac"),
         ("FrameCLS", 2): (
             ["1 1.865637932166027 0.6938209412124432 4.1755095240632158 "
              "1.4036134700089491 8.1385818674506361 0.00055555555555555556",
-             "2 1.4331812760948073 0.69321312924374867 4.1623298546015883 "
-             "1.3914279303178083 7.680152190257953 0"],
-            "51d1cb9cd1c768ac7f9b14b966b05b99"
-            "60fc0a64e37a92c255f2cdac98ad508e"),
+             "2 1.4331812760948077 0.69321312924374867 4.1623298546015883 "
+             "1.3914279303178101 7.6801521902579548 0"],
+            "dc3c4c9a469998cc90d95e8e95595165"
+            "f49080ce4ee8f50cf7461acc34b8cdee"),
         ("MeanPooling", 2): (
             ["1 1.5031232642237637 0.69512544779425367 4.1393889434265265 "
              "1.3886225888659212 7.7262602443104651 0.00055555555555555556",
-             "2 1.537146467691229 0.69366381352655315 4.141701377287049 "
-             "1.4170206020194869 7.789532260524318 0"],
-            "31f8450518c906ab43dc75ee8358253b"
-            "a5793ca737404a4dd4fc9ec98ff687cf"),
+             "2 1.5371464676912296 0.69366381352655315 4.141701377287049 "
+             "1.4170206020194869 7.7895322605243189 0"],
+            "3f4b1f3d434677589127374408ce855b"
+            "5420535f8d10223238b9fc69efa49656"),
         ("GlobalCLS", 2): (
             ["1 1.3869367070311018 0.69548332696682835 4.1529213938384881 "
              "1.3922670151671084 7.6276084430035276 0.00055555555555555556",
              "2 1.3944933330292508 0.69341117898336146 4.1345831073750361 "
              "1.3770580568368893 7.5995456762245368 0"],
-            "2b4b690813ca2dc754107ef18e90f697"
-            "11d3d0242599df8c7f70a791042736cd"),
+            "89294bbbad071eab10b75969a232f7a5"
+            "e2c5c6f5e8dd4d0776a90dfb5a6ab38d"),
     }
 
     @pytest.mark.parametrize("variant, m", list(PINNED), ids=[
@@ -1088,24 +1103,19 @@ class TestSclWorker:
 
 
 def keeping_backward(root: Tensor) -> None:
-    """Tensor.backward as it was before the sweep consumed the graph:
-    the same topological order and arithmetic, every node kept."""
-    topo, visited, stack = [], set(), [(root, False)]
+    """Tensor.backward with every node kept: the same order, latest-made
+    node first, and the same arithmetic, over the whole reachable graph
+    sorted by creation index."""
+    reached, stack = {}, [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
-                stack.append((p, False))
-    pending = {id(root): np.ones_like(root.data)}
-    for node in reversed(topo):
-        g = pending.pop(id(node), None)
+        node = stack.pop()
+        if node._index not in reached:
+            reached[node._index] = node
+            stack.extend(p for p in node._parents if p.requires_grad)
+    pending = {root._index: np.ones_like(root.data)}
+    for i in sorted(reached, reverse=True):
+        node = reached[i]
+        g = pending.pop(i, None)
         if g is None:
             continue
         node.grad = g if node.grad is None else node.grad + g
@@ -1114,7 +1124,8 @@ def keeping_backward(root: Tensor) -> None:
         for p, pg in zip(node._parents, node._backward_fn(g)):
             if pg is None or not p.requires_grad:
                 continue
-            pending[id(p)] = pending[id(p)] + pg if id(p) in pending else pg
+            j = p._index
+            pending[j] = pending[j] + pg if j in pending else pg
 
 
 def recorded_models(monkeypatch) -> list:
@@ -1621,6 +1632,7 @@ class TestFuzzCheckpoint:
         except VlscError:
             return
         assert set(ckpt.params) == set(ckpt.m) == set(ckpt.v)
+        assert all(type(n) is int and n >= 0 for n in (ckpt.t, ckpt.step))
         for fld in dataclasses.fields(ckpt.config):
             kind = type(getattr(ckpt.config, fld.name)).__name__
             assert kind == fld.type or (kind, fld.type) == ("int", "float")
